@@ -18,7 +18,6 @@ from .complex import (
 from .chains import (
     Chain,
     ChainComplex,
-    RelativePair,
     build_chain_complex,
     build_relative,
     cone,

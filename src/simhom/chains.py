@@ -28,37 +28,55 @@ class Chain:
         return all(c == 0 for c in self.coeffs)
 
 
-Cochain = Chain  # same carrier; cochains pair against chains by evaluation
-
-
 class ChainComplex:
-    """Per-degree ordered simplex bases with exact boundary matrices."""
+    """Per-degree ordered simplex bases with exact boundary matrices.
 
-    def __init__(self, x: SimplicialComplex):
+    With ``kept`` (degree -> simplices of ``x``) the bases are the kept
+    simplices in the complex's order and boundary faces outside them are
+    dropped: the quotient of C_*(X) by the span of the other simplices
+    (Kaczynski-Mischaikow-Mrozek, Computational Homology, 2004).  Relative
+    chains S_*(X)/S_*(A) are the case kept = X - A.
+    """
+
+    def __init__(self, x: SimplicialComplex, kept=None):
         self.complex = x
         self.dim = x.dim
+        if kept is None:
+            self._basis = x.simplices
+            self.index = x.index
+        else:
+            kept = {q: set(level) for q, level in kept.items()}
+            self._basis = tuple(
+                tuple(s for s in x.basis(q) if s in kept.get(q, ()))
+                for q in range(x.dim + 1)
+            )
+            self.index = tuple(
+                {s: k for k, s in enumerate(level)} for level in self._basis
+            )
         self._boundary = {}
 
     def basis(self, q: int):
-        return self.complex.basis(q)
+        return self._basis[q] if 0 <= q <= self.dim else ()
 
     def n(self, q: int) -> int:
-        return self.complex.n_simplices(q)
+        return len(self.basis(q))
+
+    def simplex_id(self, q: int, simplex) -> int:
+        return self.index[q][tuple(simplex)]
 
     def boundary(self, q: int) -> SparseMatrix:
         """The matrix of d_q : C_q -> C_{q-1}."""
         if q in self._boundary:
             return self._boundary[q]
-        rows = self.n(q - 1)
-        cols = self.n(q)
         ent = {}
-        if q >= 1:
-            lower = self.complex.index[q - 1] if q - 1 <= self.dim else {}
+        if 1 <= q <= self.dim:
+            lower = self.index[q - 1]
             for j, s in enumerate(self.basis(q)):
                 for i in range(len(s)):
-                    face = s[:i] + s[i + 1 :]
-                    ent[(lower[face], j)] = ent.get((lower[face], j), ZERO) + (-ONE) ** i
-        m = SparseMatrix(rows, cols, ent)
+                    row = lower.get(s[:i] + s[i + 1 :])
+                    if row is not None:
+                        ent[(row, j)] = ent.get((row, j), ZERO) + (-ONE) ** i
+        m = SparseMatrix(self.n(q - 1), self.n(q), ent)
         self._boundary[q] = m
         return m
 
@@ -73,7 +91,7 @@ class ChainComplex:
         simplex = tuple(simplex)
         q = len(simplex) - 1
         coeffs = [ZERO] * self.n(q)
-        coeffs[self.complex.simplex_id(q, simplex)] = ONE
+        coeffs[self.simplex_id(q, simplex)] = ONE
         return Chain(q, tuple(coeffs))
 
 
@@ -81,89 +99,31 @@ def build_chain_complex(x: SimplicialComplex) -> ChainComplex:
     return ChainComplex(x)
 
 
-class CochainComplex:
-    """Hom(S_*(X), Q) with delta^q the transpose of d_{q+1}."""
-
-    def __init__(self, cc: ChainComplex):
-        self.cc = cc
-        self.dim = cc.dim
-
-    def basis(self, q: int):
-        return self.cc.basis(q)
-
-    def n(self, q: int) -> int:
-        return self.cc.n(q)
-
-    def delta(self, q: int) -> SparseMatrix:
-        return self.cc.boundary(q + 1).transpose()
-
-
-class RelativePair:
-    """Quotient complex S_*(X)/S_*(A) for a subcomplex A of X.
-
-    Bases are the simplices of X not in A; boundary entries with faces in A
-    are dropped.
-    """
-
-    def __init__(self, ambient: SimplicialComplex, sub: SimplicialComplex):
-        self.ambient = ambient
-        self.sub = sub
-        self.dim = ambient.dim
-        self._basis = {}
-        self._boundary = {}
-        for q in range(ambient.dim + 1):
-            subset = set(sub.simplex_names(s) for s in sub.basis(q))
-            level = [
-                s
-                for s in ambient.basis(q)
-                if ambient.simplex_names(s) not in subset
-            ]
-            self._basis[q] = tuple(level)
-        self._index = {
-            q: {s: k for k, s in enumerate(level)} for q, level in self._basis.items()
-        }
-
-    def basis(self, q: int):
-        return self._basis.get(q, ())
-
-    def n(self, q: int) -> int:
-        return len(self.basis(q))
-
-    def boundary(self, q: int) -> SparseMatrix:
-        if q in self._boundary:
-            return self._boundary[q]
-        rows = self.n(q - 1)
-        cols = self.n(q)
-        ent = {}
-        if q >= 1:
-            lower = self._index.get(q - 1, {})
-            for j, s in enumerate(self.basis(q)):
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1 :]
-                    if face in lower:
-                        key = (lower[face], j)
-                        ent[key] = ent.get(key, ZERO) + (-ONE) ** i
-        m = SparseMatrix(rows, cols, ent)
-        self._boundary[q] = m
-        return m
+def embed(ambient: SimplicialComplex, sub: SimplicialComplex, q: int) -> list:
+    """Sub's q-simplices as ambient vertex-index tuples, in sub's order."""
+    return [
+        tuple(sorted(ambient.vertex_index[v] for v in sub.simplex_names(s)))
+        for s in sub.basis(q)
+    ]
 
 
 def is_subcomplex(ambient: SimplicialComplex, sub: SimplicialComplex) -> bool:
-    for q in range(sub.dim + 1):
-        for s in sub.basis(q):
-            if not ambient.has_simplex(
-                tuple(sorted(ambient.vertex_index[v] for v in sub.simplex_names(s)))
-            ):
-                return False
-    return True
+    return all(
+        ambient.has_simplex(s) for q in range(sub.dim + 1) for s in embed(ambient, sub, q)
+    )
 
 
-def build_relative(ambient: SimplicialComplex, sub: SimplicialComplex) -> RelativePair:
+def build_relative(ambient: SimplicialComplex, sub: SimplicialComplex) -> ChainComplex:
+    """The quotient S_*(X)/S_*(A): X's simplices outside A, in X's order."""
     if not all(v in ambient.vertex_index for v in sub.vertices):
         raise NotSubcomplex(f"{sub.name!r} has vertices outside {ambient.name!r}")
     if not is_subcomplex(ambient, sub):
         raise NotSubcomplex(f"{sub.name!r} is not a subcomplex of {ambient.name!r}")
-    return RelativePair(ambient, sub)
+    kept = {
+        q: set(ambient.basis(q)).difference(embed(ambient, sub, q))
+        for q in range(ambient.dim + 1)
+    }
+    return ChainComplex(ambient, kept)
 
 
 def sort_sign(seq) -> int:

@@ -247,9 +247,7 @@ def cmd_lefschetz(args, resolver):
 def cmd_coincidence(args, resolver):
     f = resolver.map(args.f)
     g = resolver.map(args.g)
-    rep = coincidence_number(
-        f, g, witness=args.witness, max_subdivisions=args.max_subdiv
-    )
+    rep = coincidence_number(f, g, witness=args.witness)
     code = 0 if rep.consistent else 3
     return rep.to_json(), code
 
@@ -306,7 +304,6 @@ def build_parser():
     p.add_argument("f")
     p.add_argument("g")
     p.add_argument("--witness", action="store_true", help="search for a coincidence point")
-    p.add_argument("--max-subdiv", type=int, default=3)
     common(p)
 
     p = sub.add_parser("verify", help="run invariant suites over the catalog")

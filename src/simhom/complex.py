@@ -398,7 +398,11 @@ def constant_map(x, y, vertex, name="") -> SimplicialMap:
 
 def compose(g: SimplicialMap, f: SimplicialMap, name="") -> SimplicialMap:
     """The composite g after f."""
-    if f.codomain is not g.domain and f.codomain.name != g.domain.name:
+    same = f.codomain is g.domain or (
+        f.codomain.vertices == g.domain.vertices
+        and f.codomain.simplices == g.domain.simplices
+    )
+    if not same:
         raise NotSimplicial("compose: codomain of f is not the domain of g")
     mapping = [g.mapping[f.mapping[i]] for i in range(len(f.domain.vertices))]
     return SimplicialMap(f.domain, g.codomain, mapping, name=name or f"{g.name}*{f.name}")

@@ -165,14 +165,11 @@ class DualityOperator:
         b_nq = space.cohomology.betti(self.n - q)
         if b_q != b_nq:
             raise SingularPairing("cup pairing is not square")
+        ring = space.ring
         pairing = tuple(
             tuple(
                 kronecker(
-                    cup(
-                        basis_class(space.cohomology, self.n - q, i),
-                        basis_class(space.cohomology, q, j),
-                        space,
-                    ),
+                    HClass(space.cohomology, self.n, ring.cup_basis(self.n - q, i, q, j)),
                     self.fundamental.cls,
                 )
                 for j in range(b_q)
@@ -304,7 +301,6 @@ class ProductDuality:
         if t.kind != HOMOLOGY:
             raise DegreeMismatch("product duality inverse acts on homology tensors")
         out = {}
-        deg = 0
         for (pp, k, l), v in t.terms.items():
             qq = t.degree - pp
             p, q = self.n - pp, self.m - qq
@@ -320,7 +316,6 @@ class ProductDuality:
                     if vy:
                         key = (p, i, j)
                         out[key] = out.get(key, ZERO) + sign * v * vx * vy
-            deg = p + q
         total_degree = (self.n + self.m) - t.degree
         return TensorClass(self.prod, COHOMOLOGY, total_degree, out)._clean()
 

@@ -9,17 +9,11 @@ the column space [boundaries | representatives]; induced maps are computed
 this way rather than by transposition shortcuts.
 """
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import (
-    Chain,
-    ChainComplex,
-    RelativePair,
-    build_chain_complex,
-    build_relative,
-    induced_chain_map,
-)
+from .chains import ChainComplex, build_relative, embed, induced_chain_map
 from .complex import SimplicialComplex, SimplicialMap
 from .errors import DegreeMismatch, HypothesisViolated
 from .exactlin import (
@@ -66,8 +60,7 @@ class GradedSpace:
             cols = [list(b) for b in self._boundaries.get(q, [])] + [
                 list(r) for r in self.reps.get(q, [])
             ]
-            ncells = self.cc.n(q) if hasattr(self.cc, "n") else 0
-            m = SparseMatrix.from_columns(cols, ncells)
+            m = SparseMatrix.from_columns(cols, self.cc.n(q))
             self._solvers[q] = (Solver(m), len(self._boundaries.get(q, [])))
         return self._solvers[q]
 
@@ -149,7 +142,7 @@ def _homology_at(out_matrix, in_matrix):
 
 
 def compute_homology(cc) -> GradedSpace:
-    """Homology of a ChainComplex or RelativePair, with explicit bases."""
+    """Homology of a ChainComplex (absolute or relative), with explicit bases."""
     dims, reps, bounds = {}, {}, {}
     for q in range(cc.dim + 1):
         b, r, bd = _homology_at(cc.boundary(q), cc.boundary(q + 1))
@@ -173,9 +166,10 @@ class Space:
 
     def __init__(self, x: SimplicialComplex):
         self.complex = x
-        self.cc = build_chain_complex(x)
+        self.cc = ChainComplex(x)
         self._homology = None
         self._cohomology = None
+        self._ring = None
 
     @property
     def homology(self) -> GradedSpace:
@@ -188,6 +182,20 @@ class Space:
         if self._cohomology is None:
             self._cohomology = compute_cohomology(self.cc)
         return self._cohomology
+
+    @property
+    def ring(self):
+        """The space's cup/cap structure constants, computed once and shared.
+
+        The ring sees the space through a weak proxy: a strong back
+        reference would make a cycle that keeps every dropped space and its
+        reductions alive until the cyclic garbage collector runs.
+        """
+        if self._ring is None:
+            from .products import RingStructure
+
+            self._ring = RingStructure(weakref.proxy(self))
+        return self._ring
 
     @property
     def dim(self):
@@ -317,8 +325,7 @@ def _inclusion_chain_matrices(sub: SimplicialComplex, amb: SimplicialComplex):
     out = {}
     for q in range(sub.dim + 1):
         ent = {}
-        for j, s in enumerate(sub.basis(q)):
-            target = tuple(sorted(amb.vertex_index[v] for v in sub.simplex_names(s)))
+        for j, target in enumerate(embed(amb, sub, q)):
             ent[(amb.simplex_id(q, target), j)] = ONE
         out[q] = SparseMatrix(amb.n_simplices(q), sub.n_simplices(q), ent)
     return out
@@ -336,31 +343,22 @@ def long_exact_sequence(x: SimplicialComplex, a: SimplicialComplex) -> PairSeque
     i_mats = _push_classes(incl, ha, hx)
     i_star = GradedMap(ha, hx, "covariant", i_mats)
 
-    # j_*: project a cycle of X onto the quotient basis.
-    pair_index = {
-        q: {s: k for k, s in enumerate(pair_cc.basis(q))} for q in range(x.dim + 1)
-    }
+    # j_*: project a cycle of X onto the quotient basis, a subsequence of X's.
     j_mats = {}
     for q in range(x.dim + 1):
         cols = []
+        kept = pair_cc.index[q]
         for i in range(hx.betti(q)):
             vec = hx.chain_of(q, tuple(ONE if k == i else ZERO for k in range(hx.betti(q))))
-            proj = [ZERO] * pair_cc.n(q)
-            for idx, s in enumerate(x.basis(q)):
-                if s in pair_index[q]:
-                    proj[pair_index[q][s]] = vec[idx]
-            cols.append(hp.class_of(q, tuple(proj)))
+            proj = tuple(v for s, v in zip(x.basis(q), vec) if s in kept)
+            cols.append(hp.class_of(q, proj))
         j_mats[q] = tuple(
             tuple(cols[i][r] for i in range(hx.betti(q))) for r in range(hp.betti(q))
         )
 
     # Connecting map: lift a relative cycle, take its boundary, restrict to A.
     a_index = {
-        q: {
-            tuple(sorted(x.vertex_index[v] for v in a.simplex_names(s))): k
-            for k, s in enumerate(a.basis(q))
-        }
-        for q in range(a.dim + 1)
+        q: {s: k for k, s in enumerate(embed(x, a, q))} for q in range(a.dim + 1)
     }
     d_mats = {}
     for q in range(x.dim + 1):
@@ -439,46 +437,6 @@ def _check_exactness(ha, hx, hp, i_mats, j_mats, d_mats, dim):
     return ok, details
 
 
-class _QuotientByBasis:
-    """Chain complex with a prescribed basis inside an ambient complex.
-
-    Faces outside the basis are dropped; this is the carrier used by the
-    excised pair (X - U, A - U).
-    """
-
-    def __init__(self, ambient: SimplicialComplex, kept):
-        self.ambient = ambient
-        self.dim = ambient.dim
-        self._basis = {q: tuple(kept.get(q, ())) for q in range(ambient.dim + 1)}
-        self._index = {
-            q: {s: k for k, s in enumerate(level)} for q, level in self._basis.items()
-        }
-        self._boundary = {}
-
-    def basis(self, q):
-        return self._basis.get(q, ())
-
-    def n(self, q):
-        return len(self.basis(q))
-
-    def boundary(self, q):
-        if q in self._boundary:
-            return self._boundary[q]
-        rows, cols = self.n(q - 1), self.n(q)
-        ent = {}
-        if q >= 1:
-            lower = self._index.get(q - 1, {})
-            for j, s in enumerate(self.basis(q)):
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1 :]
-                    if face in lower:
-                        key = (lower[face], j)
-                        ent[key] = ent.get(key, ZERO) + (-ONE) ** i
-        m = SparseMatrix(rows, cols, ent)
-        self._boundary[q] = m
-        return m
-
-
 @dataclass
 class ExcisionReport:
     isomorphism: bool
@@ -501,14 +459,7 @@ def excision_check(x: SimplicialComplex, a: SimplicialComplex, u) -> ExcisionRep
             raise HypothesisViolated(f"U contains a non-simplex {s!r}")
         u_idx.add(t)
 
-    a_simplices = {
-        q: {
-            tuple(sorted(x.vertex_index[v] for v in a.simplex_names(s)))
-            for s in a.basis(q)
-        }
-        for q in range(a.dim + 1)
-    }
-    all_a = set().union(*a_simplices.values()) if a_simplices else set()
+    all_a = {s for q in range(a.dim + 1) for s in embed(x, a, q)}
     if not u_idx <= all_a:
         raise HypothesisViolated("U is not contained in A")
     a_minus_u = all_a - u_idx
@@ -523,17 +474,13 @@ def excision_check(x: SimplicialComplex, a: SimplicialComplex, u) -> ExcisionRep
     pair = build_relative(x, a)
     h_pair = compute_homology(pair)
 
-    kept = {}
-    for q in range(x.dim + 1):
-        kept[q] = [
-            s for s in x.basis(q) if s not in u_idx and s not in a_minus_u
-        ]
-    excised = _QuotientByBasis(x, kept)
+    kept = {
+        q: [s for s in x.basis(q) if s not in u_idx and s not in a_minus_u]
+        for q in range(x.dim + 1)
+    }
+    excised = ChainComplex(x, kept)
     h_exc = compute_homology(excised)
 
-    pair_index = {
-        q: {s: k for k, s in enumerate(pair.basis(q))} for q in range(x.dim + 1)
-    }
     details = []
     iso = True
     for q in range(x.dim + 1):
@@ -546,9 +493,9 @@ def excision_check(x: SimplicialComplex, a: SimplicialComplex, u) -> ExcisionRep
         for i in range(be):
             vec = h_exc.chain_of(q, tuple(ONE if k == i else ZERO for k in range(be)))
             mapped = [ZERO] * pair.n(q)
-            for idx, s in enumerate(excised.basis(q)):
-                if vec[idx]:
-                    mapped[pair_index[q][s]] = vec[idx]
+            for s, v in zip(excised.basis(q), vec):
+                if v:
+                    mapped[pair.simplex_id(q, s)] = v
             cols.append(h_pair.class_of(q, tuple(mapped)))
         mat = [[cols[i][r] for i in range(be)] for r in range(bp)]
         full = _mat_rank(mat) == bp

@@ -22,9 +22,11 @@ all six agree exactly.
 The witness finder realizes |Y| with codomain vertices at standard basis
 points, making |f| and |g| affine on every simplex with exact rational
 matrices; a coincidence inside a simplex is a rational feasibility problem
-solved exactly.  When a nonzero coincidence number promises a coincidence
-point, the finder locates one and verifies |f|(x) = |g|(x) in rational
-arithmetic before returning it.
+solved exactly.  One such problem per maximal simplex of X therefore
+decides whether a coincidence exists at all, and no subdivision of X can
+add one.  When a nonzero coincidence number promises a coincidence point,
+the finder locates one and verifies |f|(x) = |g|(x) in rational arithmetic
+before returning it.
 """
 
 from dataclasses import dataclass
@@ -34,7 +36,6 @@ from .complex import (
     GeometricPoint,
     SimplicialComplex,
     SimplicialMap,
-    barycentric_subdivide,
     check_simplicial,
     identity_map,
 )
@@ -287,7 +288,6 @@ def coincidence_number(
     dx: DualityOperator | None = None,
     dy: DualityOperator | None = None,
     witness: bool = False,
-    max_subdivisions: int = 3,
 ) -> CoincidenceReport:
     """The Lefschetz coincidence number of f, g : X -> Y by six formulas."""
     if f.domain is not g.domain or f.codomain is not g.codomain:
@@ -332,9 +332,9 @@ def coincidence_number(
     # Pairing route: (Delta^* (g x f)^* Lambda_Y, zeta_X).  The dual basis
     # occupies the first tensor slot of Lambda_Y, so the g-side pulls back
     # that slot; the opposite slot order computes (-1)^n lambda.
-    prod_yy = product_space(sy, sy)
-    lam_y = lefschetz_class(dy, prod_yy)
-    prod_xx = product_space(sx, sx)
+    lam_y = lefschetz_class(dy)
+    lam_x = lam_y if dx is dy else lefschetz_class(dx)
+    prod_yy, prod_xx = lam_y.product, lam_x.product
     pullback = product_map(g_up, f_up, prod_yy, prod_xx)
     pulled = pullback(lam_y.tensor)
     lambdas["pairing"] = kronecker(
@@ -342,7 +342,6 @@ def coincidence_number(
     )
 
     # Intersection route: eps(zeta_f . zeta_g) on X x Y.
-    lam_x = lefschetz_class(dx, prod_xx)
     zz_xx = tensor_fundamental(prod_xx, dx.fundamental.cls, dx.fundamental.cls)
     diag = cap_on_product(lam_x.tensor, zz_xx)  # Delta_*(zeta_X) in H_n(X x X)
     prod_xy = product_space(sx, sy)
@@ -369,12 +368,12 @@ def coincidence_number(
         value=values[0],
     )
     if witness:
-        point, status, level = coincidence_witness(f, g, max_subdivisions)
+        point, status = coincidence_witness(f, g)
         if point is None and report.value == 0:
             status = "no-claim-lambda-zero"
         report.witness = point
         report.witness_status = status
-        report.subdivision_level = level
+        report.subdivision_level = 0
     return report
 
 
@@ -398,19 +397,16 @@ def _affine_image(f: SimplicialMap, position: dict) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _search_complex(f, g, level_complex, positions):
-    """Solve |f|(x) = |g|(x) on each maximal simplex of the current level."""
-    x = level_complex
+def _search_complex(f, g, x):
+    """Vertex weights of the first solution of |f|(x) = |g|(x), or None.
+
+    One exact feasibility problem per maximal simplex of x, largest first.
+    """
+    f_names, g_names = f.vertex_map_names(), g.vertex_map_names()
     for simplex in sorted(x.maximal_simplices(), key=lambda s: (-len(s), s)):
-        verts = [x.vertices[i] for i in simplex]
+        verts = x.simplex_names(simplex)
         k = len(verts)
-        f_imgs = []
-        g_imgs = []
-        for v in verts:
-            pos = positions[v]
-            f_imgs.append(_affine_image(f, pos))
-            g_imgs.append(_affine_image(g, pos))
-        targets = sorted(set().union(*f_imgs, *g_imgs))
+        targets = sorted({f_names[v] for v in verts} | {g_names[v] for v in verts})
         cons = [([ONE] * k, "==", ONE)]
         for i in range(k):
             coeffs = [ZERO] * k
@@ -418,21 +414,13 @@ def _search_complex(f, g, level_complex, positions):
             cons.append((coeffs, ">=", ZERO))
         for w in targets:
             coeffs = [
-                f_imgs[i].get(w, ZERO) - g_imgs[i].get(w, ZERO) for i in range(k)
+                (ONE if f_names[v] == w else ZERO) - (ONE if g_names[v] == w else ZERO)
+                for v in verts
             ]
             cons.append((coeffs, "==", ZERO))
         sol = lp_feasible(cons, k)
-        if sol is None:
-            continue
-        # Assemble the point in original coordinates.
-        combined = {}
-        for t, v in zip(sol, verts):
-            if t == 0:
-                continue
-            for orig, w in positions[v].items():
-                combined[orig] = combined.get(orig, ZERO) + t * w
-        combined = {kk: vv for kk, vv in combined.items() if vv != 0}
-        return combined
+        if sol is not None:
+            return {v: t for v, t in zip(verts, sol) if t != 0}
     return None
 
 
@@ -459,43 +447,22 @@ def subdivide_map(f: SimplicialMap, sd: SimplicialComplex, provenance: dict) -> 
         ) from exc
 
 
-def coincidence_witness(f: SimplicialMap, g: SimplicialMap, max_subdivisions: int = 3):
+def coincidence_witness(f: SimplicialMap, g: SimplicialMap):
     """Exact coincidence point of |f| and |g|, or None.
 
-    Returns (point, status, level).  The search solves the per-simplex
-    affine systems at the original triangulation, then on barycentric
-    refinements up to the budget; the returned point always satisfies
-    |f|(x) = |g|(x) exactly for the original maps.
+    Returns (point, status).  |f| and |g| are affine on every closed
+    simplex of X, so the per-simplex affine systems on X's own maximal
+    simplices are complete: a coincidence exists iff one of them is
+    feasible.  The returned point satisfies |f|(x) = |g|(x) exactly.
     """
     if f.domain is not g.domain:
         raise DimensionMismatch("witness search needs a common domain")
-    x0 = f.domain
-    positions = {v: {v: ONE} for v in x0.vertices}
-    current = x0
-    cur_f, cur_g = f, g
-    for level in range(max_subdivisions + 1):
-        combined = _search_complex(f, g, current, positions)
-        if combined is not None:
-            point = _as_geometric_point(x0, combined)
-            _verify_witness(f, g, point)
-            return point, "found", level
-        if level == max_subdivisions:
-            break
-        sd, provenance = barycentric_subdivide(current)
-        new_positions = {}
-        for new_vertex, orig_simplex in provenance.items():
-            k = len(orig_simplex)
-            pos = {}
-            for v in orig_simplex:
-                for orig, w in positions[v].items():
-                    pos[orig] = pos.get(orig, ZERO) + w / k
-            new_positions[new_vertex] = pos
-        positions = new_positions
-        # keep the combinatorial maps simplicial on the refined domain
-        cur_f = subdivide_map(cur_f, sd, provenance)
-        cur_g = subdivide_map(cur_g, sd, provenance)
-        current = sd
-    return None, "search-exhausted", max_subdivisions
+    combined = _search_complex(f, g, f.domain)
+    if combined is None:
+        return None, "search-exhausted"
+    point = _as_geometric_point(f.domain, combined)
+    _verify_witness(f, g, point)
+    return point, "found"
 
 
 def _as_geometric_point(x0: SimplicialComplex, combined: dict) -> GeometricPoint:

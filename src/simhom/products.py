@@ -105,7 +105,11 @@ def cap(a: HClass, sigma: HClass, space: Space) -> HClass:
 
 
 class RingStructure:
-    """Memoized cup/cap structure constants of one space's basis classes."""
+    """Memoized cup/cap structure constants of one space's basis classes.
+
+    Each Space owns one (``Space.ring``); every product built on the space
+    shares it.
+    """
 
     def __init__(self, space: Space):
         self.space = space
@@ -153,8 +157,8 @@ class ProductSpace:
     def __init__(self, x: Space, y: Space):
         self.x = x
         self.y = y
-        self.rx = RingStructure(x)
-        self.ry = RingStructure(y)
+        self.rx = x.ring
+        self.ry = y.ring
         self.dim = x.dim + y.dim
 
     def betti(self, n: int, kind=HOMOLOGY) -> int:

@@ -421,7 +421,6 @@ def suite_witness(seed=0):
         dx=_dop("hexagon"),
         dy=_dop("triangle"),
         witness=True,
-        max_subdivisions=3,
     )
     _check(
         out,
@@ -435,7 +434,6 @@ def suite_witness(seed=0):
         dx=_dop("octahedron"),
         dy=_dop("octahedron"),
         witness=True,
-        max_subdivisions=3,
     )
     _check(
         out,
@@ -449,7 +447,6 @@ def suite_witness(seed=0):
         dx=_dop("hexagon"),
         dy=_dop("hexagon"),
         witness=True,
-        max_subdivisions=3,
     )
     _check(
         out,
@@ -464,7 +461,6 @@ def suite_witness(seed=0):
         dx=_dop("hexagon"),
         dy=_dop("hexagon"),
         witness=True,
-        max_subdivisions=3,
     )
     interior = (
         rep_int.witness is not None

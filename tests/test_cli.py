@@ -84,8 +84,7 @@ def test_coincidence_command_with_witness(capsys):
 
 def test_coincidence_id_pair(capsys):
     code, data, _ = run_json(
-        capsys, "coincidence", "id_octahedron", "id_octahedron", "--witness",
-        "--max-subdiv", "3",
+        capsys, "coincidence", "id_octahedron", "id_octahedron", "--witness"
     )
     assert code == 0
     assert data["results"]["value"] == "2"
@@ -94,8 +93,7 @@ def test_coincidence_id_pair(capsys):
 
 def test_coincidence_zero_no_witness_claim(capsys):
     code, data, _ = run_json(
-        capsys, "coincidence", "hex_const_v0", "hex_const_v3", "--witness",
-        "--max-subdiv", "1",
+        capsys, "coincidence", "hex_const_v0", "hex_const_v3", "--witness"
     )
     assert code == 0
     assert data["results"]["value"] == "0"

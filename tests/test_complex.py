@@ -223,6 +223,26 @@ def test_compose_and_identity():
     assert g.mapping == f.mapping
 
 
+def test_compose_rejects_foreign_complex_sharing_a_name():
+    fake = validate(
+        [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]], name="triangle"
+    )
+    assert fake.name == catalog.hex_wrap2().codomain.name
+    with pytest.raises(NotSimplicial):
+        compose(identity_map(fake), catalog.hex_wrap2())
+
+
+def test_catalog_composites_build():
+    for name in [
+        "wrap2_after_reflect",
+        "wrap1_after_rotate",
+        "wrap2_after_dodeca",
+        "wrap1_after_dodeca",
+    ]:
+        h = catalog.get_map(name)
+        check_simplicial(h.vertex_map_names(), h.domain, h.codomain)
+
+
 def test_geometric_point_invariants():
     GeometricPoint(("a", "b"), (Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(ValueError):

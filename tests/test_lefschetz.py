@@ -245,15 +245,15 @@ def test_coincidence_dimension_mismatch():
 
 def test_witness_equal_maps_immediate():
     f = catalog.get_map("id_octahedron")
-    point, status, level = coincidence_witness(f, f)
-    assert status == "found" and level == 0
+    point, status = coincidence_witness(f, f)
+    assert status == "found"
     assert sum(point.coords) == 1
 
 
 def test_witness_wrap_pair():
     f = catalog.hex_wrap2()
     g = catalog.hex_wrap1()
-    point, status, level = coincidence_witness(f, g, max_subdivisions=3)
+    point, status = coincidence_witness(f, g)
     assert status == "found"
     assert point is not None
     # exact verification is internal; double-check here too
@@ -266,22 +266,48 @@ def test_witness_wrap_pair():
 def test_witness_constants_disjoint():
     f = catalog.get_map("hex_const_v0")
     g = catalog.get_map("hex_const_v3")
-    point, status, level = coincidence_witness(f, g, max_subdivisions=2)
+    point, status = coincidence_witness(f, g)
     assert point is None
     assert status == "search-exhausted"
 
 
 def test_witness_subdivision_levels_on_surface():
-    # disjoint constants on the sphere exhaust a surface-level refinement,
-    # exercising exact position tracking and map re-approximation in dim 2
+    # disjoint constants on the sphere: the single search over the
+    # octahedron's own triangles is exhausted, and the report says the
+    # search ran at subdivision level 0
     from simhom.complex import constant_map
 
     oct_ = catalog.octahedron()
     f = constant_map(oct_, oct_, "u")
     g = constant_map(oct_, oct_, "d")
-    point, status, level = coincidence_witness(f, g, max_subdivisions=1)
+    point, status = coincidence_witness(f, g)
     assert point is None
-    assert status == "search-exhausted" and level == 1
+    assert status == "search-exhausted"
+    d = duality_operator(Space(oct_))
+    rep = coincidence_number(f, g, dx=d, dy=d, witness=True)
+    assert rep.value == 0 and rep.witness is None
+    assert rep.to_json()["subdivision_level"] == 0
+
+
+def test_single_level_witness_search_over_catalog_pairs():
+    # |f| and |g| are affine on each closed simplex, so one search over the
+    # domain's own simplices decides every pair; a nonzero lambda always
+    # comes with a witness
+    maps = [catalog.get_map(name) for name in catalog.MAP_BUILDERS]
+    found = exhausted = 0
+    for f in maps:
+        for g in maps:
+            if f.domain is not g.domain or f.codomain is not g.codomain:
+                continue
+            point, status = coincidence_witness(f, g)
+            found += status == "found"
+            exhausted += status == "search-exhausted"
+            if point is None:
+                rep = coincidence_number(
+                    f, g, dx=dop(f.domain.name), dy=dop(f.codomain.name)
+                )
+                assert rep.value == 0, (f.name, g.name)
+    assert (found, exhausted) == (83, 16)
 
 
 def test_nonorientable_inputs_rejected():
@@ -311,7 +337,6 @@ def test_witness_in_report():
         dx=dop("hexagon"),
         dy=dop("hexagon"),
         witness=True,
-        max_subdivisions=1,
     )
     assert rep0.value == 0
     assert rep0.witness is None
@@ -325,8 +350,8 @@ def test_witness_interior_point():
     g = catalog.get_map("hex_reflect")
     fm, gm = f.vertex_map_names(), g.vertex_map_names()
     assert all(fm[v] != gm[v] for v in fm)
-    point, status, level = coincidence_witness(f, g)
-    assert status == "found" and level == 0
+    point, status = coincidence_witness(f, g)
+    assert status == "found"
     assert len(point.carrier) == 2
     assert point.coords == (F(1, 2), F(1, 2))
 

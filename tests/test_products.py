@@ -50,6 +50,27 @@ def rand_class(rng, graded, q):
 # ---------------------------------------------------------------------------
 
 
+def test_products_share_their_factors_rings():
+    s, t = space("torus"), space("hexagon")
+    assert product_space(s, s).rx is product_space(s, t).rx
+    assert product_space(s, t).ry is product_space(t, t).rx is t.ring
+
+
+def test_space_and_its_ring_form_no_reference_cycle():
+    import gc
+    import weakref
+
+    s = Space(catalog.get_complex("torus"))
+    assert product_space(s, s).rx.cup_basis(1, 0, 1, 1) == (-ONE,)
+    ref = weakref.ref(s)
+    gc.disable()
+    try:
+        del s
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_cup_unit_exact_at_cochain_level():
     s = space("torus")
     cc = s.cc
