@@ -19,7 +19,6 @@ from .complex import (
     complex_from_json,
     manifold_check,
     map_from_json,
-    orient,
 )
 from .duality import duality_operator, degree as map_degree
 from .errors import (
@@ -187,15 +186,14 @@ def cmd_duality(args, resolver):
     x = resolver.complex(args.input)
     space = Space(x)
     report = manifold_check(x)
-    data = orient(x)  # raises NonOrientable / NotClosed -> exit 2
-    d = duality_operator(space)
+    d = duality_operator(space)  # raises NonOrientable / NotClosed -> exit 2
     n = space.dim
     results = {
         "name": x.name,
         "manifold": report.to_json(),
         "orientation_signs": {
             "+".join(x.simplex_names(s)): sign
-            for s, sign in zip(x.top_simplices(), data.signs)
+            for s, sign in zip(x.top_simplices(), d.fundamental.orientation.signs)
         },
         "fundamental_class_terms": len([c for c in d.fundamental.chain if c != 0]),
         "betti": list(space.homology.betti_vector()),

@@ -11,7 +11,6 @@ simplices; a successful propagation also delivers the signs of the
 fundamental cycle.
 """
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -345,9 +344,6 @@ class SimplicialMap:
         self.mapping = tuple(mapping)  # domain vertex index -> codomain vertex index
         self.name = name
 
-    def vertex_image(self, i: int) -> int:
-        return self.mapping[i]
-
     def image_set(self, simplex):
         return tuple(sorted({self.mapping[v] for v in simplex}))
 
@@ -492,11 +488,6 @@ def complex_from_json(data: dict) -> SimplicialComplex:
         vertices=data.get("vertices"),
         vertex_order=data.get("vertex_order"),
     )
-
-
-def load_complex(path) -> SimplicialComplex:
-    with open(path) as fh:
-        return complex_from_json(json.load(fh))
 
 
 def map_to_json(f: SimplicialMap) -> dict:

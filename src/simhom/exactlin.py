@@ -4,6 +4,11 @@ Everything downstream (boundary matrices, induced maps, duality operators,
 the witness search) reduces to the routines in this module.  All arithmetic
 is over ``fractions.Fraction``; no floating point anywhere.
 
+One elimination, ``_rref``, run by one object, ``Solver``: rank, pivot
+columns, kernel, image and solves are read off a single reduction, and the
+module-level functions of the same names are one-line views on it.
+``dense_inv`` reads the inverse from the same reduction's transform.
+
 Elimination produces the canonical reduced row echelon form: pivot columns
 are chosen left to right, and within the forced pivot column the row with
 the fewest nonzero entries wins (Markowitz-style fill control), ties broken
@@ -31,10 +36,6 @@ def qstr(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def qparse(s) -> Fraction:
-    return Fraction(s)
 
 
 class SparseMatrix:
@@ -236,21 +237,43 @@ def _rref(rows, ncols, transform=False, nrows=None):
 
 
 class Solver:
-    """Reusable exact solver for one coefficient matrix.
+    """The one elimination of a matrix, and everything read off it.
 
-    Eliminates once, keeping the transform, so repeated ``solve`` calls
-    (class extraction does many) cost only a sparse substitution each.
+    ``_rref`` runs once; the transform is kept only when the solver will
+    solve, so repeated ``solve`` calls (class extraction does many) cost
+    only a sparse substitution each.  Rank, pivot columns, kernel and image
+    all come from the same canonical reduction.
     """
 
-    def __init__(self, m: SparseMatrix):
+    def __init__(self, m: SparseMatrix, transform=True):
         self.m = m
         rows = _row_dicts(m)
-        self.pivots, self.transform = _rref(rows, m.cols, transform=True)
+        self.pivots, self.transform = _rref(rows, m.cols, transform=transform)
         self.rref_rows = rows
         self.rank = len(self.pivots)
         self.pivot_cols = [c for (_, c) in self.pivots]
         pivot_rows = {r for (r, _) in self.pivots}
         self.zero_rows = [i for i in range(m.rows) if i not in pivot_rows]
+
+    def kernel(self):
+        """Canonical basis of the null space, one vector per free column."""
+        pivot_cols = set(self.pivot_cols)
+        basis = []
+        for f in range(self.m.cols):
+            if f in pivot_cols:
+                continue
+            v = [ZERO] * self.m.cols
+            v[f] = ONE
+            for (r, c) in self.pivots:
+                coeff = self.rref_rows[r].get(f)
+                if coeff:
+                    v[c] = -coeff
+            basis.append(tuple(v))
+        return basis
+
+    def image(self):
+        """Original columns of M sitting at the RREF pivot positions."""
+        return [self.m.column(c) for c in self.pivot_cols]
 
     def solve(self, b):
         """Exact particular solution of M x = b, or None if inconsistent."""
@@ -274,41 +297,20 @@ class Solver:
 
 
 def rank(m: SparseMatrix) -> int:
-    rows = _row_dicts(m)
-    pivots, _ = _rref(rows, m.cols)
-    return len(pivots)
+    return Solver(m, transform=False).rank
 
 
 def pivot_columns(m: SparseMatrix):
     """Columns of the canonical RREF that carry pivots, in order."""
-    rows = _row_dicts(m)
-    pivots, _ = _rref(rows, m.cols)
-    return [c for (_, c) in pivots]
+    return Solver(m, transform=False).pivot_cols
 
 
 def kernel_basis(m: SparseMatrix):
-    """Canonical basis of the null space, one vector per free column."""
-    rows = _row_dicts(m)
-    pivots, _ = _rref(rows, m.cols)
-    pivot_cols = {c: r for (r, c) in pivots}
-    free_cols = [j for j in range(m.cols) if j not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for (r, c) in pivots:
-            coeff = rows[r].get(f)
-            if coeff:
-                v[c] = -coeff
-        basis.append(tuple(v))
-    return basis
+    return Solver(m, transform=False).kernel()
 
 
 def image_basis(m: SparseMatrix):
-    """Original columns of M sitting at the RREF pivot positions."""
-    rows = _row_dicts(m)
-    pivots, _ = _rref(rows, m.cols)
-    return [m.column(c) for (_, c) in pivots]
+    return Solver(m, transform=False).image()
 
 
 def solve(m: SparseMatrix, b):
@@ -325,10 +327,6 @@ def dense_identity(n):
     return tuple(
         tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
     )
-
-
-def dense_zero(rows, cols):
-    return tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows))
 
 
 def dense_mul(a, b):
@@ -357,46 +355,25 @@ def dense_trace(a):
 
 
 def dense_inv(a):
-    """Exact inverse by Gauss-Jordan; returns None when singular."""
+    """Exact inverse, or None when singular.
+
+    One ``Solver`` elimination of ``a``: the RREF of an invertible matrix is
+    a row permutation of the identity, so the transform row of the pivot in
+    column c is row c of the inverse (pivots come in column order).
+    """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inverse of a non-square matrix")
-    work = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        p = None
-        for i in range(col, n):
-            if work[i][col]:
-                p = i
-                break
-        if p is None:
-            return None
-        work[col], work[p] = work[p], work[col]
-        pv = work[col][col]
-        work[col] = [v / pv for v in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [v - f * w for v, w in zip(work[i], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+    s = Solver(SparseMatrix.from_dense(a))
+    if s.rank < n:
+        return None
+    return tuple(tuple(s.transform[r].get(j, ZERO) for j in range(n)) for r, _ in s.pivots)
 
 
 def dense_eq(a, b):
     if len(a) != len(b):
         return False
     return all(tuple(ra) == tuple(rb) for ra, rb in zip(a, b))
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    c = Fraction(c)
-    return tuple(c * a for a in v)
 
 
 def vec_dot(u, v):

@@ -1,12 +1,15 @@
 """Homology and cohomology over Q with explicit bases.
 
 A GradedSpace keeps, per degree, a list of representative cycles (or
-cocycles) whose classes form a basis.  Representatives are the canonical
-kernel-basis vectors that remain independent modulo the boundary image,
-selected by one deterministic elimination, so identical inputs always
-produce identical bases.  Classes are extracted by exact solving against
-the column space [boundaries | representatives]; induced maps are computed
-this way rather than by transposition shortcuts.
+cocycles) whose classes form a basis.  Each differential (its transpose
+for cohomology) is eliminated exactly once, giving the cycles of the degree
+it leaves and the boundaries of the degree it enters.  Representatives are
+the canonical kernel-basis vectors that remain independent modulo the
+boundary image, selected by one deterministic elimination of
+[boundaries | cycles], so identical inputs always produce identical bases.
+Classes are extracted by exact solving against the column space
+[boundaries | representatives]; induced maps are computed this way rather
+than by transposition shortcuts.
 """
 
 import weakref
@@ -21,9 +24,6 @@ from .exactlin import (
     ZERO,
     Solver,
     SparseMatrix,
-    image_basis,
-    kernel_basis,
-    pivot_columns,
     vec_dot,
 )
 
@@ -123,42 +123,44 @@ def basis_class(space: GradedSpace, q: int, i: int) -> HClass:
     return HClass(space, q, tuple(coeffs))
 
 
-def _homology_at(out_matrix, in_matrix):
-    """Cycle reps modulo boundaries for one degree.
+def _graded_space(kind, cc, differential) -> GradedSpace:
+    """H_* (``differential(q)`` = d_q) or H^* (d_{q+1} transposed) of ``cc``.
 
-    ``out_matrix`` is the differential leaving the degree, ``in_matrix`` the
-    one entering it.  Returns (betti, reps, boundary basis).
+    Each map leaving a degree q is eliminated once: its kernel is the cycles
+    of q, its image the boundaries of the degree it enters, whose cycles the
+    previous step left (degrees go up for homology, down for cohomology).
+    Only cycle vectors are carried between steps, never a reduction.
     """
-    cycles = kernel_basis(out_matrix)
-    bounds = image_basis(in_matrix)
-    if not cycles:
-        return 0, [], bounds
-    ncells = out_matrix.cols
-    cols = [list(b) for b in bounds] + [list(z) for z in cycles]
-    m = SparseMatrix.from_columns(cols, ncells)
-    nb = len(bounds)
-    kept = [cycles[c - nb] for c in pivot_columns(m) if c >= nb]
-    return len(kept), kept, bounds
+    if kind == HOMOLOGY:
+        step, walk = -1, range(cc.dim + 2)
+    else:
+        step, walk = 1, range(cc.dim, -2, -1)
+    dims, reps, bounds = {}, {}, {}
+    cycles = []
+    for q in walk:
+        reduction = Solver(differential(q), transform=False)
+        entered, bd = q + step, reduction.image()
+        cycles, entered_cycles = reduction.kernel(), cycles
+        del reduction
+        if not 0 <= entered <= cc.dim:
+            continue
+        kept = []
+        if entered_cycles:
+            m = SparseMatrix.from_columns(bd + entered_cycles, cc.n(entered))
+            pivots = Solver(m, transform=False).pivot_cols
+            kept = [entered_cycles[c - len(bd)] for c in pivots if c >= len(bd)]
+        dims[entered], reps[entered], bounds[entered] = len(kept), kept, bd
+    return GradedSpace(kind, cc, dims, reps, bounds)
 
 
 def compute_homology(cc) -> GradedSpace:
     """Homology of a ChainComplex (absolute or relative), with explicit bases."""
-    dims, reps, bounds = {}, {}, {}
-    for q in range(cc.dim + 1):
-        b, r, bd = _homology_at(cc.boundary(q), cc.boundary(q + 1))
-        dims[q], reps[q], bounds[q] = b, r, bd
-    return GradedSpace(HOMOLOGY, cc, dims, reps, bounds)
+    return _graded_space(HOMOLOGY, cc, cc.boundary)
 
 
 def compute_cohomology(cc) -> GradedSpace:
     """Cohomology via the transposed differentials."""
-    dims, reps, bounds = {}, {}, {}
-    for q in range(cc.dim + 1):
-        out = cc.boundary(q + 1).transpose()  # delta^q
-        inc = cc.boundary(q).transpose()  # delta^{q-1}
-        b, r, bd = _homology_at(out, inc)
-        dims[q], reps[q], bounds[q] = b, r, bd
-    return GradedSpace(COHOMOLOGY, cc, dims, reps, bounds)
+    return _graded_space(COHOMOLOGY, cc, cc.coboundary)
 
 
 class Space:
@@ -405,36 +407,26 @@ def _mat_mul_zero(a, b) -> bool:
 
 
 def _check_exactness(ha, hx, hp, i_mats, j_mats, d_mats, dim):
+    """im = ker at every node, by rank identities; each rank computed once."""
+    degrees = range(dim + 1)
+    ri = {q: _mat_rank(i_mats.get(q, ())) for q in degrees}
+    rj = {q: _mat_rank(j_mats.get(q, ())) for q in degrees}
+    rd = {q: _mat_rank(d_mats.get(q, ())) for q in degrees}
     details = []
-    ok = True
-    for q in range(dim + 1):
+    for q in degrees:
+        bi, bj, bd = i_mats.get(q, ()), j_mats.get(q, ()), d_mats.get(q, ())
         # at H_q(X): im i = ker j
-        bi = i_mats.get(q, ())
-        bj = j_mats.get(q, ())
-        comp_zero = _mat_mul_zero(bj, bi)
-        r_im = _mat_rank(bi)
-        nullity = hx.betti(q) - _mat_rank(bj)
-        node_ok = comp_zero and r_im == nullity
+        node_ok = _mat_mul_zero(bj, bi) and ri[q] == hx.betti(q) - rj[q]
         details.append(("H(X)", q, node_ok))
-        ok = ok and node_ok
         # at H_q(X, A): im j = ker d
-        bd = d_mats.get(q, ())
-        comp_zero = _mat_mul_zero(bd, bj)
-        r_im = _mat_rank(bj)
-        nullity = hp.betti(q) - _mat_rank(bd)
-        node_ok = comp_zero and r_im == nullity
+        node_ok = _mat_mul_zero(bd, bj) and rj[q] == hp.betti(q) - rd[q]
         details.append(("H(X,A)", q, node_ok))
-        ok = ok and node_ok
         # at H_{q-1}(A): im d = ker i
         if q >= 1:
             bi_prev = i_mats.get(q - 1, ())
-            comp_zero = _mat_mul_zero(bi_prev, bd)
-            r_im = _mat_rank(bd)
-            nullity = ha.betti(q - 1) - _mat_rank(bi_prev)
-            node_ok = comp_zero and r_im == nullity
+            node_ok = _mat_mul_zero(bi_prev, bd) and rd[q] == ha.betti(q - 1) - ri[q - 1]
             details.append(("H(A)", q - 1, node_ok))
-            ok = ok and node_ok
-    return ok, details
+    return all(ok for _, _, ok in details), details
 
 
 @dataclass

@@ -4,11 +4,13 @@ from fractions import Fraction
 from simhom.exactlin import (
     Solver,
     SparseMatrix,
+    dense_identity,
     dense_inv,
     dense_mul,
     image_basis,
     kernel_basis,
     lp_feasible,
+    pivot_columns,
     qstr,
     rank,
     solve,
@@ -85,6 +87,7 @@ def test_rank_nullity_random():
         r = rank(m)
         ker = kernel_basis(m)
         assert r + len(ker) == cols
+        assert len(image_basis(m)) == len(pivot_columns(m)) == r
         for v in ker:
             assert vec_is_zero(m.apply(v))
 
@@ -117,6 +120,23 @@ def test_dense_inverse():
     inv = dense_inv(a)
     assert dense_mul(a, inv) == ((F(1), F(0)), (F(0), F(1)))
     assert dense_inv(((F(1), F(2)), (F(2), F(4)))) is None
+    rng = random.Random(1234)
+    invertible = 0
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        a = [
+            tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+            for _ in range(n)
+        ]
+        inv = dense_inv(tuple(a))
+        if inv is not None:
+            invertible += 1
+            assert dense_mul(a, inv) == dense_mul(inv, a) == dense_identity(n)
+        if n >= 2:
+            i, j = rng.sample(range(n), 2)
+            a[j] = a[i]
+            assert dense_inv(tuple(a)) is None
+    assert invertible >= 30
 
 
 def test_qstr():

@@ -1,8 +1,13 @@
-"""Byte-for-byte snapshot of the CLI's ``--json`` output over the catalog.
+"""Byte-for-byte snapshot of the CLI's ``--json`` output.
 
 ``tests/data/golden_cli.json`` holds the exit code and stdout of every
-query in ``queries()``.  Refactors of the engine must leave all of them
-unchanged.  To re-record after an intended output change, run
+query in ``queries()``: the catalog, plus the first barycentric
+subdivisions of the torus and of the genus-2 surface read from
+``tests/data/sd1_*.json`` (each with a seeded shuffled vertex order),
+whose matrices are larger than any catalog complex's.  Refactors of the
+engine must leave all of them unchanged.  Queries run from the ``tests``
+directory, because ``inputs`` echoes the file argument.  To re-record
+after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,12 +18,30 @@ import contextlib
 import io
 import json
 import os
+import random
 
 from simhom import catalog
 from simhom.cli import main
+from simhom.complex import barycentric_subdivide, complex_to_json
 from simhom.verify import COINCIDENCE_PAIRS
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_cli.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "data", "golden_cli.json")
+SD1_SEEDS = {"torus": 1, "genus2": 2}  # catalog surface -> vertex-order seed
+
+
+def sd1_path(base):
+    return f"data/sd1_{base}.json"
+
+
+def write_sd1_inputs():
+    for base, seed in SD1_SEEDS.items():
+        sd, _ = barycentric_subdivide(catalog.get_complex(base))
+        data = complex_to_json(sd)
+        random.Random(seed).shuffle(data["vertex_order"])
+        with open(os.path.join(HERE, sd1_path(base)), "w") as fh:
+            json.dump(data, fh)
+            fh.write("\n")
 
 
 def queries():
@@ -34,13 +57,24 @@ def queries():
         ]
     out += [["degree", name] for name in catalog.MAP_BUILDERS]
     out += [["coincidence", f, g] for f, g, _, _, _ in COINCIDENCE_PAIRS]
+    for base in SD1_SEEDS:
+        out += [
+            ["homology", sd1_path(base), "--generators"],
+            ["cohomology", sd1_path(base), "--generators"],
+            ["duality", sd1_path(base)],
+        ]
     return [argv + ["--json"] for argv in out]
 
 
 def answer(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    cwd = os.getcwd()
+    os.chdir(HERE)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
     return {"argv": argv, "code": code, "stdout": out.getvalue()}
 
 
@@ -53,6 +87,7 @@ def test_cli_json_matches_golden_snapshot():
 
 
 if __name__ == "__main__":
+    write_sd1_inputs()
     with open(GOLDEN, "w") as fh:
         json.dump([answer(argv) for argv in queries()], fh, indent=1)
         fh.write("\n")

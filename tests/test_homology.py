@@ -301,3 +301,33 @@ def test_betti_subdivision_invariance_and_iso():
             if b:
                 mat = tuple(tuple(cols[i][r] for i in range(b)) for r in range(b))
                 assert dense_inv(mat) is not None, (name, q)
+
+
+def test_each_differential_is_eliminated_once(monkeypatch):
+    """H_* reduces each d_k once and H^* each d_k transposed once."""
+    from collections import Counter
+
+    import simhom.exactlin as exactlin
+    from simhom.homology import compute_cohomology, compute_homology
+
+    def signature(rows, ncols):
+        return ncols, tuple(tuple(sorted(r.items())) for r in rows)
+
+    seen = Counter()
+    real_rref = exactlin._rref
+
+    def recording_rref(rows, ncols, *args, **kwargs):
+        seen[signature(rows, ncols)] += 1
+        return real_rref(rows, ncols, *args, **kwargs)
+
+    monkeypatch.setattr(exactlin, "_rref", recording_rref)
+    cc = Space(catalog.get_complex("torus")).cc
+
+    def eliminations(m):
+        return seen[signature(exactlin._row_dicts(m), m.cols)]
+
+    compute_homology(cc)
+    assert [eliminations(cc.boundary(k)) for k in range(cc.dim + 2)] == [1, 1, 1, 1]
+    seen.clear()
+    compute_cohomology(cc)
+    assert [eliminations(cc.coboundary(k - 1)) for k in range(cc.dim + 2)] == [1, 1, 1, 1]
