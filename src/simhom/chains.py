@@ -224,7 +224,9 @@ class SubdivisionMap:
             face = simplex[:i] + simplex[i + 1 :]
             sub = self._subdivide_simplex(face)
             sgn = (-ONE) ** i
-            acc = [a + sgn * b for a, b in zip(acc, sub.coeffs)]
+            for k, b in enumerate(sub.coeffs):
+                if b:
+                    acc[k] += sgn * b
         coned = cone(self._bary_vertex(simplex), Chain(q - 1, tuple(acc)), self.target_cc)
         self._memo[simplex] = coned
         return coned

@@ -42,14 +42,14 @@ from .homology import (
     HOMOLOGY,
     HClass,
     Space,
-    basis_class,
+    class_matrix,
     induced_map,
     kronecker,
 )
 from .products import (
     ProductSpace,
     TensorClass,
-    cap,
+    cap_chain,
     cap_on_product,
     cup,
     cup_on_product,
@@ -104,6 +104,8 @@ class DualityOperator:
         self._matrix = {}
         self._inverse = {}
         self._dual_basis = {}
+        self._lefschetz = None  # Lambda_X, built and verified by lefschetz_class
+        zeta = fundamental.cls.chain()
         for q in range(self.n + 1):
             bq = space.cohomology.betti(q)
             bnq = space.homology.betti(self.n - q)
@@ -112,13 +114,10 @@ class DualityOperator:
                     f"Betti asymmetry b^{q} = {bq} vs b_{self.n - q} = {bnq} "
                     f"on {space.complex.name!r}"
                 )
-            cols = []
-            for i in range(bq):
-                capped = cap(
-                    basis_class(space.cohomology, q, i), fundamental.cls, space
-                )
-                cols.append(capped.coeffs)
-            mat = tuple(tuple(cols[i][r] for i in range(bq)) for r in range(bnq))
+            mat = class_matrix(
+                space.cohomology, q, space.homology, self.n - q,
+                lambda a: cap_chain(space.cc, q, a, self.n, zeta),
+            )
             inv = dense_inv(mat) if bq else ()
             if bq and inv is None:
                 raise SingularDuality(

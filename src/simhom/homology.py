@@ -8,8 +8,12 @@ the canonical kernel-basis vectors that remain independent modulo the
 boundary image, selected by one deterministic elimination of
 [boundaries | cycles], so identical inputs always produce identical bases.
 Classes are extracted by exact solving against the column space
-[boundaries | representatives]; induced maps are computed this way rather
-than by transposition shortcuts.
+[boundaries | representatives].  Every matrix on (co)homology comes from
+one builder, ``class_matrix``: it applies a chain map to each
+representative and extracts the class of the result.  Induced maps f_* and
+f^*, the maps i_*, j_* and the connecting map of a pair, the excision map
+and the duality cap with the fundamental class are all built this way,
+never by transposition shortcuts.
 """
 
 import weakref
@@ -250,22 +254,16 @@ class GradedMap:
         return GradedMap(other.source, self.target, variance, mats)
 
 
-def _push_classes(matrices, source: GradedSpace, target: GradedSpace) -> dict:
-    out = {}
-    max_q = max(source.dim, 0)
-    for q in range(max_q + 1):
-        bs = source.betti(q)
-        bt = target.betti(q)
-        cols = []
-        for i in range(bs):
-            vec = source.chain_of(q, tuple(ONE if k == i else ZERO for k in range(bs)))
-            m = matrices.get(q)
-            pushed = m.apply(vec) if m is not None else tuple([ZERO] * target.cc.n(q))
-            cols.append(target.class_of(q, pushed))
-        out[q] = tuple(
-            tuple(cols[i][r] for i in range(bs)) for r in range(bt)
-        )
-    return out
+def class_matrix(source: GradedSpace, q: int, target: GradedSpace, p: int, chain_map):
+    """The matrix of H_q(source) -> H_p(target) induced by ``chain_map``.
+
+    ``chain_map`` carries each degree-q representative of ``source`` to a
+    degree-p (co)cycle of ``target``, whose class is solved for exactly; the
+    columns are these classes, the rows the target basis.  A result that is
+    not a (co)cycle raises ValueError from ``class_of``.
+    """
+    cols = [target.class_of(p, chain_map(r)) for r in source.representatives(q)]
+    return tuple(tuple(col[r] for col in cols) for r in range(target.betti(p)))
 
 
 def induced_map(f: SimplicialMap, source: GradedSpace, target: GradedSpace, variance=HOMOLOGY) -> GradedMap:
@@ -276,12 +274,16 @@ def induced_map(f: SimplicialMap, source: GradedSpace, target: GradedSpace, vari
     """
     chain = induced_chain_map(f)
     if variance in (HOMOLOGY, "covariant"):
-        mats = _push_classes(chain, source, target)
-        return GradedMap(source, target, "covariant", mats)
-    # Contravariant: pull cochains back along the transposed chain map.
-    pulled = {q: m.transpose() for q, m in chain.items()}
-    mats = _push_classes(pulled, source, target)
-    return GradedMap(source, target, "contravariant", mats)
+        variance = "covariant"
+    else:
+        # Pull cochains back along the transposed chain map.
+        variance = "contravariant"
+        chain = {q: m.transpose() for q, m in chain.items()}
+    mats = {}
+    for q in range(max(source.dim, 0) + 1):
+        m = chain.get(q, SparseMatrix(target.cc.n(q), source.cc.n(q), {}))
+        mats[q] = class_matrix(source, q, target, q, m.apply)
+    return GradedMap(source, target, variance, mats)
 
 
 def kronecker(alpha: HClass, sigma: HClass) -> Fraction:
@@ -323,14 +325,19 @@ class PairSequence:
     details: list
 
 
-def _inclusion_chain_matrices(sub: SimplicialComplex, amb: SimplicialComplex):
-    out = {}
-    for q in range(sub.dim + 1):
-        ent = {}
-        for j, target in enumerate(embed(amb, sub, q)):
-            ent[(amb.simplex_id(q, target), j)] = ONE
-        out[q] = SparseMatrix(amb.n_simplices(q), sub.n_simplices(q), ent)
-    return out
+def _rebase(vec, basis, index) -> tuple:
+    """Move a chain's coefficients from ``basis`` to the basis ``index`` numbers.
+
+    Simplices are matched as vertex tuples of the ambient complex; this one
+    map is the inclusion A -> X, the projection X -> X/A (coefficients on
+    simplices outside ``index`` are dropped), the lift X/A -> X, and the
+    excised pair's chains into the pair's.
+    """
+    out = [ZERO] * len(index)
+    for s, v in zip(basis, vec):
+        if v and s in index:
+            out[index[s]] = v
+    return tuple(out)
 
 
 def long_exact_sequence(x: SimplicialComplex, a: SimplicialComplex) -> PairSequence:
@@ -340,51 +347,30 @@ def long_exact_sequence(x: SimplicialComplex, a: SimplicialComplex) -> PairSeque
     sx, sa = Space(x), Space(a)
     hx, ha = sx.homology, sa.homology
     hp = compute_homology(pair_cc)
+    a_basis = {q: embed(x, a, q) for q in range(a.dim + 1)}  # in X's vertex tuples
+    a_index = {q: {s: k for k, s in enumerate(level)} for q, level in a_basis.items()}
 
-    incl = _inclusion_chain_matrices(a, x)
-    i_mats = _push_classes(incl, ha, hx)
+    def include(q):
+        return lambda v: _rebase(v, a_basis[q], x.index[q])
+
+    def project(q):
+        return lambda v: _rebase(v, x.basis(q), pair_cc.index[q])
+
+    def connect(q):
+        # Lift a relative cycle to X, take its boundary, restrict it to A.
+        def chain_map(rel):
+            bd = sx.cc.boundary(q).apply(_rebase(rel, pair_cc.basis(q), x.index[q]))
+            restricted = _rebase(bd, x.basis(q - 1), a_index.get(q - 1, {}))
+            if sum(map(bool, bd)) != sum(map(bool, restricted)):  # a term was dropped
+                raise AssertionError("relative cycle boundary left A")
+            return restricted
+
+        return chain_map
+
+    i_mats = {q: class_matrix(ha, q, hx, q, include(q)) for q in range(max(a.dim, 0) + 1)}
+    j_mats = {q: class_matrix(hx, q, hp, q, project(q)) for q in range(x.dim + 1)}
+    d_mats = {q: class_matrix(hp, q, ha, q - 1, connect(q)) for q in range(x.dim + 1)}
     i_star = GradedMap(ha, hx, "covariant", i_mats)
-
-    # j_*: project a cycle of X onto the quotient basis, a subsequence of X's.
-    j_mats = {}
-    for q in range(x.dim + 1):
-        cols = []
-        kept = pair_cc.index[q]
-        for i in range(hx.betti(q)):
-            vec = hx.chain_of(q, tuple(ONE if k == i else ZERO for k in range(hx.betti(q))))
-            proj = tuple(v for s, v in zip(x.basis(q), vec) if s in kept)
-            cols.append(hp.class_of(q, proj))
-        j_mats[q] = tuple(
-            tuple(cols[i][r] for i in range(hx.betti(q))) for r in range(hp.betti(q))
-        )
-
-    # Connecting map: lift a relative cycle, take its boundary, restrict to A.
-    a_index = {
-        q: {s: k for k, s in enumerate(embed(x, a, q))} for q in range(a.dim + 1)
-    }
-    d_mats = {}
-    for q in range(x.dim + 1):
-        cols = []
-        for i in range(hp.betti(q)):
-            rel = hp.chain_of(q, tuple(ONE if k == i else ZERO for k in range(hp.betti(q))))
-            lift = [ZERO] * x.n_simplices(q)
-            for idx, s in enumerate(pair_cc.basis(q)):
-                lift[x.simplex_id(q, s)] = rel[idx]
-            bd = sx.cc.boundary(q).apply(lift) if q >= 1 else ()
-            restricted = [ZERO] * a.n_simplices(q - 1)
-            for idx, s in enumerate(x.basis(q - 1)):
-                if bd and bd[idx]:
-                    if s not in a_index.get(q - 1, {}):
-                        raise AssertionError("relative cycle boundary left A")
-                    restricted[a_index[q - 1][s]] = bd[idx]
-            cols.append(
-                ha.class_of(q - 1, tuple(restricted)) if q >= 1 else ()
-            )
-        d_mats[q] = tuple(
-            tuple(cols[i][r] for i in range(hp.betti(q)))
-            for r in range(ha.betti(q - 1) if q >= 1 else 0)
-        )
-
     exact, details = _check_exactness(ha, hx, hp, i_mats, j_mats, d_mats, x.dim)
     return PairSequence(sx, sa, hp, i_star, j_mats, d_mats, exact, details)
 
@@ -481,15 +467,9 @@ def excision_check(x: SimplicialComplex, a: SimplicialComplex, u) -> ExcisionRep
             iso = False
             details.append((q, False))
             continue
-        cols = []
-        for i in range(be):
-            vec = h_exc.chain_of(q, tuple(ONE if k == i else ZERO for k in range(be)))
-            mapped = [ZERO] * pair.n(q)
-            for s, v in zip(excised.basis(q), vec):
-                if v:
-                    mapped[pair.simplex_id(q, s)] = v
-            cols.append(h_pair.class_of(q, tuple(mapped)))
-        mat = [[cols[i][r] for i in range(be)] for r in range(bp)]
+        mat = class_matrix(
+            h_exc, q, h_pair, q, lambda v: _rebase(v, excised.basis(q), pair.index[q])
+        )
         full = _mat_rank(mat) == bp
         iso = iso and full
         details.append((q, full))

@@ -53,7 +53,6 @@ from .errors import (
 from .exactlin import ONE, ZERO, dense_mul, dense_trace, lp_feasible, qstr
 from .homology import (
     COHOMOLOGY,
-    HOMOLOGY,
     HClass,
     Space,
     basis_class,
@@ -117,15 +116,17 @@ class LefschetzHom:
         return cls(space, mats)
 
 
-def lefschetz_class(d: DualityOperator, prod: ProductSpace | None = None) -> LefschetzClass:
-    """Lambda_X = sum (-1)^{deg b_i} b^_i x b_i, with the extraction check.
+def lefschetz_class(d: DualityOperator) -> LefschetzClass:
+    """Lambda_X = sum (-1)^{deg b_i} b^_i x b_i, built once per operator.
 
     The coefficient-extraction identity <b_i x b^_j, Lambda_X> =
-    (-1)^{n deg b_i} (-1)^{deg b_i} delta_ij is verified on construction.
+    (-1)^{n deg b_i} (-1)^{deg b_i} delta_ij is verified on construction;
+    the verified class is kept on ``d`` and returned by later calls.
     """
+    if d._lefschetz is not None:
+        return d._lefschetz
     space = d.space
-    if prod is None:
-        prod = product_space(space, space)
+    prod = product_space(space, space)
     n = d.n
     terms = {}
     expansion = []
@@ -140,6 +141,7 @@ def lefschetz_class(d: DualityOperator, prod: ProductSpace | None = None) -> Lef
     tensor = TensorClass(prod, COHOMOLOGY, n, terms)._clean()
     lef = LefschetzClass(space=space, product=prod, tensor=tensor, expansion=expansion)
     _verify_extraction(lef, d)
+    d._lefschetz = lef
     return lef
 
 
@@ -219,18 +221,18 @@ def lefschetz_iso(d: DualityOperator, prod: ProductSpace, sigma: LefschetzHom) -
     return TensorClass(prod, COHOMOLOGY, n, terms)._clean()
 
 
-def graded_trace(sigma: LefschetzHom) -> Fraction:
-    """Tr sigma = sum_q (-1)^q tr sigma^q."""
+def graded_trace(matrix_of_degree, n) -> Fraction:
+    """Tr = sum_q (-1)^q tr M_q over degrees 0..n, M_q = matrix_of_degree(q)."""
     total = ZERO
-    for q in range(sigma.space.dim + 1):
-        total += (-ONE) ** q * dense_trace(sigma.matrix(q))
+    for q in range(n + 1):
+        total += (-ONE) ** q * dense_trace(matrix_of_degree(q))
     return total
 
 
 def lefschetz_iso_and_trace(d: DualityOperator, prod: ProductSpace, sigma: LefschetzHom):
     """Both sides of the trace formula; their equality is asserted."""
     tensor = lefschetz_iso(d, prod, sigma)
-    tr = graded_trace(sigma)
+    tr = graded_trace(sigma.matrix, sigma.space.dim)
     paired = kronecker(diagonal_pullback(tensor, d.space), d.fundamental.cls)
     if paired != tr:
         raise AssertionError(
@@ -275,13 +277,6 @@ class CoincidenceReport:
         return out
 
 
-def _alternating_trace(matrix_of_degree, n) -> Fraction:
-    total = ZERO
-    for q in range(n + 1):
-        total += (-ONE) ** q * dense_trace(matrix_of_degree(q))
-    return total
-
-
 def coincidence_number(
     f: SimplicialMap,
     g: SimplicialMap,
@@ -316,24 +311,23 @@ def coincidence_number(
     # make all four sums equal on the nose (the complementary choice flips
     # the total by (-1)^n).
     lambdas = {}
-    lambdas["tr(f*.g!)"] = _alternating_trace(
+    lambdas["tr(f*.g!)"] = graded_trace(
         lambda q: dense_mul(f_up.matrix(q), tg.up_matrix(q)), n
     )
-    lambdas["tr(f!.g*)"] = _alternating_trace(
+    lambdas["tr(f!.g*)"] = graded_trace(
         lambda q: dense_mul(tf.up_matrix(n - q), g_up.matrix(n - q)), n
     )
-    lambdas["tr(f_!.g_*)"] = _alternating_trace(
+    lambdas["tr(f_!.g_*)"] = graded_trace(
         lambda q: dense_mul(tf.down_matrix(n - q), g_low.matrix(n - q)), n
     )
-    lambdas["tr(f_*.g_!)"] = _alternating_trace(
+    lambdas["tr(f_*.g_!)"] = graded_trace(
         lambda q: dense_mul(f_low.matrix(q), tg.down_matrix(q)), n
     )
 
     # Pairing route: (Delta^* (g x f)^* Lambda_Y, zeta_X).  The dual basis
     # occupies the first tensor slot of Lambda_Y, so the g-side pulls back
     # that slot; the opposite slot order computes (-1)^n lambda.
-    lam_y = lefschetz_class(dy)
-    lam_x = lam_y if dx is dy else lefschetz_class(dx)
+    lam_y, lam_x = lefschetz_class(dy), lefschetz_class(dx)
     prod_yy, prod_xx = lam_y.product, lam_x.product
     pullback = product_map(g_up, f_up, prod_yy, prod_xx)
     pulled = pullback(lam_y.tensor)

@@ -24,7 +24,6 @@ The diagonal pullback on X x X is computed as cup, extended bilinearly.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import Chain
 from .errors import DegreeMismatch
 from .exactlin import ONE, ZERO
 from .homology import (

@@ -15,11 +15,12 @@ from .chains import build_chain_complex, subdivision_chain_map
 from .complex import validate
 from .duality import degree, duality_operator, transfers
 from .errors import NonOrientable, TopologyError
-from .exactlin import ONE, ZERO, dense_eq, dense_identity, dense_inv, dense_mul, qstr, solve
+from .exactlin import ONE, dense_eq, dense_identity, dense_inv, dense_mul, qstr, solve
 from .homology import (
     COHOMOLOGY,
     HClass,
     Space,
+    class_matrix,
     excision_check,
     induced_map,
     long_exact_sequence,
@@ -145,15 +146,9 @@ def suite_subdivision(seed=0):
             continue
         iso_ok = True
         for q in range(x.dim + 1):
-            b = s.homology.betti(q)
-            if not b:
-                continue
-            cols = []
-            for i in range(b):
-                rep = s.homology.chain_of(q, tuple(ONE if k == i else ZERO for k in range(b)))
-                cols.append(sd_space.homology.class_of(q, sd_map.matrix(q).apply(rep)))
-            mat = tuple(tuple(cols[i][r] for i in range(b)) for r in range(b))
-            iso_ok = iso_ok and dense_inv(mat) is not None
+            if s.homology.betti(q):
+                mat = class_matrix(s.homology, q, sd_space.homology, q, sd_map.matrix(q).apply)
+                iso_ok = iso_ok and dense_inv(mat) is not None
         _check(out, f"subdivision-iso[{name}]", iso_ok)
     return out
 

@@ -14,6 +14,7 @@ from simhom.homology import (
     Space,
     augmentation,
     basis_class,
+    class_matrix,
     excision_check,
     induced_map,
     kronecker,
@@ -86,6 +87,20 @@ def test_class_extraction_roundtrip():
         coeffs = tuple(F(rng.randint(-3, 3)) for _ in range(b))
         chain = h.chain_of(q, coeffs)
         assert h.class_of(q, chain) == coeffs
+
+
+def test_class_of_rejects_non_cycles():
+    s = space("torus")
+    edge = s.cc.chain_from_simplex(s.cc.basis(1)[0]).coeffs
+    # an edge has a nonzero boundary, and its indicator cochain a nonzero
+    # coboundary: neither is a (co)cycle
+    for graded in (s.homology, s.cohomology):
+        with pytest.raises(ValueError, match="not a .*cycle in degree 1"):
+            graded.class_of(1, edge)
+    h = s.homology
+    assert class_matrix(h, 1, h, 1, lambda rep: rep) == ((ONE, ZERO), (ZERO, ONE))
+    with pytest.raises(ValueError):
+        class_matrix(h, 1, h, 1, lambda rep: edge)
 
 
 def test_induced_identity():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from simhom import catalog
+from simhom import catalog, lefschetz
 from simhom.duality import duality_operator, degree, transfers
 from simhom.errors import DimensionMismatch
 from simhom.exactlin import ONE, ZERO, dense_mul
@@ -60,6 +60,20 @@ def test_lefschetz_class_torus_summands():
     assert signs == [(0, 1), (1, -1), (1, -1), (2, 1)]
 
 
+def test_lefschetz_class_built_and_verified_once_per_operator(monkeypatch):
+    checked = []
+    verify = lefschetz._verify_extraction
+    monkeypatch.setattr(
+        lefschetz, "_verify_extraction", lambda lef, d: checked.append(d) or verify(lef, d)
+    )
+    d = duality_operator(Space(catalog.torus()))
+    f, g = catalog.get_map("torus_shift"), catalog.get_map("id_torus")
+    values = [coincidence_number(f, g, dx=d, dy=d).value for _ in range(3)]
+    assert values == [0, 0, 0]
+    assert checked == [d]
+    assert lefschetz_class(d) is lefschetz_class(d)
+
+
 def test_coefficient_extraction_diagonal():
     # the coefficient-extraction identity, octahedron and torus regression
     for name in ["octahedron", "torus"]:
@@ -88,10 +102,9 @@ def test_euler_data_catalog():
 def test_lefschetz_iso_identity_is_lefschetz_class():
     for name in ["octahedron", "torus", "hexagon"]:
         d = dop(name)
-        prod = product_space(d.space, d.space)
-        lef = lefschetz_class(d, prod)
+        lef = lefschetz_class(d)
         sigma = LefschetzHom.identity(d.space)
-        tensor, tr = lefschetz_iso_and_trace(d, prod, sigma)
+        tensor, tr = lefschetz_iso_and_trace(d, lef.product, sigma)
         assert tensor == lef.tensor, name
         assert tr == euler_data(d).euler_number, name
 
