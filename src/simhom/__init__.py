@@ -67,7 +67,6 @@ from .lefschetz import (
     CoincidenceReport,
     EulerData,
     LefschetzClass,
-    LefschetzHom,
     coincidence_number,
     coincidence_witness,
     euler_data,

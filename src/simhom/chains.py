@@ -12,7 +12,7 @@ barycenter.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complex import SimplicialComplex, SimplicialMap, barycentric_subdivide
+from .complex import SimplicialComplex, SimplicialMap, _bary_name, barycentric_subdivide
 from .errors import ConeNotDefined, NotSubcomplex
 from .exactlin import ONE, ZERO, SparseMatrix
 
@@ -201,21 +201,15 @@ class SubdivisionMap:
         self._matrices = {}
         self._memo = {}
 
-    def _bary_vertex(self, simplex) -> str:
-        from .complex import BARY_SEP
-
-        return BARY_SEP.join(str(self.source.vertices[i]) for i in simplex)
-
     def _subdivide_simplex(self, simplex):
         """Chain in Sd X subdividing one simplex, memoized bottom-up."""
         simplex = tuple(simplex)
         if simplex in self._memo:
             return self._memo[simplex]
         q = len(simplex) - 1
+        bary = _bary_name(self.source, simplex)
         if q == 0:
-            out = self.target_cc.chain_from_simplex(
-                (self.subdivided.vertex_index[self._bary_vertex(simplex)],)
-            )
+            out = self.target_cc.chain_from_simplex((self.subdivided.vertex_index[bary],))
             self._memo[simplex] = out
             return out
         # Sd(sigma) = b_sigma . Sd(d sigma)
@@ -227,7 +221,7 @@ class SubdivisionMap:
             for k, b in enumerate(sub.coeffs):
                 if b:
                     acc[k] += sgn * b
-        coned = cone(self._bary_vertex(simplex), Chain(q - 1, tuple(acc)), self.target_cc)
+        coned = cone(bary, Chain(q - 1, tuple(acc)), self.target_cc)
         self._memo[simplex] = coned
         return coned
 

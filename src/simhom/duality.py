@@ -40,6 +40,7 @@ from .exactlin import (
 from .homology import (
     COHOMOLOGY,
     HOMOLOGY,
+    GradedMap,
     HClass,
     Space,
     class_matrix,
@@ -194,7 +195,8 @@ def duality_operator(space: Space) -> DualityOperator:
 
 @dataclass
 class Transfer:
-    """Per-degree matrices of f^! and f_!, with the dimension shift."""
+    """Per-degree matrices of f^! and f_!, with the dimension shift, and the
+    induced maps f_* and f^* they conjugate."""
 
     f: SimplicialMap
     dx: DualityOperator
@@ -202,6 +204,8 @@ class Transfer:
     shift: int
     up: dict  # q -> matrix of f^! : H^q(X) -> H^{q+shift}(Y)
     down: dict  # q -> matrix of f_! : H_q(Y) -> H_{q-shift}(X)
+    push: GradedMap  # f_* : H_*(X) -> H_*(Y)
+    pull: GradedMap  # f^* : H^*(Y) -> H^*(X)
 
     def up_matrix(self, q):
         return self.up.get(q, ())
@@ -232,7 +236,7 @@ def transfers(f: SimplicialMap, dx: DualityOperator, dy: DualityOperator) -> Tra
     n, m = dx.n, dy.n
     shift = m - n
     f_low = induced_map(f, sx.homology, sy.homology)
-    f_up = induced_map(f, sy.cohomology, sx.cohomology, variance=COHOMOLOGY)
+    f_up = induced_map(f, sy.cohomology, sx.cohomology)
     up = {}
     down = {}
     for q in range(n + 1):
@@ -247,7 +251,7 @@ def transfers(f: SimplicialMap, dx: DualityOperator, dy: DualityOperator) -> Tra
                 dx.matrix(n - (q - shift)),
                 dense_mul(f_up.matrix(m - q), dy.inverse_matrix(m - q)),
             )
-    return Transfer(f=f, dx=dx, dy=dy, shift=shift, up=up, down=down)
+    return Transfer(f=f, dx=dx, dy=dy, shift=shift, up=up, down=down, push=f_low, pull=f_up)
 
 
 def degree(f: SimplicialMap, dx: DualityOperator, dy: DualityOperator) -> Fraction:

@@ -91,13 +91,6 @@ class SparseMatrix:
     def get(self, i: int, j: int) -> Fraction:
         return self.entries.get((i, j), ZERO)
 
-    def column(self, j: int):
-        col = [ZERO] * self.rows
-        for (i, jj), v in self.entries.items():
-            if jj == j:
-                col[i] = v
-        return tuple(col)
-
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(
             self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
@@ -273,7 +266,12 @@ class Solver:
 
     def image(self):
         """Original columns of M sitting at the RREF pivot positions."""
-        return [self.m.column(c) for c in self.pivot_cols]
+        slot = {c: k for k, c in enumerate(self.pivot_cols)}
+        cols = [[ZERO] * self.m.rows for _ in slot]
+        for (i, j), v in self.m.entries.items():
+            if j in slot:
+                cols[slot[j]][i] = v
+        return [tuple(col) for col in cols]
 
     def solve(self, b):
         """Exact particular solution of M x = b, or None if inconsistent."""

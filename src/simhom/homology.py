@@ -28,6 +28,9 @@ from .exactlin import (
     ZERO,
     Solver,
     SparseMatrix,
+    dense_identity,
+    dense_mul,
+    dense_vec,
     vec_dot,
 )
 
@@ -213,12 +216,22 @@ class Space:
 
 @dataclass
 class GradedMap:
-    """Per-degree matrices between graded spaces."""
+    """Per-degree matrices between graded spaces.
+
+    Every Betti-level map is one: f_* (homology to homology), f^*
+    (cohomology of the codomain to cohomology of the domain), the maps of a
+    pair sequence, and the elements of L^*(X), which act on H^*(X).  The
+    direction is read off the spaces, never stored.
+    """
 
     source: GradedSpace
     target: GradedSpace
-    variance: str  # "covariant" | "contravariant"
     matrices: dict  # degree -> dense tuple-of-tuples (target dim x source dim)
+
+    @classmethod
+    def identity(cls, space: GradedSpace) -> "GradedMap":
+        degrees = range(max(space.dim, 0) + 1)
+        return cls(space, space, {q: dense_identity(space.betti(q)) for q in degrees})
 
     def matrix(self, q: int):
         bt = self.target.betti(q)
@@ -228,8 +241,6 @@ class GradedMap:
         )
 
     def apply(self, cls: HClass) -> HClass:
-        from .exactlin import dense_vec
-
         if cls.space is not self.source:
             raise DegreeMismatch("class does not live in the map's source")
         return HClass(
@@ -238,20 +249,13 @@ class GradedMap:
 
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self after other."""
-        from .exactlin import dense_mul
-
         if other.target is not self.source:
             raise DegreeMismatch("graded maps are not composable")
         degrees = set(self.matrices) | set(other.matrices)
         mats = {
             q: dense_mul(self.matrix(q), other.matrix(q)) for q in sorted(degrees)
         }
-        variance = (
-            "covariant"
-            if self.variance == other.variance
-            else "contravariant"
-        )
-        return GradedMap(other.source, self.target, variance, mats)
+        return GradedMap(other.source, self.target, mats)
 
 
 def class_matrix(source: GradedSpace, q: int, target: GradedSpace, p: int, chain_map):
@@ -266,24 +270,24 @@ def class_matrix(source: GradedSpace, q: int, target: GradedSpace, p: int, chain
     return tuple(tuple(col[r] for col in cols) for r in range(target.betti(p)))
 
 
-def induced_map(f: SimplicialMap, source: GradedSpace, target: GradedSpace, variance=HOMOLOGY) -> GradedMap:
-    """Induced map on homology (covariant) or cohomology (contravariant).
+def induced_map(f: SimplicialMap, source: GradedSpace, target: GradedSpace) -> GradedMap:
+    """f_* : H_*(X) -> H_*(Y) or f^* : H^*(Y) -> H^*(X), by the spaces' kind.
 
     For homology, source/target are the graded spaces of f's domain and
-    codomain; for cohomology they are the codomain's and domain's.
+    codomain; for cohomology they are the codomain's and domain's, and
+    cochains are pulled back along the transposed chain map.  Spaces of
+    different kinds raise DegreeMismatch.
     """
+    if source.kind != target.kind:
+        raise DegreeMismatch(f"induced map from {source.kind} to {target.kind}")
     chain = induced_chain_map(f)
-    if variance in (HOMOLOGY, "covariant"):
-        variance = "covariant"
-    else:
-        # Pull cochains back along the transposed chain map.
-        variance = "contravariant"
+    if source.kind == COHOMOLOGY:
         chain = {q: m.transpose() for q, m in chain.items()}
     mats = {}
     for q in range(max(source.dim, 0) + 1):
         m = chain.get(q, SparseMatrix(target.cc.n(q), source.cc.n(q), {}))
         mats[q] = class_matrix(source, q, target, q, m.apply)
-    return GradedMap(source, target, variance, mats)
+    return GradedMap(source, target, mats)
 
 
 def kronecker(alpha: HClass, sigma: HClass) -> Fraction:
@@ -370,7 +374,7 @@ def long_exact_sequence(x: SimplicialComplex, a: SimplicialComplex) -> PairSeque
     i_mats = {q: class_matrix(ha, q, hx, q, include(q)) for q in range(max(a.dim, 0) + 1)}
     j_mats = {q: class_matrix(hx, q, hp, q, project(q)) for q in range(x.dim + 1)}
     d_mats = {q: class_matrix(hp, q, ha, q - 1, connect(q)) for q in range(x.dim + 1)}
-    i_star = GradedMap(ha, hx, "covariant", i_mats)
+    i_star = GradedMap(ha, hx, i_mats)
     exact, details = _check_exactness(ha, hx, hp, i_mats, j_mats, d_mats, x.dim)
     return PairSequence(sx, sa, hp, i_star, j_mats, d_mats, exact, details)
 
@@ -384,8 +388,6 @@ def _mat_rank(m) -> int:
 
 
 def _mat_mul_zero(a, b) -> bool:
-    from .exactlin import dense_mul
-
     if not a or not b or not a[0] or not b[0]:
         return True
     prod = dense_mul(a, b)

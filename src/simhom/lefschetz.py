@@ -1,16 +1,18 @@
 """Lefschetz classes, coincidence numbers, and the witness finder.
 
-The Lefschetz class of a closed oriented n-manifold expands over any basis
-{b_i} of H^* with dual basis {b^_i} (cup pairing against the fundamental
-class) as
+The graded-endomorphism space L^*(X) of a closed oriented n-manifold is
+carried by ``GradedMap``s from H^*(X) to itself.  Over any basis {b_i} of
+H^* with dual basis {b^_i} (cup pairing against the fundamental class), its
+Lefschetz isomorphism sends the endomorphism with matrix M on H^q to
 
-    Lambda_X = sum_i (-1)^{deg b_i} b^_i x b_i     in H^n(X x X).
+    lambda_X(M) = sum_q (-1)^q M[i][j] b^_i x b_j     in H^n(X x X),
 
-The graded-endomorphism space L^*(X) is carried by per-degree matrices on
-H^q(X); its Lefschetz isomorphism sends the endomorphism with matrix M on
-H^q to sum (-1)^q M[i][j] b^_i x b_j, so the identity goes to Lambda_X and
-the graded trace Tr s = sum_q (-1)^q tr s^q equals the pairing
-(Delta^* lambda_X(s), zeta_X) on the nose.
+and the graded trace Tr s = sum_q (-1)^q tr s^q equals the pairing
+(Delta^* lambda_X(s), zeta_X) on the nose.  The Lefschetz class and the
+Euler class are defined through it:
+
+    Lambda_X := lambda_X(id) = sum_i (-1)^{deg b_i} b^_i x b_i,
+    chi_X := Delta^* Lambda_X.
 
 The coincidence number of f, g : X -> Y is computed six ways: the four
 alternating trace formulas tr(f^* g^!), tr(f^! g^*), tr(f_! g_*),
@@ -37,7 +39,6 @@ from .complex import (
     SimplicialComplex,
     SimplicialMap,
     check_simplicial,
-    identity_map,
 )
 from .duality import (
     DualityOperator,
@@ -47,16 +48,17 @@ from .duality import (
 )
 from .errors import (
     ApproximationUnavailable,
+    DegreeMismatch,
     DimensionMismatch,
     NotSimplicial,
 )
 from .exactlin import ONE, ZERO, dense_mul, dense_trace, lp_feasible, qstr
 from .homology import (
     COHOMOLOGY,
+    GradedMap,
     HClass,
     Space,
     basis_class,
-    induced_map,
     kronecker,
 )
 from .products import (
@@ -65,7 +67,6 @@ from .products import (
     augmentation_product,
     cap_on_product,
     cross,
-    cup,
     cup_on_product,
     diagonal_pullback,
     kronecker_product,
@@ -92,32 +93,8 @@ class EulerData:
     combinatorial: int
 
 
-@dataclass
-class LefschetzHom:
-    """An element of L^*(X): one matrix per degree, acting on H^q(X)."""
-
-    space: Space
-    matrices: dict  # q -> dense matrix on the degree-q cohomology basis
-
-    def matrix(self, q):
-        b = self.space.cohomology.betti(q)
-        return self.matrices.get(
-            q, tuple(tuple(ZERO for _ in range(b)) for _ in range(b))
-        )
-
-    @classmethod
-    def identity(cls, space: Space):
-        mats = {}
-        for q in range(space.dim + 1):
-            b = space.cohomology.betti(q)
-            mats[q] = tuple(
-                tuple(ONE if i == j else ZERO for j in range(b)) for i in range(b)
-            )
-        return cls(space, mats)
-
-
 def lefschetz_class(d: DualityOperator) -> LefschetzClass:
-    """Lambda_X = sum (-1)^{deg b_i} b^_i x b_i, built once per operator.
+    """Lambda_X = lambda_X(id), built once per operator.
 
     The coefficient-extraction identity <b_i x b^_j, Lambda_X> =
     (-1)^{n deg b_i} (-1)^{deg b_i} delta_ij is verified on construction;
@@ -127,18 +104,12 @@ def lefschetz_class(d: DualityOperator) -> LefschetzClass:
         return d._lefschetz
     space = d.space
     prod = product_space(space, space)
-    n = d.n
-    terms = {}
-    expansion = []
-    for q in range(n + 1):
-        duals = d.dual_basis(q)  # duals of the degree-q basis, in H^{n-q}
-        sign = (-ONE) ** q
-        for i, bhat in enumerate(duals):
-            cls = cross(bhat, basis_class(space.cohomology, q, i), prod)
-            for key, v in cls.terms.items():
-                terms[key] = terms.get(key, ZERO) + sign * v
-            expansion.append((q, i, sign))
-    tensor = TensorClass(prod, COHOMOLOGY, n, terms)._clean()
+    tensor = lefschetz_iso(d, prod, GradedMap.identity(space.cohomology))
+    expansion = [
+        (q, i, (-ONE) ** q)
+        for q in range(d.n + 1)
+        for i in range(space.cohomology.betti(q))
+    ]
     lef = LefschetzClass(space=space, product=prod, tensor=tensor, expansion=expansion)
     _verify_extraction(lef, d)
     d._lefschetz = lef
@@ -176,19 +147,9 @@ def coefficient_extraction_table(lef: LefschetzClass, d: DualityOperator):
 
 
 def euler_data(d: DualityOperator) -> EulerData:
-    """chi_X = sum (-1)^{deg b_i} b^_i u b_i and its two Euler numbers."""
+    """chi_X = Delta^* Lambda_X and its two Euler numbers."""
     space = d.space
-    n = d.n
-    b_top = space.cohomology.betti(n)
-    acc = [ZERO] * b_top
-    for q in range(n + 1):
-        duals = d.dual_basis(q)
-        sign = (-ONE) ** q
-        for i, bhat in enumerate(duals):
-            cupped = cup(bhat, basis_class(space.cohomology, q, i), space)
-            for k, c in enumerate(cupped.coeffs):
-                acc[k] += sign * c
-    chi_class = HClass(space.cohomology, n, tuple(acc))
+    chi_class = diagonal_pullback(lefschetz_class(d).tensor, space)
     number = kronecker(chi_class, d.fundamental.cls)
     comb = space.complex.euler_characteristic()
     if number != comb:
@@ -199,9 +160,11 @@ def euler_data(d: DualityOperator) -> EulerData:
     return EulerData(euler_class=chi_class, euler_number=number, combinatorial=comb)
 
 
-def lefschetz_iso(d: DualityOperator, prod: ProductSpace, sigma: LefschetzHom) -> TensorClass:
+def lefschetz_iso(d: DualityOperator, prod: ProductSpace, sigma: GradedMap) -> TensorClass:
     """lambda_X(sigma) = sum_q (-1)^q M^q[i][j] b^_i x b_j in H^n(X x X)."""
     space = d.space
+    if sigma.source is not space.cohomology or sigma.target is not space.cohomology:
+        raise DegreeMismatch("lambda_X takes a graded map from H^*(X) to itself")
     n = d.n
     terms = {}
     for q in range(n + 1):
@@ -229,10 +192,10 @@ def graded_trace(matrix_of_degree, n) -> Fraction:
     return total
 
 
-def lefschetz_iso_and_trace(d: DualityOperator, prod: ProductSpace, sigma: LefschetzHom):
+def lefschetz_iso_and_trace(d: DualityOperator, prod: ProductSpace, sigma: GradedMap):
     """Both sides of the trace formula; their equality is asserted."""
     tensor = lefschetz_iso(d, prod, sigma)
-    tr = graded_trace(sigma.matrix, sigma.space.dim)
+    tr = graded_trace(sigma.matrix, d.n)
     paired = kronecker(diagonal_pullback(tensor, d.space), d.fundamental.cls)
     if paired != tr:
         raise AssertionError(
@@ -298,12 +261,10 @@ def coincidence_number(
             f"dim X = {n} differs from dim Y = {dy.n}"
         )
 
-    f_low = induced_map(f, sx.homology, sy.homology)
-    g_low = induced_map(g, sx.homology, sy.homology)
-    f_up = induced_map(f, sy.cohomology, sx.cohomology, variance=COHOMOLOGY)
-    g_up = induced_map(g, sy.cohomology, sx.cohomology, variance=COHOMOLOGY)
     tf = transfers(f, dx, dy)
     tg = transfers(g, dx, dy)
+    f_low, f_up = tf.push, tf.pull
+    g_low, g_up = tg.push, tg.pull
 
     # The four alternating traces.  The composites act on H^q(X), H^{n-q}(Y),
     # H_{n-q}(X) and H_q(Y) respectively: conjugating through duality shifts
@@ -339,7 +300,7 @@ def coincidence_number(
     zz_xx = tensor_fundamental(prod_xx, dx.fundamental.cls, dx.fundamental.cls)
     diag = cap_on_product(lam_x.tensor, zz_xx)  # Delta_*(zeta_X) in H_n(X x X)
     prod_xy = product_space(sx, sy)
-    id_low = induced_map(identity_map(sx.complex), sx.homology, sx.homology)
+    id_low = GradedMap.identity(sx.homology)
     push_f = product_map(id_low, f_low, prod_xx, prod_xy)
     push_g = product_map(id_low, g_low, prod_xx, prod_xy)
     zeta_f = push_f(diag)

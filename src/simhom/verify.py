@@ -17,7 +17,7 @@ from .duality import degree, duality_operator, transfers
 from .errors import NonOrientable, TopologyError
 from .exactlin import ONE, dense_eq, dense_identity, dense_inv, dense_mul, qstr, solve
 from .homology import (
-    COHOMOLOGY,
+    GradedMap,
     HClass,
     Space,
     class_matrix,
@@ -26,7 +26,6 @@ from .homology import (
     long_exact_sequence,
 )
 from .lefschetz import (
-    LefschetzHom,
     coefficient_extraction_table,
     coincidence_number,
     euler_data,
@@ -263,13 +262,12 @@ def suite_duality(seed=0):
     ]
     for mname, dom, cod in cases:
         f = catalog.get_map(mname)
-        sx, sy = _space(dom), _space(cod)
+        sy = _space(cod)
         dx = _dop(dom)
         dy = _dop(cod)
         t = transfers(f, dx, dy)
         d = degree(f, dx, dy)
-        f_low = induced_map(f, sx.homology, sy.homology)
-        f_up = induced_map(f, sy.cohomology, sx.cohomology, variance=COHOMOLOGY)
+        f_low, f_up = t.push, t.pull
         ok = True
         for q in range(sy.dim + 1):
             b = sy.homology.betti(q)
@@ -397,7 +395,8 @@ def suite_coincidence(seed=0):
         d = _dop(name)
         prod = product_space(d.space, d.space)
         try:
-            _, tr = lefschetz_iso_and_trace(d, prod, LefschetzHom.identity(d.space))
+            identity = GradedMap.identity(d.space.cohomology)
+            _, tr = lefschetz_iso_and_trace(d, prod, identity)
             _check(
                 out,
                 f"trace-formula-identity[{name}]",

@@ -15,7 +15,6 @@ from simhom.duality import (
 from simhom.errors import NonOrientable, NotClosed, SingularDuality
 from simhom.exactlin import ONE, ZERO, dense_eq, dense_identity, dense_mul, vec_is_zero
 from simhom.homology import (
-    COHOMOLOGY,
     HClass,
     Space,
     basis_class,
@@ -212,7 +211,7 @@ def test_transfer_pushpull_is_degree_times_identity():
         t = transfers(f, dx, dy)
         d = degree(f, dx, dy)
         f_low = induced_map(f, sx.homology, sy.homology)
-        f_up = induced_map(f, sy.cohomology, sx.cohomology, variance=COHOMOLOGY)
+        f_up = induced_map(f, sy.cohomology, sx.cohomology)
         for q in range(sy.dim + 1):
             b = sy.homology.betti(q)
             lhs = dense_mul(f_low.matrix(q), t.down_matrix(q))
@@ -248,7 +247,7 @@ def test_transfer_projection_formula():
         dx = duality_operator(sx)
         dy = duality_operator(sy) if dom != cod else dx
         t = transfers(f, dx, dy)
-        f_up = induced_map(f, sy.cohomology, sx.cohomology, variance=COHOMOLOGY)
+        f_up = induced_map(f, sy.cohomology, sx.cohomology)
         for _ in range(8):
             qa = rng.randint(0, sy.dim)
             qb = rng.randint(qa, sy.dim)
@@ -267,7 +266,7 @@ def test_restricted_inverse_identities():
     t = transfers(f, dx, dy)
     d = degree(f, dx, dy)
     f_low = induced_map(f, sx.homology, sy.homology)
-    f_up = induced_map(f, sy.cohomology, sx.cohomology, variance=COHOMOLOGY)
+    f_up = induced_map(f, sy.cohomology, sx.cohomology)
     rng = random.Random(20)
     for q in range(2):
         for _ in range(5):

@@ -9,7 +9,7 @@ from simhom.complex import identity_map, validate
 from simhom.errors import DegreeMismatch, HypothesisViolated
 from simhom.exactlin import ONE, ZERO, dense_inv, vec_is_zero
 from simhom.homology import (
-    COHOMOLOGY,
+    GradedMap,
     HClass,
     Space,
     augmentation,
@@ -104,13 +104,25 @@ def test_class_of_rejects_non_cycles():
 
 
 def test_induced_identity():
-    s = space("torus")
-    m = induced_map(identity_map(s.complex), s.homology, s.homology)
-    for q in range(3):
-        b = s.homology.betti(q)
-        assert m.matrix(q) == tuple(
-            tuple(ONE if i == j else ZERO for j in range(b)) for i in range(b)
-        )
+    for name in ["point", "hexagon", "octahedron", "torus", "rp2"]:
+        s = space(name)
+        for h in (s.homology, s.cohomology):
+            m = induced_map(identity_map(s.complex), h, h)
+            for q in range(s.dim + 1):
+                b = h.betti(q)
+                assert m.matrix(q) == tuple(
+                    tuple(ONE if i == j else ZERO for j in range(b)) for i in range(b)
+                ), (name, q)
+            assert GradedMap.identity(h).matrices == m.matrices, name
+
+
+def test_induced_map_rejects_mixed_kinds():
+    hexa, tri = space("hexagon"), space("triangle")
+    f = catalog.hex_wrap2()
+    with pytest.raises(DegreeMismatch):
+        induced_map(f, hexa.homology, tri.cohomology)
+    with pytest.raises(DegreeMismatch):
+        induced_map(f, tri.cohomology, hexa.homology)
 
 
 def test_induced_wrap_degree_two_on_h1():
@@ -139,9 +151,9 @@ def test_functoriality_covariant_and_contravariant():
     m_gf = induced_map(gf, hexa.homology, tri.homology)
     for q in range(2):
         assert m_g.compose(m_f).matrix(q) == m_gf.matrix(q)
-    c_f = induced_map(f, hexa.cohomology, hexa.cohomology, variance=COHOMOLOGY)
-    c_g = induced_map(g, tri.cohomology, hexa.cohomology, variance=COHOMOLOGY)
-    c_gf = induced_map(gf, tri.cohomology, hexa.cohomology, variance=COHOMOLOGY)
+    c_f = induced_map(f, hexa.cohomology, hexa.cohomology)
+    c_g = induced_map(g, tri.cohomology, hexa.cohomology)
+    c_gf = induced_map(gf, tri.cohomology, hexa.cohomology)
     for q in range(2):
         assert c_f.compose(c_g).matrix(q) == c_gf.matrix(q)
 
@@ -168,7 +180,7 @@ def test_kronecker_naturality():
     hexa, tri = space("hexagon"), space("triangle")
     f = catalog.hex_wrap2()
     fh = induced_map(f, hexa.homology, tri.homology)
-    fc = induced_map(f, tri.cohomology, hexa.cohomology, variance=COHOMOLOGY)
+    fc = induced_map(f, tri.cohomology, hexa.cohomology)
     rng = random.Random(23)
     for _ in range(20):
         q = rng.choice([0, 1])

@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from simhom import catalog, lefschetz
+from simhom import catalog, duality, homology, lefschetz
 from simhom.duality import duality_operator, degree, transfers
-from simhom.errors import DimensionMismatch
+from simhom.errors import DegreeMismatch, DimensionMismatch
 from simhom.exactlin import ONE, ZERO, dense_mul
-from simhom.homology import COHOMOLOGY, Space, induced_map
+from simhom.homology import GradedMap, Space, basis_class, induced_map
 from simhom.lefschetz import (
-    LefschetzHom,
     coefficient_extraction_table,
     coincidence_number,
     coincidence_witness,
@@ -19,7 +18,8 @@ from simhom.lefschetz import (
     lefschetz_iso_and_trace,
     subdivide_map,
 )
-from simhom.products import product_map, product_space
+from simhom.products import cross, cup, product_map, product_space
+from simhom.verify import ORIENTABLE
 
 F = Fraction
 
@@ -99,32 +99,78 @@ def test_euler_data_catalog():
         assert data.combinatorial == chi, name
 
 
+def _dual_basis_sum(d, product):
+    """sum_q (-1)^q sum_i product(b^_i, b_i) over the degree-q cohomology basis."""
+    h = d.space.cohomology
+    total = None
+    for q in range(d.n + 1):
+        for i, bhat in enumerate(d.dual_basis(q)):
+            term = product(bhat, basis_class(h, q, i)).scale((-ONE) ** q)
+            total = term if total is None else total + term
+    return total
+
+
 def test_lefschetz_iso_identity_is_lefschetz_class():
     for name in ["octahedron", "torus", "hexagon"]:
         d = dop(name)
         lef = lefschetz_class(d)
-        sigma = LefschetzHom.identity(d.space)
+        sigma = GradedMap.identity(d.space.cohomology)
         tensor, tr = lefschetz_iso_and_trace(d, lef.product, sigma)
-        assert tensor == lef.tensor, name
+        reference = _dual_basis_sum(d, lambda a, b: cross(a, b, lef.product))
+        assert tensor == lef.tensor == reference, name
         assert tr == euler_data(d).euler_number, name
+
+
+def test_euler_class_is_dual_basis_cup_sum():
+    # chi_X = Delta^* Lambda_X against sum (-1)^q b^_i u b_i, cup by cup
+    for name in ORIENTABLE:
+        d = dop(name)
+        reference = _dual_basis_sum(d, lambda a, b: cup(a, b, d.space))
+        assert euler_data(d).euler_class == reference, name
+
+
+def test_coincidence_number_builds_each_induced_map_once(monkeypatch):
+    # f_*, g_*, f^*, g^* once each: the transfers carry them, id_* is built
+    calls = []
+    real = homology.induced_map
+
+    def counted(f, *args, **kwargs):
+        calls.append(f.name)
+        return real(f, *args, **kwargs)
+
+    for module in (homology, duality, lefschetz):
+        if hasattr(module, "induced_map"):
+            monkeypatch.setattr(module, "induced_map", counted)
+    dx, dy = dop("hexagon"), dop("triangle")
+    rep = coincidence_number(catalog.hex_wrap2(), catalog.hex_wrap1(), dx=dx, dy=dy)
+    assert rep.value == -1 and rep.consistent
+    assert sorted(calls) == ["hex_wrap1", "hex_wrap1", "hex_wrap2", "hex_wrap2"]
 
 
 def test_lefschetz_iso_zero():
     d = dop("torus")
     prod = product_space(d.space, d.space)
-    sigma = LefschetzHom(d.space, {})
+    sigma = GradedMap(d.space.cohomology, d.space.cohomology, {})
     tensor, tr = lefschetz_iso_and_trace(d, prod, sigma)
     assert tensor.is_zero()
     assert tr == 0
+
+
+def test_lefschetz_iso_takes_only_endomorphisms_of_cohomology():
+    d = dop("torus")
+    prod = product_space(d.space, d.space)
+    with pytest.raises(DegreeMismatch):
+        lefschetz_iso(d, prod, GradedMap.identity(d.space.homology))
+    with pytest.raises(DegreeMismatch):
+        lefschetz_iso(d, prod, GradedMap.identity(dop("octahedron").space.cohomology))
 
 
 def test_lefschetz_trace_projection_line():
     # projection onto one H^1 line of the torus: Tr = -1, matched by pairing
     d = dop("torus")
     prod = product_space(d.space, d.space)
-    proj = LefschetzHom(
-        d.space, {1: ((ONE, ZERO), (ZERO, ZERO))}
-    )
+    h = d.space.cohomology
+    proj = GradedMap(h, h, {1: ((ONE, ZERO), (ZERO, ZERO))})
     tensor, tr = lefschetz_iso_and_trace(d, prod, proj)
     assert tr == -1
 
@@ -137,8 +183,8 @@ def test_lambda_naturality_lemma():
     sx, sy = space("hexagon"), space("triangle")
     dx, dy = dop("hexagon"), dop("triangle")
     tg = transfers(g, dx, dy)
-    f_up = induced_map(f, sy.cohomology, sx.cohomology, variance=COHOMOLOGY)
-    g_up = induced_map(g, sy.cohomology, sx.cohomology, variance=COHOMOLOGY)
+    f_up = induced_map(f, sy.cohomology, sx.cohomology)
+    g_up = induced_map(g, sy.cohomology, sx.cohomology)
     prod_yy = product_space(sy, sy)
     prod_xx = product_space(sx, sx)
     pull = product_map(g_up, f_up, prod_yy, prod_xx)
@@ -150,14 +196,14 @@ def test_lambda_naturality_lemma():
             mats[q] = tuple(
                 tuple(F(rng.randint(-2, 2)) for _ in range(b)) for _ in range(b)
             )
-        sigma = LefschetzHom(sy, mats)
+        sigma = GradedMap(sy.cohomology, sy.cohomology, mats)
         lhs = pull(lefschetz_iso(dy, prod_yy, sigma))
         comp = {}
         for q in range(sx.dim + 1):
             comp[q] = dense_mul(
                 f_up.matrix(q), dense_mul(sigma.matrix(q), tg.up_matrix(q))
             )
-        rhs = lefschetz_iso(dx, prod_xx, LefschetzHom(sx, comp))
+        rhs = lefschetz_iso(dx, prod_xx, GradedMap(sx.cohomology, sx.cohomology, comp))
         assert lhs == rhs
 
 

@@ -204,7 +204,7 @@ def test_cup_naturality_on_catalog_maps():
     for map_name, dom_name, cod_name in cases:
         f = catalog.get_map(map_name)
         sx, sy = space(dom_name), space(cod_name)
-        fstar = induced_map(f, sy.cohomology, sx.cohomology, variance=COHOMOLOGY)
+        fstar = induced_map(f, sy.cohomology, sx.cohomology)
         for _ in range(6):
             p = rng.randint(0, sy.dim)
             q = rng.randint(0, sy.dim - p)
@@ -226,7 +226,7 @@ def test_cap_naturality_on_catalog_maps():
     for map_name, dom_name, cod_name in cases:
         f = catalog.get_map(map_name)
         sx, sy = space(dom_name), space(cod_name)
-        fstar = induced_map(f, sy.cohomology, sx.cohomology, variance=COHOMOLOGY)
+        fstar = induced_map(f, sy.cohomology, sx.cohomology)
         flow = induced_map(f, sx.homology, sy.homology)
         for _ in range(6):
             q = rng.randint(0, sy.dim)
