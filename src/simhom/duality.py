@@ -213,6 +213,16 @@ class Transfer:
     def down_matrix(self, q):
         return self.down.get(q, ())
 
+    def degree(self) -> Fraction:
+        """deg f, read off ``push``.
+
+        Y is connected: ``dy`` oriented it, which needs a strongly
+        connected pure complex, and ``transfers`` checked that f lands in it.
+        """
+        if self.shift:
+            raise DimensionMismatch("degree needs equal-dimensional manifolds")
+        return _pushed_degree(self.push, self.dx, self.dy)
+
     def apply_up(self, a: HClass) -> HClass:
         return HClass(
             self.dy.space.cohomology,
@@ -260,8 +270,12 @@ def degree(f: SimplicialMap, dx: DualityOperator, dy: DualityOperator) -> Fracti
         raise DimensionMismatch("degree needs equal-dimensional manifolds")
     if not manifold_check(f.codomain).connected:
         raise NotClosed("degree needs a connected codomain")
+    return _pushed_degree(induced_map(f, dx.space.homology, dy.space.homology), dx, dy)
+
+
+def _pushed_degree(f_low: GradedMap, dx: DualityOperator, dy: DualityOperator) -> Fraction:
+    """The d with f_low[zeta_X] = d [zeta_Y], f_low being f_*."""
     n = dx.n
-    f_low = induced_map(f, dx.space.homology, dy.space.homology)
     pushed = f_low.apply(dx.fundamental.cls)
     target = dy.fundamental.cls
     # both lie in the one-dimensional H_n(Y)

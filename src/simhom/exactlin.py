@@ -2,7 +2,10 @@
 
 Everything downstream (boundary matrices, induced maps, duality operators,
 the witness search) reduces to the routines in this module.  All arithmetic
-is over ``fractions.Fraction``; no floating point anywhere.
+is exact, with no floating point anywhere: elimination works on ``int``
+while entries are integral and makes a ``Fraction`` only when dividing by a
+pivot leaves a remainder, and every entry of a vector or matrix the module
+returns is a ``fractions.Fraction``.
 
 One elimination, ``_rref``, run by one object, ``Solver``: rank, pivot
 columns, kernel, image and solves are read off a single reduction, and the
@@ -12,9 +15,10 @@ module-level functions of the same names are one-line views on it.
 Elimination produces the canonical reduced row echelon form: pivot columns
 are chosen left to right, and within the forced pivot column the row with
 the fewest nonzero entries wins (Markowitz-style fill control), ties broken
-by lowest row index.  Because the RREF itself is canonical, every derived
-basis (kernel, image, homology representatives) is reproducible no matter
-how the pivot rows were picked.
+by lowest row index.  An index from each column to the rows holding it
+limits the pivot search and the elimination to those rows.  Because the
+RREF itself is canonical, every derived basis (kernel, image, homology
+representatives) is reproducible no matter how the pivot rows were picked.
 
 Linear-programming feasibility is decided by exact Gaussian elimination of
 the equality constraints followed by Fourier-Motzkin elimination of the
@@ -28,6 +32,11 @@ Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _fraction(v):
+    """``v`` as a Fraction: elimination works on ints, callers get Fractions."""
+    return v if type(v) is Fraction else Fraction(v)
 
 
 def qstr(x: Fraction) -> str:
@@ -73,12 +82,20 @@ class SparseMatrix:
 
     @classmethod
     def from_columns(cls, columns, rows: int):
-        ent = {}
+        """Matrix with the given dense columns.
+
+        Zeros are usually the shared ``ZERO``, which is skipped without a
+        ``Fraction.__bool__`` call; Fraction entries are stored as they are.
+        """
+        m = cls(rows, len(columns))
+        ent = m.entries
         for j, col in enumerate(columns):
             for i, v in enumerate(col):
-                if v:
-                    ent[(i, j)] = Fraction(v)
-        return cls(rows, len(columns), ent)
+                if v is not ZERO and v:
+                    if i >= rows:
+                        raise ValueError(f"entry ({i},{j}) out of range")
+                    ent[(i, j)] = _fraction(v)
+        return m
 
     @classmethod
     def identity(cls, n: int):
@@ -172,58 +189,73 @@ def _row_dicts(m: SparseMatrix):
     return rows
 
 
-def _rref(rows, ncols, transform=False, nrows=None):
+def _div(v, p):
+    """v / p, an ``int`` when both are ints and p divides v."""
+    if type(v) is int and type(p) is int:
+        q, r = divmod(v, p)
+        return Fraction(v, p) if r else q
+    return v / p
+
+
+def _rref(rows, ncols, transform=False):
     """Reduce a list of row dicts to canonical RREF in place.
 
     Returns (pivot list of (row, col), transform rows or None).  Pivot
     columns are scanned left to right; the pivot row is the candidate with
     fewest nonzeros, ties by lowest index.
+
+    Integral entries are turned into ``int`` first and the arithmetic stays
+    in ``int`` until a division by a non-unit pivot leaves a remainder, so an
+    integer matrix whose pivots are units, as boundary matrices' mostly are,
+    is reduced without a single ``Fraction``.  ``holders[j]``
+    is the set of rows with a nonzero in column j, kept up to date through
+    fill-in and cancellation, so a column's pivot search and elimination
+    visit only those rows.  Rows and transform come back holding ``int``
+    and ``Fraction`` values; ``Solver`` hands out only ``Fraction``.
     """
-    if nrows is None:
-        nrows = len(rows)
-    tr = [{i: ONE} for i in range(nrows)] if transform else None
+    holders = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if v.denominator == 1:
+                row[j] = v.numerator
+            holders[j].add(i)
+    tr = [{i: 1} for i in range(len(rows))] if transform else None
     pivots = []
     used = set()
     for col in range(ncols):
-        best = None
-        for i in range(nrows):
-            if i in used:
-                continue
-            v = rows[i].get(col)
-            if v:
-                key = (len(rows[i]), i)
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
+        candidates = [i for i in holders[col] if i not in used]
+        if not candidates:
             continue
-        p = best[1]
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
         used.add(p)
-        pv = rows[p][col]
-        if pv != 1:
-            rows[p] = {j: v / pv for j, v in rows[p].items()}
-            if transform:
-                tr[p] = {j: v / pv for j, v in tr[p].items()}
         prow = rows[p]
-        for i in range(nrows):
-            if i == p:
-                continue
-            f = rows[i].get(col)
-            if not f:
-                continue
-            ri = rows[i]
+        pv = prow[col]
+        if pv != 1:
             for j, v in prow.items():
-                s = ri.get(j, ZERO) - f * v
+                prow[j] = _div(v, pv)
+            if transform:
+                tp = tr[p]
+                for j, v in tp.items():
+                    tp[j] = _div(v, pv)
+        for i in holders[col] - {p}:
+            ri = rows[i]
+            f = ri[col]
+            for j, v in prow.items():
+                s = ri.get(j, 0) - f * v
                 if s:
+                    if j not in ri:
+                        holders[j].add(i)
                     ri[j] = s
-                elif j in ri:
+                else:
                     del ri[j]
+                    holders[j].remove(i)
             if transform:
                 ti = tr[i]
                 for j, v in tr[p].items():
-                    s = ti.get(j, ZERO) - f * v
+                    s = ti.get(j, 0) - f * v
                     if s:
                         ti[j] = s
-                    elif j in ti:
+                    else:
                         del ti[j]
         pivots.append((p, col))
     return pivots, tr
@@ -249,20 +281,25 @@ class Solver:
         self.zero_rows = [i for i in range(m.rows) if i not in pivot_rows]
 
     def kernel(self):
-        """Canonical basis of the null space, one vector per free column."""
+        """Canonical basis of the null space, one vector per free column.
+
+        The vector of free column f has 1 at f and -r[f] at the pivot
+        column of each RREF row r, so one pass over the pivot rows fills
+        every vector: off its pivot, an RREF row is nonzero only at free
+        columns.
+        """
+        n = self.m.cols
         pivot_cols = set(self.pivot_cols)
-        basis = []
-        for f in range(self.m.cols):
-            if f in pivot_cols:
-                continue
-            v = [ZERO] * self.m.cols
-            v[f] = ONE
-            for (r, c) in self.pivots:
-                coeff = self.rref_rows[r].get(f)
-                if coeff:
-                    v[c] = -coeff
-            basis.append(tuple(v))
-        return basis
+        free = [f for f in range(n) if f not in pivot_cols]
+        slot = {f: k for k, f in enumerate(free)}
+        basis = [[ZERO] * n for _ in free]
+        for k, f in enumerate(free):
+            basis[k][f] = ONE
+        for r, c in self.pivots:
+            for j, v in self.rref_rows[r].items():
+                if j != c:
+                    basis[slot[j]][c] = _fraction(-v)
+        return [tuple(v) for v in basis]
 
     def image(self):
         """Original columns of M sitting at the RREF pivot positions."""
@@ -365,7 +402,11 @@ def dense_inv(a):
     s = Solver(SparseMatrix.from_dense(a))
     if s.rank < n:
         return None
-    return tuple(tuple(s.transform[r].get(j, ZERO) for j in range(n)) for r, _ in s.pivots)
+    inv = []
+    for r, _ in s.pivots:
+        row = s.transform[r]
+        inv.append(tuple(_fraction(row[j]) if j in row else ZERO for j in range(n)))
+    return tuple(inv)
 
 
 def dense_eq(a, b):

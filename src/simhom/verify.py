@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import catalog
 from .chains import build_chain_complex, subdivision_chain_map
 from .complex import validate
-from .duality import degree, duality_operator, transfers
+from .duality import duality_operator, transfers
 from .errors import NonOrientable, TopologyError
 from .exactlin import ONE, dense_eq, dense_identity, dense_inv, dense_mul, qstr, solve
 from .homology import (
@@ -260,13 +260,11 @@ def suite_duality(seed=0):
         ("dodeca_wrap2", "dodecagon", "hexagon"),
         ("torus_transpose", "torus", "torus"),
     ]
+    built = {}
     for mname, dom, cod in cases:
-        f = catalog.get_map(mname)
         sy = _space(cod)
-        dx = _dop(dom)
-        dy = _dop(cod)
-        t = transfers(f, dx, dy)
-        d = degree(f, dx, dy)
+        t = built[mname] = transfers(catalog.get_map(mname), _dop(dom), _dop(cod))
+        d = t.degree()
         f_low, f_up = t.push, t.pull
         ok = True
         for q in range(sy.dim + 1):
@@ -275,12 +273,10 @@ def suite_duality(seed=0):
             ok = ok and dense_eq(dense_mul(f_low.matrix(q), t.down_matrix(q)), scaled)
             ok = ok and dense_eq(dense_mul(t.up_matrix(q), f_up.matrix(q)), scaled)
         _check(out, f"transfer-degree-identities[{mname}]", ok, f"deg={qstr(d)}")
-    # composition law (g o f)^! = g^! o f^!
-    f = catalog.dodeca_wrap2()
-    g = catalog.hex_wrap2()
+    # composition law (g o f)^! = g^! o f^!, f = dodeca_wrap2, g = hex_wrap2
+    tf, tg = built["dodeca_wrap2"], built["hex_wrap2"]
     gf = catalog.get_map("wrap2_after_dodeca")
-    d12, d6, d3 = _dop("dodecagon"), _dop("hexagon"), _dop("triangle")
-    tf, tg, tgf = transfers(f, d12, d6), transfers(g, d6, d3), transfers(gf, d12, d3)
+    tgf = transfers(gf, _dop("dodecagon"), _dop("triangle"))
     comp_ok = all(
         dense_eq(dense_mul(tg.up_matrix(q), tf.up_matrix(q)), tgf.up_matrix(q))
         for q in range(2)

@@ -192,6 +192,26 @@ def test_degrees_of_catalog_maps():
         dx = duality_operator(space(dom))
         dy = duality_operator(space(cod)) if dom != cod else dx
         assert degree(f, dx, dy) == expected, name
+        assert transfers(f, dx, dy).degree() == expected, name
+
+
+def test_suite_duality_builds_each_induced_map_once(monkeypatch):
+    # f_* and f^* of the four transfer cases and of wrap2_after_dodeca
+    import simhom.duality as duality_module
+    import simhom.homology as homology_module
+    import simhom.verify as verify_module
+
+    calls = []
+    real = homology_module.induced_map
+
+    def counted(f, source, target):
+        calls.append((f.name, source.kind))
+        return real(f, source, target)
+
+    for module in (homology_module, duality_module, verify_module):
+        monkeypatch.setattr(module, "induced_map", counted)
+    assert all(c.passed for c in verify_module.suite_duality(0))
+    assert len(calls) == len(set(calls)) == 10
 
 
 def test_transfer_pushpull_is_degree_times_identity():

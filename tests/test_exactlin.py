@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from simhom.exactlin import (
+    ZERO,
     Solver,
     SparseMatrix,
     dense_identity,
@@ -105,6 +108,12 @@ def test_solve_random_consistency():
         x = solve(m, b)
         assert x is not None
         assert m.apply(x) == b
+
+
+def test_from_columns_rejects_entries_out_of_range():
+    assert SparseMatrix.from_columns([[F(1), ZERO, 0]], 1).entries == {(0, 0): F(1)}
+    with pytest.raises(ValueError, match=r"entry \(1,0\) out of range"):
+        SparseMatrix.from_columns([[F(1), F(2)]], 1)
 
 
 def test_matmul_transpose_roundtrip():
@@ -235,3 +244,114 @@ def test_lp_random_feasible_points_satisfy_all():
                 assert val >= rhs
             else:
                 assert val == rhs
+
+
+def _reference_rref(dense, ncols):
+    """Textbook Gauss-Jordan over Fraction: (RREF rows, pivot columns).
+
+    The pivot is the first nonzero at or below the current row; the RREF is
+    unique, so any correct elimination must agree with it.
+    """
+    a = [[F(v) for v in row] for row in dense]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        pv = a[r][c]
+        a[r] = [v / pv for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _random_entry(rng):
+    k = rng.random()
+    if k < 0.4:
+        return F(0)
+    if k < 0.65:
+        return F(rng.choice([-1, 1]))
+    if k < 0.85:
+        return F(rng.randint(-6, 6))
+    return F(rng.randint(-7, 7), rng.randint(2, 5))
+
+
+def _all_fractions(vectors):
+    return all(type(v) is F for vec in vectors for v in vec)
+
+
+def test_elimination_matches_textbook_gauss_jordan():
+    rng = random.Random(31337)
+    fractional = non_unit_integral = 0
+    for trial in range(400):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        if trial % 4 == 0:
+            cols = rows
+        dense = [[_random_entry(rng) for _ in range(cols)] for _ in range(rows)]
+        m = SparseMatrix(rows, cols, {
+            (i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v
+        })
+        # dense columns, integral entries given as int, zeros as 0 or ZERO
+        columns = [
+            [int(v) if v.denominator == 1 else v for v in col] for col in zip(*dense)
+        ] if rows else [[] for _ in range(cols)]
+        for col in columns[::2]:
+            col[:] = [ZERO if v == 0 else v for v in col]
+        from_cols = SparseMatrix.from_columns(columns, rows)
+        assert from_cols == m and _all_fractions([from_cols.entries.values()])
+        ref, ref_pivots = _reference_rref(dense, cols)
+        assert pivot_columns(m) == ref_pivots
+        assert rank(m) == len(ref_pivots)
+        entries = [v for row in dense for v in row]
+        fractional += any(v.denominator > 1 for v in entries)
+        non_unit_integral += any(v.denominator == 1 and abs(v) > 1 for v in entries)
+
+        free = [f for f in range(cols) if f not in ref_pivots]
+        expected_kernel = []
+        for f in free:
+            v = [F(0)] * cols
+            v[f] = F(1)
+            for k, c in enumerate(ref_pivots):
+                v[c] = -ref[k][f]
+            expected_kernel.append(tuple(v))
+        ker = kernel_basis(m)
+        assert ker == expected_kernel
+        assert _all_fractions(ker)
+
+        img = image_basis(m)
+        assert img == [tuple(dense[i][c] for i in range(rows)) for c in ref_pivots]
+        assert _all_fractions(img)
+
+        x0 = [_random_entry(rng) for _ in range(cols)]
+        for b in (m.apply(x0), tuple(_random_entry(rng) for _ in range(rows))):
+            aug, aug_pivots = _reference_rref(
+                [list(row) + [b[i]] for i, row in enumerate(dense)], cols + 1
+            )
+            x = solve(m, b)
+            if cols in aug_pivots:
+                assert x is None
+                continue
+            expected = [F(0)] * cols
+            for k, c in enumerate(aug_pivots):
+                expected[c] = aug[k][cols]
+            assert x == tuple(expected)
+            assert _all_fractions([x])
+
+        if rows == cols:
+            inv = dense_inv(tuple(tuple(row) for row in dense))
+            if len(ref_pivots) < rows:
+                assert inv is None
+            else:
+                ident = [[F(int(i == j)) for j in range(rows)] for i in range(rows)]
+                wide, _ = _reference_rref(
+                    [list(dense[i]) + ident[i] for i in range(rows)], 2 * rows
+                )
+                assert inv == tuple(tuple(row[rows:]) for row in wide)
+                assert _all_fractions(inv)
+    assert fractional > 100 and non_unit_integral > 100
