@@ -81,23 +81,6 @@ class SparseMatrix:
         return cls(rows, cols, ent)
 
     @classmethod
-    def from_columns(cls, columns, rows: int):
-        """Matrix with the given dense columns.
-
-        Zeros are usually the shared ``ZERO``, which is skipped without a
-        ``Fraction.__bool__`` call; Fraction entries are stored as they are.
-        """
-        m = cls(rows, len(columns))
-        ent = m.entries
-        for j, col in enumerate(columns):
-            for i, v in enumerate(col):
-                if v is not ZERO and v:
-                    if i >= rows:
-                        raise ValueError(f"entry ({i},{j}) out of range")
-                    ent[(i, j)] = _fraction(v)
-        return m
-
-    @classmethod
     def identity(cls, n: int):
         return cls(n, n, {(i, i): ONE for i in range(n)})
 
@@ -265,9 +248,9 @@ class Solver:
     """The one elimination of a matrix, and everything read off it.
 
     ``_rref`` runs once; the transform is kept only when the solver will
-    solve, so repeated ``solve`` calls (class extraction does many) cost
-    only a sparse substitution each.  Rank, pivot columns, kernel and image
-    all come from the same canonical reduction.
+    solve, so repeated ``solve`` calls cost only a sparse substitution
+    each.  Rank, pivot columns, kernel and image all come from the same
+    canonical reduction.
     """
 
     def __init__(self, m: SparseMatrix, transform=True):
@@ -280,25 +263,32 @@ class Solver:
         pivot_rows = {r for (r, _) in self.pivots}
         self.zero_rows = [i for i in range(m.rows) if i not in pivot_rows]
 
-    def kernel(self):
+    def free_cols(self):
+        """Columns of the canonical RREF without a pivot, in order."""
+        pivot_cols = set(self.pivot_cols)
+        return [f for f in range(self.m.cols) if f not in pivot_cols]
+
+    def kernel(self, free=None):
         """Canonical basis of the null space, one vector per free column.
 
         The vector of free column f has 1 at f and -r[f] at the pivot
         column of each RREF row r, so one pass over the pivot rows fills
         every vector: off its pivot, an RREF row is nonzero only at free
-        columns.
+        columns.  ``free`` picks some of the free columns, in the order
+        given; all of them by default.
         """
         n = self.m.cols
-        pivot_cols = set(self.pivot_cols)
-        free = [f for f in range(n) if f not in pivot_cols]
+        if free is None:
+            free = self.free_cols()
         slot = {f: k for k, f in enumerate(free)}
         basis = [[ZERO] * n for _ in free]
         for k, f in enumerate(free):
             basis[k][f] = ONE
         for r, c in self.pivots:
             for j, v in self.rref_rows[r].items():
-                if j != c:
-                    basis[slot[j]][c] = _fraction(-v)
+                k = slot.get(j)
+                if k is not None:
+                    basis[k][c] = _fraction(-v)
         return [tuple(v) for v in basis]
 
     def image(self):
@@ -314,12 +304,14 @@ class Solver:
         """Exact particular solution of M x = b, or None if inconsistent."""
         if len(b) != self.m.rows:
             raise ValueError("rhs length does not match row count")
+        nonzero = {j: v for j, v in enumerate(b) if v}
         c = []
         for i in range(self.m.rows):
             s = ZERO
             for j, v in self.transform[i].items():
-                if b[j]:
-                    s += v * b[j]
+                bj = nonzero.get(j)
+                if bj is not None:
+                    s += v * bj
             c.append(s)
         for i in self.zero_rows:
             if c[i] != 0:

@@ -3,17 +3,23 @@
 A GradedSpace keeps, per degree, a list of representative cycles (or
 cocycles) whose classes form a basis.  Each differential (its transpose
 for cohomology) is eliminated exactly once, giving the cycles of the degree
-it leaves and the boundaries of the degree it enters.  Representatives are
-the canonical kernel-basis vectors that remain independent modulo the
-boundary image, selected by one deterministic elimination of
-[boundaries | cycles], so identical inputs always produce identical bases.
-Classes are extracted by exact solving against the column space
-[boundaries | representatives].  Every matrix on (co)homology comes from
-one builder, ``class_matrix``: it applies a chain map to each
-representative and extracts the class of the result.  Induced maps f_* and
-f^*, the maps i_*, j_* and the connecting map of a pair, the excision map
-and the duality cap with the fundamental class are all built this way,
-never by transposition shortcuts.
+it leaves and the boundaries of the degree it enters.
+
+Everything else is read in free coordinates.  The canonical kernel vector
+z_f of a free column f is 1 at f and 0 at the other free columns, so a
+cycle z is the sum of z[f] z_f.  One elimination per degree, of [B_F | I]
+(the boundaries' entries at the free columns beside the identity, dim Z_q
+rows), selects the representatives, the z_f independent modulo
+boundaries, and writes every z_f in them.  The class of a cycle is then a
+sparse sum over its free entries, after one pass over the cached boundary
+matrix checks that it is a cycle: no elimination runs once the spaces are
+built, and only the representatives are stored as dense vectors.
+
+Every matrix on (co)homology comes from one builder, ``class_matrix``: it
+applies a chain map to each representative and extracts the class of the
+result.  Induced maps f_* and f^*, the maps i_*, j_* and the connecting map
+of a pair, the excision map and the duality cap with the fundamental class
+are all built this way, never by transposition shortcuts.
 """
 
 import weakref
@@ -41,13 +47,17 @@ COHOMOLOGY = "cohomology"
 class GradedSpace:
     """Basis of H_* or H^* of a (relative) chain complex."""
 
-    def __init__(self, kind, cc, dims, reps, boundaries):
+    def __init__(self, kind, cc, reps, coords):
         self.kind = kind
         self.cc = cc
-        self.dims = dims  # degree -> Betti number
         self.reps = reps  # degree -> list of representative vectors
-        self._boundaries = boundaries  # degree -> list of boundary vectors
-        self._solvers = {}
+        self.dims = {q: len(r) for q, r in reps.items()}  # degree -> Betti number
+        # degree -> {free column f: {basis index: class coefficient of z_f}}
+        self._coords = coords
+        self._supports = {
+            q: [[(i, v) for i, v in enumerate(r) if v] for r in level]
+            for q, level in reps.items()
+        }
 
     @property
     def dim(self):
@@ -62,33 +72,53 @@ class GradedSpace:
     def representatives(self, q: int):
         return self.reps.get(q, [])
 
-    def _solver(self, q: int):
-        if q not in self._solvers:
-            cols = [list(b) for b in self._boundaries.get(q, [])] + [
-                list(r) for r in self.reps.get(q, [])
-            ]
-            m = SparseMatrix.from_columns(cols, self.cc.n(q))
-            self._solvers[q] = (Solver(m), len(self._boundaries.get(q, [])))
-        return self._solvers[q]
+    def _is_cycle(self, q: int, nonzero) -> bool:
+        """d z = 0 (delta z = 0 for cohomology), by one pass over d's entries.
+
+        ``nonzero`` maps the chain's support to its coefficients.  Cochains
+        are checked against d_{q+1} read by columns, so no transpose is made.
+        """
+        acc = {}
+        if self.kind == HOMOLOGY:
+            for (i, j), v in self.cc.boundary(q).entries.items():
+                c = nonzero.get(j)
+                if c is not None:
+                    acc[i] = acc.get(i, 0) + v * c
+        else:
+            for (i, j), v in self.cc.boundary(q + 1).entries.items():
+                c = nonzero.get(i)
+                if c is not None:
+                    acc[j] = acc.get(j, 0) + v * c
+        return not any(acc.values())
 
     def class_of(self, q: int, vec) -> tuple:
-        """Coefficients of a cycle's class over the degree-q basis."""
-        solver, nb = self._solver(q)
-        sol = solver.solve(list(vec))
-        if sol is None:
+        """Coefficients of a cycle's class over the degree-q basis.
+
+        The class is the sum over free columns f of vec[f] times z_f's
+        coordinate row; a vector of the wrong length or that is not a
+        (co)cycle raises ValueError.
+        """
+        if len(vec) != self.cc.n(q):
+            raise ValueError(f"expected a {self.kind} chain of length {self.cc.n(q)}")
+        nonzero = {i: c for i, c in enumerate(vec) if c}
+        if not self._is_cycle(q, nonzero):
             raise ValueError(f"vector is not a {self.kind} cycle in degree {q}")
-        return tuple(sol[nb:])
+        coords = self._coords.get(q, {})
+        out = [ZERO] * self.betti(q)
+        for f, c in nonzero.items():
+            for t, v in coords.get(f, {}).items():
+                out[t] += c * v
+        return tuple(out)
 
     def chain_of(self, q: int, coeffs) -> tuple:
         """A representative chain of the class with the given coefficients."""
-        reps = self.reps.get(q, [])
-        if len(coeffs) != len(reps):
-            raise DegreeMismatch(f"expected {len(reps)} coefficients in degree {q}")
-        n = self.cc.n(q)
-        out = [ZERO] * n
-        for c, r in zip(coeffs, reps):
+        supports = self._supports.get(q, [])
+        if len(coeffs) != len(supports):
+            raise DegreeMismatch(f"expected {len(supports)} coefficients in degree {q}")
+        out = [ZERO] * self.cc.n(q)
+        for c, support in zip(coeffs, supports):
             if c:
-                for i, v in enumerate(r):
+                for i, v in support:
                     out[i] += c * v
         return tuple(out)
 
@@ -130,34 +160,59 @@ def basis_class(space: GradedSpace, q: int, i: int) -> HClass:
     return HClass(space, q, tuple(coeffs))
 
 
+def _select(leaving: Solver, entering: Solver):
+    """Representatives of one degree and the class coordinates of its cycles.
+
+    ``leaving`` is the reduction of the map leaving the degree, whose free
+    columns F index the cycles z_f; ``entering`` that of the map entering
+    it, whose pivot columns are the boundaries B.  A cycle's coordinates in
+    the z_f are its entries at F, and x -> sum x_f z_f is injective, so
+    [B_F | I] has the pivot columns and column relations of [B | Z]: B
+    first, then the kept z_f.  Its RREF row of the t-th kept pivot holds
+    the t-th class coefficient of every later z_f (a column equals the
+    pivot columns times its RREF column).  Returns the dense kept cycles
+    and {f: {t: coefficient}}.
+    """
+    free = leaving.free_cols()
+    slot = {f: k for k, f in enumerate(free)}
+    bslot = {c: k for k, c in enumerate(entering.pivot_cols)}
+    nb = len(bslot)
+    m = SparseMatrix(len(free), nb + len(free))
+    ent = m.entries
+    for (i, j), v in entering.m.entries.items():
+        if j in bslot and i in slot:
+            ent[(slot[i], bslot[j])] = v
+    for k in range(len(free)):
+        ent[(k, nb + k)] = ONE
+    selection = Solver(m, transform=False)
+    kept = [(r, c) for r, c in selection.pivots if c >= nb]
+    coords = {}
+    for t, (r, c) in enumerate(kept):
+        for j, v in selection.rref_rows[r].items():
+            coords.setdefault(free[j - nb], {})[t] = v
+    return leaving.kernel([free[c - nb] for _, c in kept]), coords
+
+
 def _graded_space(kind, cc, differential) -> GradedSpace:
     """H_* (``differential(q)`` = d_q) or H^* (d_{q+1} transposed) of ``cc``.
 
     Each map leaving a degree q is eliminated once: its kernel is the cycles
-    of q, its image the boundaries of the degree it enters, whose cycles the
-    previous step left (degrees go up for homology, down for cohomology).
-    Only cycle vectors are carried between steps, never a reduction.
+    of q, its image the boundaries of the degree it enters (degrees go up
+    for homology, down for cohomology).  A degree is settled once both maps
+    at it are reduced, so each reduction lives for two steps.
     """
     if kind == HOMOLOGY:
         step, walk = -1, range(cc.dim + 2)
     else:
         step, walk = 1, range(cc.dim, -2, -1)
-    dims, reps, bounds = {}, {}, {}
-    cycles = []
+    reps, coords = {}, {}
+    reduction = None
     for q in walk:
-        reduction = Solver(differential(q), transform=False)
-        entered, bd = q + step, reduction.image()
-        cycles, entered_cycles = reduction.kernel(), cycles
-        del reduction
-        if not 0 <= entered <= cc.dim:
-            continue
-        kept = []
-        if entered_cycles:
-            m = SparseMatrix.from_columns(bd + entered_cycles, cc.n(entered))
-            pivots = Solver(m, transform=False).pivot_cols
-            kept = [entered_cycles[c - len(bd)] for c in pivots if c >= len(bd)]
-        dims[entered], reps[entered], bounds[entered] = len(kept), kept, bd
-    return GradedSpace(kind, cc, dims, reps, bounds)
+        leaving, reduction = reduction, Solver(differential(q), transform=False)
+        entered = q + step
+        if 0 <= entered <= cc.dim:
+            reps[entered], coords[entered] = _select(leaving, reduction)
+    return GradedSpace(kind, cc, reps, coords)
 
 
 def compute_homology(cc) -> GradedSpace:

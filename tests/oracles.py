@@ -36,32 +36,34 @@ def dense_boundary(levels, q):
     return mat
 
 
+def dense_rref(mat, ncols):
+    """Textbook Gauss-Jordan over Fraction: (nonzero RREF rows, pivot columns).
+
+    The pivot is the first nonzero at or below the current row; the RREF is
+    unique, so any correct elimination must agree with it.
+    """
+    a = [[Fraction(v) for v in row] for row in mat]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        pv = a[r][c]
+        a[r] = [v / pv for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a[: len(pivots)], pivots
+
+
 def dense_rank(mat):
-    """Textbook Gaussian elimination rank, no pivoting strategy."""
-    mat = [row[:] for row in mat]
     if not mat or not mat[0]:
         return 0
-    nrows, ncols = len(mat), len(mat[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if mat[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(dense_rref(mat, len(mat[0]))[1])
 
 
 def oracle_betti(maximal):

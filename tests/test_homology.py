@@ -21,7 +21,7 @@ from simhom.homology import (
     long_exact_sequence,
 )
 
-from oracles import oracle_betti
+from oracles import dense_rref, oracle_betti
 
 F = Fraction
 
@@ -358,3 +358,150 @@ def test_each_differential_is_eliminated_once(monkeypatch):
     seen.clear()
     compute_cohomology(cc)
     assert [eliminations(cc.coboundary(k - 1)) for k in range(cc.dim + 2)] == [1, 1, 1, 1]
+
+
+def _recorded_eliminations(monkeypatch):
+    """Record the (rows, columns) of every ``_rref`` run from now on."""
+    import simhom.exactlin as exactlin
+
+    shapes = []
+    real_rref = exactlin._rref
+
+    def recording_rref(rows, ncols, *args, **kwargs):
+        shapes.append((len(rows), ncols))
+        return real_rref(rows, ncols, *args, **kwargs)
+
+    monkeypatch.setattr(exactlin, "_rref", recording_rref)
+    return shapes
+
+
+def test_classes_need_no_chain_sized_elimination(monkeypatch):
+    """Each selection has dim Z_q rows; class extraction eliminates nothing
+    bigger than a Betti number once H_* and H^* are built."""
+    from simhom.duality import DualityOperator, fundamental_class
+    from simhom.exactlin import rank
+
+    s = space("torus")
+    cc = s.cc
+    ranks = {k: rank(cc.boundary(k)) for k in range(cc.dim + 2)}
+    shapes = _recorded_eliminations(monkeypatch)
+    h, c = s.homology, s.cohomology
+    degrees = range(cc.dim + 1)
+    differentials = {(cc.n(k - 1), cc.n(k)) for k in range(cc.dim + 2)}
+    differentials |= {(cc.n(k), cc.n(k - 1)) for k in range(cc.dim + 2)}
+    cycles = {q: cc.n(q) - ranks[q] for q in degrees}
+    cocycles = {q: cc.n(q) - ranks[q + 1] for q in degrees}
+    expected = [(cycles[q], ranks[q + 1] + cycles[q]) for q in degrees]
+    expected += [(cocycles[q], ranks[q] + cocycles[q]) for q in degrees]
+    selections = [shape for shape in shapes if shape not in differentials]
+    assert sorted(selections) == sorted(expected)
+
+    shapes.clear()
+    f = catalog.get_map("torus_transpose")
+    induced_map(f, h, h)
+    induced_map(f, c, c)
+    class_matrix(h, 1, h, 1, lambda rep: rep)
+    DualityOperator(s, fundamental_class(s))
+    largest = max(h.betti_vector())
+    assert shapes and all(r <= largest and n <= largest for r, n in shapes)
+
+
+def _shuffled(x, seed):
+    from simhom.complex import complex_from_json, complex_to_json
+
+    data = complex_to_json(x)
+    random.Random(seed).shuffle(data["vertex_order"])
+    return complex_from_json(data)
+
+
+def _textbook_degree(kind, cc, q):
+    """Dense Gauss-Jordan (co)homology of degree q: the canonical kernel
+    basis, the boundaries, the cycles kept by selecting on [B | Z], and
+    the columns whose chains are not cycles."""
+    if kind == "homology":
+        leaving, entering = cc.boundary(q), cc.boundary(q + 1)
+    else:
+        leaving, entering = cc.boundary(q + 1).transpose(), cc.boundary(q).transpose()
+    n = cc.n(q)
+    leaving = leaving.to_dense()
+    rows, pivots = dense_rref(leaving, n)
+    cycles = []
+    for f in (f for f in range(n) if f not in pivots):
+        z = [F(0)] * n
+        z[f] = F(1)
+        for k, c in enumerate(pivots):
+            z[c] = -rows[k][f]
+        cycles.append(tuple(z))
+    dense = entering.to_dense()
+    _, image = dense_rref(dense, entering.cols)
+    bounds = [tuple(dense[i][c] for i in range(n)) for c in image]
+    cols = bounds + cycles
+    _, kept = dense_rref([[col[i] for col in cols] for i in range(n)], len(cols))
+    reps = [cycles[c - len(bounds)] for c in kept if c >= len(bounds)]
+    moving = [j for j in range(n) if any(row[j] for row in leaving)]
+    return cycles, bounds, reps, moving
+
+
+def _textbook_class(bounds, reps, z):
+    """Solve [B | reps] y = z exactly; the class is y's reps part."""
+    cols = bounds + reps
+    aug = [[col[i] for col in cols] + [z[i]] for i in range(len(z))]
+    rows, pivots = dense_rref(aug, len(cols) + 1)
+    assert len(cols) not in pivots, "not a cycle"
+    y = [F(0)] * len(cols)
+    for k, c in enumerate(pivots):
+        y[c] = rows[k][-1]
+    return tuple(y[len(bounds):])
+
+
+def test_bases_and_classes_match_textbook_selection_and_solve():
+    from simhom.chains import ChainComplex, build_relative
+    from simhom.homology import compute_cohomology, compute_homology
+
+    torus = _shuffled(catalog.torus(), 3)
+    circle = validate([["t00", "t10"], ["t10", "t20"], ["t00", "t20"]], name="circle")
+    # the closed triangle {t00, t10, t01} and its faces, excised from the torus
+    closed = {tuple(sorted(torus.vertex_index[v] for v in s)) for s in (
+        ("t00",), ("t10",), ("t01",), ("t00", "t10"), ("t00", "t01"),
+        ("t10", "t01"), ("t00", "t10", "t01"),
+    )}
+    kept = {q: [s for s in torus.basis(q) if s not in closed] for q in range(3)}
+    carriers = {
+        "torus": ChainComplex(torus),
+        "genus2": ChainComplex(_shuffled(catalog.genus2(), 4)),
+        "torus rel circle": build_relative(torus, circle),
+        "torus minus a triangle": ChainComplex(torus, kept),
+    }
+    rng = random.Random(8)
+
+    def coefficient():
+        return F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+
+    checked = 0
+    for label, cc in carriers.items():
+        for graded in (compute_homology(cc), compute_cohomology(cc)):
+            for q in range(cc.dim + 1):
+                where = (label, graded.kind, q)
+                cycles, bounds, reps, moving = _textbook_degree(graded.kind, cc, q)
+                assert graded.representatives(q) == reps, where
+                n = cc.n(q)
+                for _ in range(3):
+                    z = [F(0)] * n
+                    for vec in cycles + bounds:
+                        c = coefficient()
+                        for i, v in enumerate(vec):
+                            z[i] += c * v
+                    expected = _textbook_class(bounds, reps, z)
+                    assert graded.class_of(q, tuple(z)) == expected, where
+                    checked += any(expected)
+                    assert graded.class_of(q, graded.chain_of(q, expected)) == expected
+                    with pytest.raises(ValueError):
+                        graded.class_of(q, tuple(z) + (ONE,))
+                    if n:
+                        with pytest.raises(ValueError):
+                            graded.class_of(q, tuple(z[:-1]))
+                    if moving:
+                        z[rng.choice(moving)] += ONE
+                        with pytest.raises(ValueError, match="not a .*cycle"):
+                            graded.class_of(q, tuple(z))
+    assert checked > 20
