@@ -1,12 +1,14 @@
 """Chain and cochain complexes of a simplicial complex.
 
 Boundary matrices use the classical alternating-sign face maps over the
-global vertex order.  Induced chain maps send a generator to its image
-simplex with the sign of the sorting permutation, or to zero when the image
-is degenerate.  The cone operator and the barycentric subdivision chain map
-are built on top; the subdivision of an m-simplex is the signed sum of its
-m-factorial flags, obtained by coning its subdivided boundary over the
-barycenter.
+global vertex order.  Each d_q and each delta^q is built once per complex,
+with its +-1 signs stored as ``int``: elimination takes them as they are,
+and every product with a ``Fraction`` chain is a ``Fraction``.  Induced
+chain maps send a generator to its image simplex with the sign of the
+sorting permutation, or to zero when the image is degenerate.  The cone
+operator and the barycentric subdivision chain map are built on top; the
+subdivision of an m-simplex is the signed sum of its m-factorial flags,
+obtained by coning its subdivided boundary over the barycenter.
 """
 
 from dataclasses import dataclass
@@ -54,6 +56,7 @@ class ChainComplex:
                 {s: k for k, s in enumerate(level)} for level in self._basis
             )
         self._boundary = {}
+        self._coboundary = {}
 
     def basis(self, q: int):
         return self._basis[q] if 0 <= q <= self.dim else ()
@@ -65,24 +68,37 @@ class ChainComplex:
         return self.index[q][tuple(simplex)]
 
     def boundary(self, q: int) -> SparseMatrix:
-        """The matrix of d_q : C_q -> C_{q-1}."""
-        if q in self._boundary:
-            return self._boundary[q]
-        ent = {}
-        if 1 <= q <= self.dim:
-            lower = self.index[q - 1]
-            for j, s in enumerate(self.basis(q)):
-                for i in range(len(s)):
-                    row = lower.get(s[:i] + s[i + 1 :])
-                    if row is not None:
-                        ent[(row, j)] = ent.get((row, j), ZERO) + (-ONE) ** i
-        m = SparseMatrix(self.n(q - 1), self.n(q), ent)
-        self._boundary[q] = m
+        """The matrix of d_q : C_q -> C_{q-1}, built once; entries are int +-1.
+
+        The faces of a simplex are distinct, so each entry is one face sign.
+        """
+        m = self._boundary.get(q)
+        if m is None:
+            m = SparseMatrix(self.n(q - 1), self.n(q))
+            if 1 <= q <= self.dim:
+                ent = m.entries
+                lower = self.index[q - 1]
+                for j, s in enumerate(self.basis(q)):
+                    for i in range(len(s)):
+                        row = lower.get(s[:i] + s[i + 1 :])
+                        if row is not None:
+                            ent[(row, j)] = -1 if i & 1 else 1
+            self._boundary[q] = m
         return m
 
     def coboundary(self, q: int) -> SparseMatrix:
-        """delta^q = transpose of d_{q+1}."""
-        return self.boundary(q + 1).transpose()
+        """delta^q = transpose of d_{q+1}, built once; entries are int +-1.
+
+        Cached apart from the boundaries: delta^{-1} (n_0 x 0) and d_0
+        (0 x n_0) share no degree key.
+        """
+        m = self._coboundary.get(q)
+        if m is None:
+            d = self.boundary(q + 1)
+            m = SparseMatrix(d.cols, d.rows)
+            m.entries = {(j, i): v for (i, j), v in d.entries.items()}
+            self._coboundary[q] = m
+        return m
 
     def zero_chain(self, q: int) -> Chain:
         return Chain(q, tuple([ZERO] * self.n(q)))

@@ -232,7 +232,8 @@ def _vertex_links_ok(x: SimplicialComplex) -> bool:
 
     Dimension 1: every vertex lies in exactly two edges.  Dimension 2: the
     link of every vertex is a single closed cycle (distinguishes genuine
-    surfaces from pinched pseudo-manifolds).
+    surfaces from pinched pseudo-manifolds).  Every link is read off one
+    pass over the triangles.
     """
     n = x.dim
     if n == 1:
@@ -243,10 +244,12 @@ def _vertex_links_ok(x: SimplicialComplex) -> bool:
         return all(c == 2 for c in counts.values())
     if n != 2:
         return True
-    for v in range(len(x.vertices)):
-        link_edges = [
-            tuple(w for w in t if w != v) for t in x.basis(2) if v in t
-        ]
+    star = [[] for _ in x.vertices]  # vertex -> edges of its link
+    for a, b, c in x.basis(2):
+        star[a].append((b, c))
+        star[b].append((a, c))
+        star[c].append((a, b))
+    for link_edges in star:
         if not link_edges:
             return False
         deg = {}

@@ -4,8 +4,9 @@ Everything downstream (boundary matrices, induced maps, duality operators,
 the witness search) reduces to the routines in this module.  All arithmetic
 is exact, with no floating point anywhere: elimination works on ``int``
 while entries are integral and makes a ``Fraction`` only when dividing by a
-pivot leaves a remainder, and every entry of a vector or matrix the module
-returns is a ``fractions.Fraction``.
+pivot leaves a remainder, and every entry of a vector or dense matrix the
+module returns (kernel, image, solve, dense_inv) is a
+``fractions.Fraction``.
 
 One elimination, ``_rref``, run by one object, ``Solver``: rank, pivot
 columns, kernel, image and solves are read off a single reduction, and the
@@ -51,6 +52,10 @@ class SparseMatrix:
     """Immutable-by-convention sparse matrix over Q.
 
     Entries are held in a dict keyed by (row, col); zeros are never stored.
+    Each entry is an ``int`` or a ``Fraction``: the constructor and every
+    operation here store ``Fraction``, while a builder that fills
+    ``entries`` itself, such as the boundary matrices' with their int
+    signs, may store ``int``.  ``_rref`` takes int entries as they are.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -199,7 +204,7 @@ def _rref(rows, ncols, transform=False):
     holders = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j, v in row.items():
-            if v.denominator == 1:
+            if type(v) is not int and v.denominator == 1:
                 row[j] = v.numerator
             holders[j].add(i)
     tr = [{i: 1} for i in range(len(rows))] if transform else None
@@ -297,7 +302,7 @@ class Solver:
         cols = [[ZERO] * self.m.rows for _ in slot]
         for (i, j), v in self.m.entries.items():
             if j in slot:
-                cols[slot[j]][i] = v
+                cols[slot[j]][i] = _fraction(v)
         return [tuple(col) for col in cols]
 
     def solve(self, b):

@@ -15,6 +15,10 @@ sparse sum over its free entries, after one pass over the cached boundary
 matrix checks that it is a cycle: no elimination runs once the spaces are
 built, and only the representatives are stored as dense vectors.
 
+The Kronecker pairing is Betti-sized too: the representatives of H^q and
+H_q are paired once, by sparse dots over their supports, and every later
+evaluation, ``RingStructure.kron`` included, reads that matrix.
+
 Every matrix on (co)homology comes from one builder, ``class_matrix``: it
 applies a chain map to each representative and extracts the class of the
 result.  Induced maps f_* and f^*, the maps i_*, j_* and the connecting map
@@ -37,7 +41,6 @@ from .exactlin import (
     dense_identity,
     dense_mul,
     dense_vec,
-    vec_dot,
 )
 
 HOMOLOGY = "homology"
@@ -58,6 +61,7 @@ class GradedSpace:
             q: [[(i, v) for i, v in enumerate(r) if v] for r in level]
             for q, level in reps.items()
         }
+        self._pairings = {}  # (homology space, degree) -> kronecker_matrix
 
     @property
     def dim(self):
@@ -75,20 +79,14 @@ class GradedSpace:
     def _is_cycle(self, q: int, nonzero) -> bool:
         """d z = 0 (delta z = 0 for cohomology), by one pass over d's entries.
 
-        ``nonzero`` maps the chain's support to its coefficients.  Cochains
-        are checked against d_{q+1} read by columns, so no transpose is made.
+        ``nonzero`` maps the chain's support to its coefficients.
         """
+        d = self.cc.boundary(q) if self.kind == HOMOLOGY else self.cc.coboundary(q)
         acc = {}
-        if self.kind == HOMOLOGY:
-            for (i, j), v in self.cc.boundary(q).entries.items():
-                c = nonzero.get(j)
-                if c is not None:
-                    acc[i] = acc.get(i, 0) + v * c
-        else:
-            for (i, j), v in self.cc.boundary(q + 1).entries.items():
-                c = nonzero.get(i)
-                if c is not None:
-                    acc[j] = acc.get(j, 0) + v * c
+        for (i, j), v in d.entries.items():
+            c = nonzero.get(j)
+            if c is not None:
+                acc[i] = acc.get(i, 0) + v * c
         return not any(acc.values())
 
     def class_of(self, q: int, vec) -> tuple:
@@ -345,17 +343,50 @@ def induced_map(f: SimplicialMap, source: GradedSpace, target: GradedSpace) -> G
     return GradedMap(source, target, mats)
 
 
+def kronecker_matrix(cohomology: GradedSpace, homology: GradedSpace, q: int):
+    """K[i][j] = <rep^i, rep_j> of the degree-q representatives, built once.
+
+    One sparse dot per pair of supports; the matrix is cached on the
+    cohomology space, which is the only side that refers to the other, so
+    no reference cycle forms.
+    """
+    key = (homology, q)
+    k = cohomology._pairings.get(key)
+    if k is None:
+        cycles = [dict(support) for support in homology._supports.get(q, [])]
+        k = tuple(
+            tuple(
+                sum((v * z[i] for i, v in support if i in z), ZERO) for z in cycles
+            )
+            for support in cohomology._supports.get(q, [])
+        )
+        cohomology._pairings[key] = k
+    return k
+
+
 def kronecker(alpha: HClass, sigma: HClass) -> Fraction:
-    """Evaluation of a cohomology class on a homology class."""
+    """Evaluation of a cohomology class on a homology class.
+
+    Bilinear in the class coefficients: sum over i, j of alpha_i K[i][j]
+    sigma_j, with K the representatives' pairing from ``kronecker_matrix``.
+    """
     if alpha.space.kind != COHOMOLOGY or sigma.space.kind != HOMOLOGY:
         raise DegreeMismatch("kronecker expects (cohomology, homology)")
     if alpha.space.cc is not sigma.space.cc:
         raise DegreeMismatch("classes live on different complexes")
-    if alpha.degree != sigma.degree:
-        raise DegreeMismatch(
-            f"degree mismatch: {alpha.degree} vs {sigma.degree}"
-        )
-    return vec_dot(alpha.chain(), sigma.chain())
+    q = alpha.degree
+    if q != sigma.degree:
+        raise DegreeMismatch(f"degree mismatch: {q} vs {sigma.degree}")
+    k = kronecker_matrix(alpha.space, sigma.space, q)
+    if len(alpha.coeffs) != len(k) or len(sigma.coeffs) != sigma.space.betti(q):
+        raise DegreeMismatch(f"coefficient count does not match the degree-{q} basis")
+    total = ZERO
+    for a, row in zip(alpha.coeffs, k):
+        if a:
+            for v, s in zip(row, sigma.coeffs):
+                if v and s:
+                    total += a * v * s
+    return total
 
 
 def augmentation(sigma: HClass) -> Fraction:

@@ -34,7 +34,7 @@ from .homology import (
     HClass,
     Space,
     basis_class,
-    kronecker,
+    kronecker_matrix,
 )
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,6 @@ class RingStructure:
         self.space = space
         self._cup = {}
         self._cap = {}
-        self._kron = {}
 
     def cup_basis(self, p, i, q, j):
         key = (p, i, q, j)
@@ -134,20 +133,7 @@ class RingStructure:
 
     def kron(self, q):
         """Kronecker matrix of the degree-q cohomology basis against homology."""
-        if q not in self._kron:
-            bc = self.space.cohomology.betti(q)
-            bh = self.space.homology.betti(q)
-            self._kron[q] = tuple(
-                tuple(
-                    kronecker(
-                        basis_class(self.space.cohomology, q, i),
-                        basis_class(self.space.homology, q, j),
-                    )
-                    for j in range(bh)
-                )
-                for i in range(bc)
-            )
-        return self._kron[q]
+        return kronecker_matrix(self.space.cohomology, self.space.homology, q)
 
 
 class ProductSpace:

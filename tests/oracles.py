@@ -97,3 +97,36 @@ def oracle_facet_incidences(maximal):
         for i in range(len(top)):
             counts[top[:i] + top[i + 1 :]] += 1
     return counts
+
+
+def oracle_vertex_links_ok(x):
+    """The link condition of a complex of dimension <= 2, by the plain scan.
+
+    Dimension 1: every vertex lies in exactly two edges.  Dimension 2: for
+    every vertex, scan all triangles for the ones containing it; their
+    opposite edges must form one closed cycle.  Reads only ``x.dim``,
+    ``x.vertices`` and ``x.basis``; other dimensions give True.
+    """
+    verts = range(len(x.vertices))
+    if x.dim == 1:
+        return all(sum(v in e for e in x.basis(1)) == 2 for v in verts)
+    if x.dim != 2:
+        return True
+    for v in verts:
+        link = [tuple(w for w in t if w != v) for t in x.basis(2) if v in t]
+        nbrs = {}
+        for a, b in link:
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+        if not link or any(len(ws) != 2 for ws in nbrs.values()):
+            return False
+        start = next(iter(nbrs))
+        seen, todo = {start}, [start]
+        while todo:
+            for w in nbrs[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        if len(seen) != len(nbrs):
+            return False
+    return True

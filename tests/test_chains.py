@@ -89,6 +89,43 @@ def test_relative_short_exact_ranks():
         assert cca.n(q) + pair.n(q) == ccx.n(q)
 
 
+def test_boundaries_are_built_once_with_int_signs():
+    """d_q and delta^q are cached apart, hold the face signs as int +-1, and
+    are transposes of each other, at the ends too: delta^{-1} is n_0 x 0
+    and d_0 is 0 x n_0."""
+    from simhom.chains import ChainComplex
+
+    x = catalog.octahedron()
+    face = x.basis(1)[0]
+    closed = {face, face[:1], face[1:]}
+    kept = {q: [s for s in x.basis(q) if s not in closed] for q in range(x.dim + 1)}
+    carriers = {
+        "octahedron": build_chain_complex(x),
+        "octahedron rel equator": build_relative(
+            x, validate([["n", "e"], ["e", "s"], ["s", "w"], ["n", "w"]], name="equator")
+        ),
+        "octahedron minus an edge": ChainComplex(x, kept),
+    }
+    for label, cc in carriers.items():
+        for q in range(-1, cc.dim + 1):
+            d, delta = cc.boundary(q + 1), cc.coboundary(q)
+            assert cc.boundary(q + 1) is d and cc.coboundary(q) is delta, (label, q)
+            assert (d.rows, d.cols) == (cc.n(q), cc.n(q + 1)), (label, q)
+            assert (delta.rows, delta.cols) == (cc.n(q + 1), cc.n(q)), (label, q)
+            assert delta.entries == {(j, i): v for (i, j), v in d.entries.items()}
+            expected = {}
+            for j, s in enumerate(cc.basis(q + 1)):
+                for i in range(len(s)):
+                    row = cc.index[q].get(s[:i] + s[i + 1 :]) if q >= 0 else None
+                    if row is not None:
+                        expected[(row, j)] = (-1) ** i
+            assert d.entries == expected, (label, q)
+            assert all(type(v) is int for v in d.entries.values()), (label, q)
+        assert (cc.coboundary(-1).rows, cc.coboundary(-1).cols) == (cc.n(0), 0)
+        assert (cc.boundary(0).rows, cc.boundary(0).cols) == (0, cc.n(0))
+        assert cc.boundary(0) is not cc.coboundary(-1)
+
+
 def test_solve_homogeneous_boundary():
     # the fundamental-cycle candidate minus itself solves the homogeneous system
     from simhom.exactlin import solve

@@ -25,7 +25,12 @@ from simhom.errors import (
     UnknownVertex,
 )
 
-from oracles import face_closure, oracle_euler, oracle_facet_incidences
+from oracles import (
+    face_closure,
+    oracle_euler,
+    oracle_facet_incidences,
+    oracle_vertex_links_ok,
+)
 
 
 def test_validate_octahedron_counts():
@@ -114,6 +119,35 @@ def test_vertex_links_detect_pinched_wedge():
     wedge = validate(faces, name="wedge")
     rep = manifold_check(wedge)
     assert not rep.vertex_links_ok
+
+
+def _pinched_icosahedron():
+    """The icosahedron with its poles N and S glued: a pseudo-manifold
+    whose glued vertex has two disjoint pentagons as its link."""
+    x = catalog.icosahedron()
+    faces = [["N" if v == "S" else v for v in x.simplex_names(t)] for t in x.top_simplices()]
+    return validate(faces, name="pinched icosahedron")
+
+
+def test_vertex_links_match_reference_scan(monkeypatch):
+    """The one-pass star gives the same ManifoldReport as scanning every
+    triangle once per vertex."""
+    import os
+
+    import simhom.complex as cx
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    complexes = [catalog.get_complex(name) for name in catalog.COMPLEX_BUILDERS]
+    complexes.append(_pinched_icosahedron())
+    for base in ("torus", "genus2"):  # Sd^1 with a shuffled vertex order
+        with open(os.path.join(here, "data", f"sd1_{base}.json")) as fh:
+            complexes.append(complex_from_json(json.load(fh)))
+    reports = [manifold_check(x) for x in complexes]
+    monkeypatch.setattr(cx, "_vertex_links_ok", oracle_vertex_links_ok)
+    for x, report in zip(complexes, reports):
+        assert report == manifold_check(x), x.name
+    pinched = reports[len(catalog.COMPLEX_BUILDERS)]
+    assert pinched.is_closed_pseudo_manifold and pinched.vertex_links_ok is False
 
 
 def test_orient_octahedron_coherent():

@@ -229,6 +229,59 @@ def test_kronecker_representative_independence():
     assert vec_dot(moved_alpha, sigma.chain()) == base
 
 
+def test_kronecker_pairs_in_betti_sized_arithmetic(monkeypatch):
+    """Once the representatives of two spaces are paired, kronecker,
+    RingStructure.kron, dual_basis and euler_data build no chain and take
+    no chain-length dot; every value is still the dense dot of the
+    representative chains."""
+    import json
+    import os
+
+    import simhom.exactlin as exactlin
+    import simhom.homology as homology
+    from simhom.complex import complex_from_json
+    from simhom.duality import DualityOperator, duality_operator
+    from simhom.homology import GradedSpace
+    from simhom.lefschetz import euler_data
+    from simhom.verify import ORIENTABLE
+
+    complexes = {name: catalog.get_complex(name) for name in ORIENTABLE + ["rp2"]}
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "data", "sd1_torus.json")) as fh:
+        complexes["Sd torus, relabeled"] = complex_from_json(json.load(fh))
+    spaces = {label: Space(x) for label, x in complexes.items()}
+    expected, fresh, duals = {}, {}, {}
+    for label, s in spaces.items():
+        h, c = s.homology, s.cohomology
+        for q in range(s.dim + 1):
+            for i in range(c.betti(q)):
+                alpha = basis_class(c, q, i).chain()
+                for j in range(h.betti(q)):
+                    sigma = basis_class(h, q, j).chain()
+                    expected[label, q, i, j] = sum((a * b for a, b in zip(alpha, sigma)), ZERO)
+        if label != "rp2":
+            warm = duality_operator(s)
+            euler_data(warm)  # the first pairing; also fills the ring's cup table
+            duals[label] = {q: warm.dual_basis(q) for q in range(s.dim + 1)}
+            fresh[label] = DualityOperator(s, warm.fundamental)
+
+    def refuse(*args):
+        raise AssertionError("chain-sized work in a Betti-sized pairing")
+
+    monkeypatch.setattr(GradedSpace, "chain_of", refuse)
+    monkeypatch.setattr(exactlin, "vec_dot", refuse)
+    monkeypatch.setattr(homology, "vec_dot", refuse, raising=False)
+    for (label, q, i, j), value in expected.items():
+        s = spaces[label]
+        pair = kronecker(basis_class(s.cohomology, q, i), basis_class(s.homology, q, j))
+        assert pair == value and s.ring.kron(q)[i][j] == value, (label, q, i, j)
+    for label, d in fresh.items():
+        for q in range(d.n + 1):
+            assert [b.coeffs for b in d.dual_basis(q)] == [b.coeffs for b in duals[label][q]]
+        euler_data(d)
+    assert len(expected) > 40
+
+
 def test_augmentation():
     s = space("octahedron")
     assert augmentation(basis_class(s.homology, 0, 0)) != 0

@@ -462,3 +462,61 @@ def test_report_json_shape():
     assert set(data["lambda"]) == {
         "tr(f*.g!)", "tr(f!.g*)", "tr(f_!.g_*)", "tr(f_*.g_!)", "pairing", "intersection",
     }
+
+
+def test_betti_level_values_are_fractions(monkeypatch):
+    """The chain layer holds int entries; every class coefficient, graded
+    map and duality entry, Kronecker value and lambda is still a Fraction,
+    so a true division of two ints cannot slip through."""
+    from simhom.verify import COINCIDENCE_PAIRS
+
+    checked = []
+
+    def fractions_only(values, where):
+        values = list(values)
+        assert all(type(v) is Fraction for v in values), (where, values)
+        checked.extend(values)
+
+    def entries(matrix):
+        return (v for row in matrix for v in row)
+
+    real_class, real_map = homology.HClass.__init__, homology.GradedMap.__init__
+
+    def class_init(self, space, degree, coeffs):
+        fractions_only(coeffs, "HClass")
+        real_class(self, space, degree, coeffs)
+
+    def map_init(self, source, target, matrices):
+        for q, m in matrices.items():
+            fractions_only(entries(m), ("GradedMap", q))
+        real_map(self, source, target, matrices)
+
+    monkeypatch.setattr(homology.HClass, "__init__", class_init)
+    monkeypatch.setattr(homology.GradedMap, "__init__", map_init)
+    for name in ORIENTABLE + ["rp2"]:
+        s = Space(catalog.get_complex(name))
+        for q in range(s.dim + 1):
+            fractions_only(
+                [
+                    homology.kronecker(basis_class(s.cohomology, q, i), basis_class(s.homology, q, j))
+                    for i in range(s.cohomology.betti(q))
+                    for j in range(s.homology.betti(q))
+                ],
+                ("kronecker", name, q),
+            )
+        if name == "rp2":
+            continue
+        d = duality_operator(s)
+        data = euler_data(d)
+        fractions_only([data.euler_number], ("euler", name))
+        for q in range(d.n + 1):
+            fractions_only(entries(d.matrix(q)), ("duality", name, q))
+            fractions_only(entries(d.inverse_matrix(q)), ("duality inverse", name, q))
+            d.dual_basis(q)
+    for f, g, _, _, _ in COINCIDENCE_PAIRS:
+        f, g = catalog.get_map(f), catalog.get_map(g)
+        fractions_only(coincidence_number(f, g).lambdas.values(), ("lambda", f.name, g.name))
+        t = transfers(f, duality_operator(Space(f.domain)), duality_operator(Space(f.codomain)))
+        for m in list(t.up.values()) + list(t.down.values()):
+            fractions_only(entries(m), ("transfer", f.name))
+    assert len(checked) > 1000
