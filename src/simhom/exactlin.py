@@ -17,9 +17,13 @@ Elimination produces the canonical reduced row echelon form: pivot columns
 are chosen left to right, and within the forced pivot column the row with
 the fewest nonzero entries wins (Markowitz-style fill control), ties broken
 by lowest row index.  An index from each column to the rows holding it
-limits the pivot search and the elimination to those rows.  Because the
-RREF itself is canonical, every derived basis (kernel, image, homology
-representatives) is reproducible no matter how the pivot rows were picked.
+limits the pivot search and the elimination to those rows.  The forward
+pass clears a pivot column only from the rows not yet chosen, and one back
+substitution, in reverse pivot order, then clears the pivot columns above
+each pivot: unlike Gauss-Jordan, no finished pivot row is rewritten at
+every later pivot.  Because the RREF itself is canonical, every derived
+basis (kernel, image, homology representatives) is reproducible no matter
+how the pivot rows were picked or in which order they were reduced.
 
 Linear-programming feasibility is decided by exact Gaussian elimination of
 the equality constraints followed by Fourier-Motzkin elimination of the
@@ -185,6 +189,16 @@ def _div(v, p):
     return v / p
 
 
+def _subtract(row, f, other):
+    """row -= f * other, on row dicts, dropping the entries that cancel."""
+    for j, v in other.items():
+        s = row.get(j, 0) - f * v
+        if s:
+            row[j] = s
+        else:
+            del row[j]
+
+
 def _rref(rows, ncols, transform=False):
     """Reduce a list of row dicts to canonical RREF in place.
 
@@ -192,11 +206,29 @@ def _rref(rows, ncols, transform=False):
     columns are scanned left to right; the pivot row is the candidate with
     fewest nonzeros, ties by lowest index.
 
+    Forward elimination, then one back substitution.  A row leaves
+    ``holders`` when it becomes a pivot row, and the forward pass never
+    touches it again: a pivot column is eliminated only from the rows not
+    yet chosen.  Then, in reverse pivot order, each pivot row is reduced
+    against the later pivot rows, which are already reduced, so each
+    subtraction clears one pivot column and adds entries only at free
+    columns.  The transform follows the same steps.
+
+    The result is Gauss-Jordan's value for value, although Gauss-Jordan
+    also rewrites every finished pivot row at each later pivot.  A row not
+    yet chosen gets the same updates in both: each pivot row eliminates
+    its column in the state it had when chosen, and until then it was a
+    row not yet chosen.  So the pivot rule picks the same rows, and the
+    zero rows and their transform rows are the same.  The RREF rows are
+    unique.  The pivot rows are independent, so the transform row of a
+    pivot row, a combination of pivot rows in both, is the unique one that
+    gives its RREF row.
+
     Integral entries are turned into ``int`` first and the arithmetic stays
     in ``int`` until a division by a non-unit pivot leaves a remainder, so an
     integer matrix whose pivots are units, as boundary matrices' mostly are,
-    is reduced without a single ``Fraction``.  ``holders[j]``
-    is the set of rows with a nonzero in column j, kept up to date through
+    is reduced without a single ``Fraction``.  ``holders[j]`` is the set of
+    unchosen rows with a nonzero in column j, kept up to date through
     fill-in and cancellation, so a column's pivot search and elimination
     visit only those rows.  Rows and transform come back holding ``int``
     and ``Fraction`` values; ``Solver`` hands out only ``Fraction``.
@@ -209,14 +241,14 @@ def _rref(rows, ncols, transform=False):
             holders[j].add(i)
     tr = [{i: 1} for i in range(len(rows))] if transform else None
     pivots = []
-    used = set()
     for col in range(ncols):
-        candidates = [i for i in holders[col] if i not in used]
+        candidates = holders[col]
         if not candidates:
             continue
         p = min(candidates, key=lambda i: (len(rows[i]), i))
-        used.add(p)
         prow = rows[p]
+        for j in prow:
+            holders[j].discard(p)
         pv = prow[col]
         if pv != 1:
             for j, v in prow.items():
@@ -225,7 +257,7 @@ def _rref(rows, ncols, transform=False):
                 tp = tr[p]
                 for j, v in tp.items():
                     tp[j] = _div(v, pv)
-        for i in holders[col] - {p}:
+        for i in list(candidates):
             ri = rows[i]
             f = ri[col]
             for j, v in prow.items():
@@ -238,14 +270,17 @@ def _rref(rows, ncols, transform=False):
                     del ri[j]
                     holders[j].remove(i)
             if transform:
-                ti = tr[i]
-                for j, v in tr[p].items():
-                    s = ti.get(j, 0) - f * v
-                    if s:
-                        ti[j] = s
-                    else:
-                        del ti[j]
+                _subtract(tr[i], f, tr[p])
         pivots.append((p, col))
+    pivot_row = {c: r for r, c in pivots}
+    for p, col in reversed(pivots):
+        prow = rows[p]
+        for c in [j for j in prow if j != col and j in pivot_row]:
+            q = pivot_row[c]
+            f = prow[c]
+            _subtract(prow, f, rows[q])
+            if transform:
+                _subtract(tr[p], f, tr[q])
     return pivots, tr
 
 

@@ -29,6 +29,7 @@ are all built this way, never by transposition shortcuts.
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .chains import ChainComplex, build_relative, embed, induced_chain_map
 from .complex import SimplicialComplex, SimplicialMap
@@ -79,12 +80,18 @@ class GradedSpace:
     def _is_cycle(self, q: int, nonzero) -> bool:
         """d z = 0 (delta z = 0 for cohomology), by one pass over d's entries.
 
-        ``nonzero`` maps the chain's support to its coefficients.
+        ``nonzero`` maps the chain's support to its coefficients.  The chain
+        is scaled by the lcm of its denominators, which changes no zero, so
+        d z is accumulated in ``int`` against d's ``int`` signs.
         """
         d = self.cc.boundary(q) if self.kind == HOMOLOGY else self.cc.coboundary(q)
+        scale = 1
+        for c in nonzero.values():
+            scale = lcm(scale, c.denominator)
+        scaled = {j: c.numerator * (scale // c.denominator) for j, c in nonzero.items()}
         acc = {}
         for (i, j), v in d.entries.items():
-            c = nonzero.get(j)
+            c = scaled.get(j)
             if c is not None:
                 acc[i] = acc.get(i, 0) + v * c
         return not any(acc.values())

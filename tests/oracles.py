@@ -130,3 +130,80 @@ def oracle_vertex_links_ok(x):
         if len(seen) != len(nbrs):
             return False
     return True
+
+
+def _oracle_div(v, p):
+    """v / p, an ``int`` when both are ints and p divides v."""
+    if type(v) is int and type(p) is int:
+        q, r = divmod(v, p)
+        return Fraction(v, p) if r else q
+    return v / p
+
+
+def oracle_gauss_jordan_rref(rows, ncols, transform=False):
+    """``exactlin._rref`` as Gauss-Jordan elimination, kept verbatim.
+
+    At each pivot it also rewrites every pivot row chosen before, which
+    forward elimination with one back substitution avoids; the two must
+    agree value for value.  Reduce a list of row dicts to canonical RREF
+    in place.
+
+    Returns (pivot list of (row, col), transform rows or None).  Pivot
+    columns are scanned left to right; the pivot row is the candidate with
+    fewest nonzeros, ties by lowest index.
+
+    Integral entries are turned into ``int`` first and the arithmetic stays
+    in ``int`` until a division by a non-unit pivot leaves a remainder, so an
+    integer matrix whose pivots are units, as boundary matrices' mostly are,
+    is reduced without a single ``Fraction``.  ``holders[j]``
+    is the set of rows with a nonzero in column j, kept up to date through
+    fill-in and cancellation, so a column's pivot search and elimination
+    visit only those rows.  Rows and transform come back holding ``int``
+    and ``Fraction`` values; ``Solver`` hands out only ``Fraction``.
+    """
+    holders = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            if type(v) is not int and v.denominator == 1:
+                row[j] = v.numerator
+            holders[j].add(i)
+    tr = [{i: 1} for i in range(len(rows))] if transform else None
+    pivots = []
+    used = set()
+    for col in range(ncols):
+        candidates = [i for i in holders[col] if i not in used]
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        used.add(p)
+        prow = rows[p]
+        pv = prow[col]
+        if pv != 1:
+            for j, v in prow.items():
+                prow[j] = _oracle_div(v, pv)
+            if transform:
+                tp = tr[p]
+                for j, v in tp.items():
+                    tp[j] = _oracle_div(v, pv)
+        for i in holders[col] - {p}:
+            ri = rows[i]
+            f = ri[col]
+            for j, v in prow.items():
+                s = ri.get(j, 0) - f * v
+                if s:
+                    if j not in ri:
+                        holders[j].add(i)
+                    ri[j] = s
+                else:
+                    del ri[j]
+                    holders[j].remove(i)
+            if transform:
+                ti = tr[i]
+                for j, v in tr[p].items():
+                    s = ti.get(j, 0) - f * v
+                    if s:
+                        ti[j] = s
+                    else:
+                        del ti[j]
+        pivots.append((p, col))
+    return pivots, tr

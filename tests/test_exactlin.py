@@ -1,9 +1,15 @@
+import json
+import os
 import random
 from fractions import Fraction
 
+from simhom import catalog
+from simhom.chains import ChainComplex
+from simhom.complex import complex_from_json
 from simhom.exactlin import (
     Solver,
     SparseMatrix,
+    _rref,
     dense_identity,
     dense_inv,
     dense_mul,
@@ -17,7 +23,7 @@ from simhom.exactlin import (
     vec_is_zero,
 )
 
-from oracles import dense_rref
+from oracles import dense_rref, oracle_gauss_jordan_rref
 
 F = Fraction
 
@@ -314,3 +320,94 @@ def test_elimination_matches_textbook_gauss_jordan():
                 assert inv == tuple(tuple(row[rows:]) for row in wide)
                 assert _all_fractions(inv)
     assert fractional > 100 and non_unit_integral > 100
+
+
+def _reduced_as_fractions(m, reduce, transform, row_type=dict):
+    """(pivots, RREF rows, transform rows) of ``reduce`` on fresh row dicts."""
+    rows = [row_type() for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        rows[i][j] = v
+    pivots, tr = reduce(rows, m.cols, transform=transform)
+
+    def fractions(dicts):
+        return [{j: F(v) for j, v in d.items()} for d in dicts]
+
+    return pivots, fractions(rows), None if tr is None else fractions(tr)
+
+
+def _assert_matches_gauss_jordan(m):
+    for transform in (False, True):
+        got = _reduced_as_fractions(m, _rref, transform)
+        assert got == _reduced_as_fractions(m, oracle_gauss_jordan_rref, transform)
+
+
+def test_rref_matches_gauss_jordan_on_random_matrices():
+    rng = random.Random(20261018)
+    deficient = fractional = non_unit = 0
+    for _ in range(2000):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        dense = [[_random_entry(rng) for _ in range(cols)] for _ in range(rows)]
+        for i in range(1, rows):
+            if rng.random() < 0.3:  # a copied or scaled earlier row
+                c = F(rng.choice([1, -1, 2, -3])) / rng.randint(1, 4)
+                dense[i] = [c * v for v in dense[rng.randrange(i)]]
+        m = SparseMatrix.from_dense(dense) if rows else SparseMatrix(0, cols)
+        _assert_matches_gauss_jordan(m)
+        deficient += Solver(m, transform=False).rank < min(rows, cols)
+        entries = [v for row in dense for v in row]
+        fractional += any(v.denominator > 1 for v in entries)
+        non_unit += any(v.denominator == 1 and abs(v) > 1 for v in entries)
+    assert deficient > 300 and fractional > 500 and non_unit > 500
+
+
+def _sd1_complexes():
+    here = os.path.dirname(os.path.abspath(__file__))
+    out = []
+    for base in ("torus", "genus2"):
+        with open(os.path.join(here, "data", f"sd1_{base}.json")) as fh:
+            out.append(complex_from_json(json.load(fh)))
+    return out
+
+
+def test_rref_matches_gauss_jordan_on_every_differential():
+    complexes = [catalog.get_complex(name) for name in catalog.COMPLEX_BUILDERS]
+    for x in complexes + _sd1_complexes():
+        cc = ChainComplex(x)
+        for q in range(x.dim + 2):
+            _assert_matches_gauss_jordan(cc.boundary(q))
+            _assert_matches_gauss_jordan(cc.coboundary(q - 1))
+
+
+class _CountingRow(dict):
+    """A row dict that counts the writes made to it."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        _CountingRow.writes += 1
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        _CountingRow.writes += 1
+        super().__delitem__(key)
+
+
+def _writes_and_nnz(m, reduce):
+    _CountingRow.writes = 0
+    _, rows, _ = _reduced_as_fractions(m, reduce, False, row_type=_CountingRow)
+    return _CountingRow.writes - len(m.entries), sum(len(r) for r in rows)
+
+
+def test_rref_leaves_finished_pivot_rows_alone():
+    """H_*'s d_2 of a relabeled Sd genus-2 surface, counted in row writes.
+
+    Gauss-Jordan rewrites every finished pivot row at each pivot; forward
+    elimination with one back substitution makes well under half the
+    writes for the same 406-entry RREF.
+    """
+    d2 = ChainComplex(_sd1_complexes()[1]).boundary(2)
+    assert (d2.rows, d2.cols) == (306, 204)
+    writes, nnz = _writes_and_nnz(d2, _rref)
+    assert nnz == 406
+    assert writes < 12000
+    assert _writes_and_nnz(d2, oracle_gauss_jordan_rref) == (29064, 406)

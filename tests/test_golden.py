@@ -3,9 +3,11 @@
 ``tests/data/golden_cli.json`` holds the exit code and stdout of every
 query in ``queries()``: the catalog, plus the first barycentric
 subdivisions of the torus and of the genus-2 surface read from
-``tests/data/sd1_*.json`` (each with a seeded shuffled vertex order),
-whose matrices are larger than any catalog complex's.  Refactors of the
-engine must leave all of them unchanged.  Queries run from the ``tests``
+``tests/data/sd1_*.json`` and the second subdivision of the torus read
+from ``tests/data/sd2_torus.json`` (each with a seeded shuffled vertex
+order), whose matrices are larger than any catalog complex's: the
+torus Sd² has a 972 x 648 d_2.  Refactors of the engine must leave
+all of them unchanged.  Queries run from the ``tests``
 directory, because ``inputs`` echoes the file argument.  To re-record
 after an intended output change, run
 
@@ -28,20 +30,36 @@ from simhom.verify import COINCIDENCE_PAIRS
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "data", "golden_cli.json")
 SD1_SEEDS = {"torus": 1, "genus2": 2}  # catalog surface -> vertex-order seed
+SD2_SEEDS = {"torus": 3}
 
 
 def sd1_path(base):
     return f"data/sd1_{base}.json"
 
 
+def sd2_path(base):
+    return f"data/sd2_{base}.json"
+
+
+def _write_subdivided(base, levels, seed, path):
+    x = catalog.get_complex(base)
+    for _ in range(levels):
+        x, _ = barycentric_subdivide(x)
+    data = complex_to_json(x)
+    random.Random(seed).shuffle(data["vertex_order"])
+    with open(os.path.join(HERE, path), "w") as fh:
+        json.dump(data, fh)
+        fh.write("\n")
+
+
 def write_sd1_inputs():
     for base, seed in SD1_SEEDS.items():
-        sd, _ = barycentric_subdivide(catalog.get_complex(base))
-        data = complex_to_json(sd)
-        random.Random(seed).shuffle(data["vertex_order"])
-        with open(os.path.join(HERE, sd1_path(base)), "w") as fh:
-            json.dump(data, fh)
-            fh.write("\n")
+        _write_subdivided(base, 1, seed, sd1_path(base))
+
+
+def write_sd2_inputs():
+    for base, seed in SD2_SEEDS.items():
+        _write_subdivided(base, 2, seed, sd2_path(base))
 
 
 def queries():
@@ -63,6 +81,8 @@ def queries():
             ["cohomology", sd1_path(base), "--generators"],
             ["duality", sd1_path(base)],
         ]
+    for base in SD2_SEEDS:
+        out += [["duality", sd2_path(base)], ["lefschetz", sd2_path(base)]]
     return [argv + ["--json"] for argv in out]
 
 
@@ -88,6 +108,7 @@ def test_cli_json_matches_golden_snapshot():
 
 if __name__ == "__main__":
     write_sd1_inputs()
+    write_sd2_inputs()
     with open(GOLDEN, "w") as fh:
         json.dump([answer(argv) for argv in queries()], fh, indent=1)
         fh.write("\n")

@@ -103,6 +103,29 @@ def test_class_of_rejects_non_cycles():
         class_matrix(h, 1, h, 1, lambda rep: edge)
 
 
+def test_cycle_check_scales_fractional_chains_exactly():
+    """The int cycle check on the torus, for H_* and H^*.
+
+    A fractional combination of representatives is a cycle with exactly
+    its coefficients as class; a fraction of an edge, alone or added to a
+    cycle, is not a cycle however small its coefficient.
+    """
+    s = space("torus")
+    edge = s.cc.chain_from_simplex(s.cc.basis(1)[0]).coeffs
+    for graded in (s.homology, s.cohomology):
+        z1, z2 = graded.representatives(1)
+        chain = tuple(F(1, 3) * a + F(2, 5) * b for a, b in zip(z1, z2))
+        coeffs = graded.class_of(1, chain)
+        assert coeffs == (F(1, 3), F(2, 5))
+        assert all(type(c) is F for c in coeffs)
+        for bad in (
+            tuple(c / 3 for c in edge),
+            tuple(a + c / 7 for a, c in zip(z1, edge)),
+        ):
+            with pytest.raises(ValueError, match="not a .*cycle in degree 1"):
+                graded.class_of(1, bad)
+
+
 def test_induced_identity():
     for name in ["point", "hexagon", "octahedron", "torus", "rp2"]:
         s = space(name)
