@@ -23,6 +23,7 @@ from .errors import (
     NotSimplicial,
     UnknownVertex,
 )
+from .exactlin import qstr
 
 Simplex = tuple  # strictly increasing tuple of vertex indices
 
@@ -460,8 +461,6 @@ class GeometricPoint:
             raise ValueError("barycentric coordinates must be nonnegative")
 
     def to_json(self):
-        from .exactlin import qstr
-
         return {
             "carrier": list(self.carrier),
             "coords": [qstr(c) for c in self.coords],

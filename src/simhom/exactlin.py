@@ -9,9 +9,10 @@ module returns (kernel, image, solve, dense_inv) is a
 ``fractions.Fraction``.
 
 One elimination, ``_rref``, run by one object, ``Solver``: rank, pivot
-columns, kernel, image and solves are read off a single reduction, and the
+columns, kernel and image are read off a single reduction, and the
 module-level functions of the same names are one-line views on it.
-``dense_inv`` reads the inverse from the same reduction's transform.
+Solving and inversion read the same reduction of an augmented matrix:
+``solve`` the RREF of [M | b], ``dense_inv`` that of [A | I].
 
 Elimination produces the canonical reduced row echelon form: pivot columns
 are chosen left to right, and within the forced pivot column the row with
@@ -199,12 +200,12 @@ def _subtract(row, f, other):
             del row[j]
 
 
-def _rref(rows, ncols, transform=False):
+def _rref(rows, ncols):
     """Reduce a list of row dicts to canonical RREF in place.
 
-    Returns (pivot list of (row, col), transform rows or None).  Pivot
-    columns are scanned left to right; the pivot row is the candidate with
-    fewest nonzeros, ties by lowest index.
+    Returns the pivot list of (row, col), in column order.  Pivot columns
+    are scanned left to right; the pivot row is the candidate with fewest
+    nonzeros, ties by lowest index.
 
     Forward elimination, then one back substitution.  A row leaves
     ``holders`` when it becomes a pivot row, and the forward pass never
@@ -212,17 +213,14 @@ def _rref(rows, ncols, transform=False):
     yet chosen.  Then, in reverse pivot order, each pivot row is reduced
     against the later pivot rows, which are already reduced, so each
     subtraction clears one pivot column and adds entries only at free
-    columns.  The transform follows the same steps.
+    columns.
 
     The result is Gauss-Jordan's value for value, although Gauss-Jordan
     also rewrites every finished pivot row at each later pivot.  A row not
     yet chosen gets the same updates in both: each pivot row eliminates
     its column in the state it had when chosen, and until then it was a
     row not yet chosen.  So the pivot rule picks the same rows, and the
-    zero rows and their transform rows are the same.  The RREF rows are
-    unique.  The pivot rows are independent, so the transform row of a
-    pivot row, a combination of pivot rows in both, is the unique one that
-    gives its RREF row.
+    zero rows are the same.  The RREF rows are unique.
 
     Integral entries are turned into ``int`` first and the arithmetic stays
     in ``int`` until a division by a non-unit pivot leaves a remainder, so an
@@ -230,8 +228,8 @@ def _rref(rows, ncols, transform=False):
     is reduced without a single ``Fraction``.  ``holders[j]`` is the set of
     unchosen rows with a nonzero in column j, kept up to date through
     fill-in and cancellation, so a column's pivot search and elimination
-    visit only those rows.  Rows and transform come back holding ``int``
-    and ``Fraction`` values; ``Solver`` hands out only ``Fraction``.
+    visit only those rows.  Rows come back holding ``int`` and
+    ``Fraction`` values; ``Solver`` hands out only ``Fraction``.
     """
     holders = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
@@ -239,7 +237,6 @@ def _rref(rows, ncols, transform=False):
             if type(v) is not int and v.denominator == 1:
                 row[j] = v.numerator
             holders[j].add(i)
-    tr = [{i: 1} for i in range(len(rows))] if transform else None
     pivots = []
     for col in range(ncols):
         candidates = holders[col]
@@ -253,10 +250,6 @@ def _rref(rows, ncols, transform=False):
         if pv != 1:
             for j, v in prow.items():
                 prow[j] = _div(v, pv)
-            if transform:
-                tp = tr[p]
-                for j, v in tp.items():
-                    tp[j] = _div(v, pv)
         for i in list(candidates):
             ri = rows[i]
             f = ri[col]
@@ -269,39 +262,29 @@ def _rref(rows, ncols, transform=False):
                 else:
                     del ri[j]
                     holders[j].remove(i)
-            if transform:
-                _subtract(tr[i], f, tr[p])
         pivots.append((p, col))
     pivot_row = {c: r for r, c in pivots}
     for p, col in reversed(pivots):
         prow = rows[p]
         for c in [j for j in prow if j != col and j in pivot_row]:
-            q = pivot_row[c]
-            f = prow[c]
-            _subtract(prow, f, rows[q])
-            if transform:
-                _subtract(tr[p], f, tr[q])
-    return pivots, tr
+            _subtract(prow, prow[c], rows[pivot_row[c]])
+    return pivots
 
 
 class Solver:
     """The one elimination of a matrix, and everything read off it.
 
-    ``_rref`` runs once; the transform is kept only when the solver will
-    solve, so repeated ``solve`` calls cost only a sparse substitution
-    each.  Rank, pivot columns, kernel and image all come from the same
-    canonical reduction.
+    ``_rref`` runs once.  Rank, pivot columns, kernel and image all come
+    from the same canonical reduction.
     """
 
-    def __init__(self, m: SparseMatrix, transform=True):
+    def __init__(self, m: SparseMatrix):
         self.m = m
         rows = _row_dicts(m)
-        self.pivots, self.transform = _rref(rows, m.cols, transform=transform)
+        self.pivots = _rref(rows, m.cols)
         self.rref_rows = rows
         self.rank = len(self.pivots)
         self.pivot_cols = [c for (_, c) in self.pivots]
-        pivot_rows = {r for (r, _) in self.pivots}
-        self.zero_rows = [i for i in range(m.rows) if i not in pivot_rows]
 
     def free_cols(self):
         """Columns of the canonical RREF without a pivot, in order."""
@@ -342,47 +325,48 @@ class Solver:
 
     def solve(self, b):
         """Exact particular solution of M x = b, or None if inconsistent."""
-        if len(b) != self.m.rows:
-            raise ValueError("rhs length does not match row count")
-        nonzero = {j: v for j, v in enumerate(b) if v}
-        c = []
-        for i in range(self.m.rows):
-            s = ZERO
-            for j, v in self.transform[i].items():
-                bj = nonzero.get(j)
-                if bj is not None:
-                    s += v * bj
-            c.append(s)
-        for i in self.zero_rows:
-            if c[i] != 0:
-                return None
-        x = [ZERO] * self.m.cols
-        for (r, col) in self.pivots:
-            # RREF row r reads: x[col] + sum(free terms) = c[r]; free vars are 0.
-            x[col] = c[r]
-        return tuple(x)
+        return solve(self.m, b)
 
 
 def rank(m: SparseMatrix) -> int:
-    return Solver(m, transform=False).rank
+    return Solver(m).rank
 
 
 def pivot_columns(m: SparseMatrix):
     """Columns of the canonical RREF that carry pivots, in order."""
-    return Solver(m, transform=False).pivot_cols
+    return Solver(m).pivot_cols
 
 
 def kernel_basis(m: SparseMatrix):
-    return Solver(m, transform=False).kernel()
+    return Solver(m).kernel()
 
 
 def image_basis(m: SparseMatrix):
-    return Solver(m, transform=False).image()
+    return Solver(m).image()
 
 
 def solve(m: SparseMatrix, b):
-    """One-shot exact solve; returns a particular solution or None."""
-    return Solver(m).solve(b)
+    """Exact particular solution of M x = b, or None if inconsistent.
+
+    One elimination of [M | b]: b is in the column space iff its column,
+    ``m.cols``, gets no pivot.  Then, with the free variables 0, x at each
+    pivot column c is the last entry of the RREF row of pivot c.
+    """
+    if len(b) != m.rows:
+        raise ValueError("rhs length does not match row count")
+    n = m.cols
+    aug = SparseMatrix(m.rows, n + 1)
+    aug.entries.update(m.entries)
+    for i, v in enumerate(b):
+        if v:
+            aug.entries[(i, n)] = _fraction(v)
+    s = Solver(aug)
+    if n in s.pivot_cols:
+        return None
+    x = [ZERO] * n
+    for r, c in s.pivots:
+        x[c] = _fraction(s.rref_rows[r].get(n, ZERO))
+    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -424,21 +408,26 @@ def dense_trace(a):
 def dense_inv(a):
     """Exact inverse, or None when singular.
 
-    One ``Solver`` elimination of ``a``: the RREF of an invertible matrix is
-    a row permutation of the identity, so the transform row of the pivot in
-    column c is row c of the inverse (pivots come in column order).
+    One elimination of [A | I]: A is singular iff a pivot falls at or past
+    column n.  Otherwise the RREF is [I | A^-1], so the right halves of the
+    pivot rows, in pivot (column) order, are the rows of the inverse.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inverse of a non-square matrix")
-    s = Solver(SparseMatrix.from_dense(a))
-    if s.rank < n:
+    aug = SparseMatrix(n, 2 * n)
+    for i, row in enumerate(a):
+        for j, v in enumerate(row):
+            if v:
+                aug.entries[(i, j)] = _fraction(v)
+        aug.entries[(i, n + i)] = ONE
+    s = Solver(aug)
+    if any(c >= n for c in s.pivot_cols):
         return None
-    inv = []
-    for r, _ in s.pivots:
-        row = s.transform[r]
-        inv.append(tuple(_fraction(row[j]) if j in row else ZERO for j in range(n)))
-    return tuple(inv)
+    return tuple(
+        tuple(_fraction(s.rref_rows[r].get(n + j, ZERO)) for j in range(n))
+        for r, _ in s.pivots
+    )
 
 
 def dense_eq(a, b):

@@ -42,6 +42,7 @@ from .exactlin import (
     dense_identity,
     dense_mul,
     dense_vec,
+    rank,
 )
 
 HOMOLOGY = "homology"
@@ -189,7 +190,7 @@ def _select(leaving: Solver, entering: Solver):
             ent[(slot[i], bslot[j])] = v
     for k in range(len(free)):
         ent[(k, nb + k)] = ONE
-    selection = Solver(m, transform=False)
+    selection = Solver(m)
     kept = [(r, c) for r, c in selection.pivots if c >= nb]
     coords = {}
     for t, (r, c) in enumerate(kept):
@@ -213,7 +214,7 @@ def _graded_space(kind, cc, differential) -> GradedSpace:
     reps, coords = {}, {}
     reduction = None
     for q in walk:
-        leaving, reduction = reduction, Solver(differential(q), transform=False)
+        leaving, reduction = reduction, Solver(differential(q))
         entered = q + step
         if 0 <= entered <= cc.dim:
             reps[entered], coords[entered] = _select(leaving, reduction)
@@ -473,10 +474,6 @@ def long_exact_sequence(x: SimplicialComplex, a: SimplicialComplex) -> PairSeque
 
 
 def _mat_rank(m) -> int:
-    if not m or not m[0]:
-        return 0
-    from .exactlin import rank
-
     return rank(SparseMatrix.from_dense(m))
 
 

@@ -15,7 +15,7 @@ from .chains import build_chain_complex, subdivision_chain_map
 from .complex import validate
 from .duality import duality_operator, transfers
 from .errors import NonOrientable, TopologyError
-from .exactlin import ONE, dense_eq, dense_identity, dense_inv, dense_mul, qstr, solve
+from .exactlin import ONE, dense_eq, dense_identity, dense_inv, dense_mul, qstr, solve, vec_dot
 from .homology import (
     GradedMap,
     HClass,
@@ -176,8 +176,6 @@ def suite_products(seed=0):
                 assoc_ok = assoc_ok and lhs == rhs
             if q + p2 <= s.dim:
                 sig = _rand_vec(rng, cc.n(q + p2))
-                from .exactlin import vec_dot
-
                 lhs = vec_dot(cup_cochain(cc, q, p2, a, b), sig)
                 rhs = vec_dot(a, cap_chain(cc, p2, b, q + p2, sig))
                 dual_ok = dual_ok and lhs == rhs

@@ -3,6 +3,8 @@ import os
 import random
 from fractions import Fraction
 
+import pytest
+
 from simhom import catalog
 from simhom.chains import ChainComplex
 from simhom.complex import complex_from_json
@@ -78,6 +80,18 @@ def test_solver_reuse():
     assert x is not None
     assert TRIANGLE_D1.apply(x) == b
     assert s.solve((F(1), F(1), F(1))) is None  # not in the column space
+
+
+def test_solve_and_inverse_check_their_input_shapes():
+    with pytest.raises(ValueError):
+        solve(TRIANGLE_D1, (F(1), F(1)))
+    with pytest.raises(ValueError):
+        Solver(TRIANGLE_D1).solve((F(1), F(1), F(1), F(1)))
+    with pytest.raises(ValueError):
+        dense_inv(((F(1), F(2)), (F(3),)))
+    with pytest.raises(ValueError):
+        dense_inv(((F(1), F(2)),))
+    assert dense_inv(()) == ()
 
 
 def test_rank_nullity_random():
@@ -322,23 +336,23 @@ def test_elimination_matches_textbook_gauss_jordan():
     assert fractional > 100 and non_unit_integral > 100
 
 
-def _reduced_as_fractions(m, reduce, transform, row_type=dict):
-    """(pivots, RREF rows, transform rows) of ``reduce`` on fresh row dicts."""
+def _gauss_jordan_pivots(rows, ncols):
+    pivots, _ = oracle_gauss_jordan_rref(rows, ncols)
+    return pivots
+
+
+def _reduced_as_fractions(m, reduce, row_type=dict):
+    """(pivots, RREF rows) of ``reduce`` on fresh row dicts."""
     rows = [row_type() for _ in range(m.rows)]
     for (i, j), v in m.entries.items():
         rows[i][j] = v
-    pivots, tr = reduce(rows, m.cols, transform=transform)
-
-    def fractions(dicts):
-        return [{j: F(v) for j, v in d.items()} for d in dicts]
-
-    return pivots, fractions(rows), None if tr is None else fractions(tr)
+    pivots = reduce(rows, m.cols)
+    return pivots, [{j: F(v) for j, v in d.items()} for d in rows]
 
 
 def _assert_matches_gauss_jordan(m):
-    for transform in (False, True):
-        got = _reduced_as_fractions(m, _rref, transform)
-        assert got == _reduced_as_fractions(m, oracle_gauss_jordan_rref, transform)
+    got = _reduced_as_fractions(m, _rref)
+    assert got == _reduced_as_fractions(m, _gauss_jordan_pivots)
 
 
 def test_rref_matches_gauss_jordan_on_random_matrices():
@@ -353,7 +367,7 @@ def test_rref_matches_gauss_jordan_on_random_matrices():
                 dense[i] = [c * v for v in dense[rng.randrange(i)]]
         m = SparseMatrix.from_dense(dense) if rows else SparseMatrix(0, cols)
         _assert_matches_gauss_jordan(m)
-        deficient += Solver(m, transform=False).rank < min(rows, cols)
+        deficient += Solver(m).rank < min(rows, cols)
         entries = [v for row in dense for v in row]
         fractional += any(v.denominator > 1 for v in entries)
         non_unit += any(v.denominator == 1 and abs(v) > 1 for v in entries)
@@ -394,7 +408,7 @@ class _CountingRow(dict):
 
 def _writes_and_nnz(m, reduce):
     _CountingRow.writes = 0
-    _, rows, _ = _reduced_as_fractions(m, reduce, False, row_type=_CountingRow)
+    _, rows = _reduced_as_fractions(m, reduce, row_type=_CountingRow)
     return _CountingRow.writes - len(m.entries), sum(len(r) for r in rows)
 
 
@@ -410,4 +424,4 @@ def test_rref_leaves_finished_pivot_rows_alone():
     writes, nnz = _writes_and_nnz(d2, _rref)
     assert nnz == 406
     assert writes < 12000
-    assert _writes_and_nnz(d2, oracle_gauss_jordan_rref) == (29064, 406)
+    assert _writes_and_nnz(d2, _gauss_jordan_pivots) == (29064, 406)
