@@ -15,11 +15,7 @@ import time
 from dataclasses import dataclass
 
 from . import __version__, catalog
-from .complex import (
-    complex_from_json,
-    manifold_check,
-    map_from_json,
-)
+from .complex import complex_from_json, map_from_json
 from .duality import duality_operator, degree as map_degree
 from .errors import (
     DegreeMismatch,
@@ -185,12 +181,11 @@ def cmd_homology(args, resolver, kind="homology"):
 def cmd_duality(args, resolver):
     x = resolver.complex(args.input)
     space = Space(x)
-    report = manifold_check(x)
     d = duality_operator(space)  # raises NonOrientable / NotClosed -> exit 2
     n = space.dim
     results = {
         "name": x.name,
-        "manifold": report.to_json(),
+        "manifold": d.fundamental.orientation.report.to_json(),
         "orientation_signs": {
             "+".join(x.simplex_names(s)): sign
             for s, sign in zip(x.top_simplices(), d.fundamental.orientation.signs)

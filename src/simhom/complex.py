@@ -285,10 +285,12 @@ def _connected_over(nodes, adj):
 
 @dataclass(frozen=True)
 class OrientationData:
-    """Signs on top simplices making codimension-1 incidences cancel."""
+    """Signs on top simplices making codimension-1 incidences cancel, and
+    the manifold report that was checked before they were propagated."""
 
     signs: tuple
     coherent: bool
+    report: ManifoldReport
 
 
 def orient(x: SimplicialComplex) -> OrientationData:
@@ -304,7 +306,7 @@ def orient(x: SimplicialComplex) -> OrientationData:
     n = x.dim
     tops = x.top_simplices()
     if n == 0:
-        return OrientationData(signs=(1,) * len(tops), coherent=True)
+        return OrientationData(signs=(1,) * len(tops), coherent=True, report=report)
     inc = _facet_incidences(x)
     signs = [0] * len(tops)
     signs[0] = 1
@@ -336,7 +338,7 @@ def orient(x: SimplicialComplex) -> OrientationData:
                 raise NonOrientable(f"{x.name!r} admits no coherent orientation")
     if any(s == 0 for s in signs):
         raise NotClosed(f"{x.name!r}: dual graph not connected")
-    return OrientationData(signs=tuple(signs), coherent=True)
+    return OrientationData(signs=tuple(signs), coherent=True, report=report)
 
 
 class SimplicialMap:

@@ -29,14 +29,7 @@ from .errors import (
     SingularDuality,
     SingularPairing,
 )
-from .exactlin import (
-    ONE,
-    ZERO,
-    dense_inv,
-    dense_mul,
-    dense_vec,
-    vec_is_zero,
-)
+from .exactlin import ONE, ZERO, dense_inv, dense_mul, dense_vec
 from .homology import (
     COHOMOLOGY,
     HOMOLOGY,
@@ -77,19 +70,23 @@ def fundamental_class(space: Space) -> FundamentalClass:
 
     Raises NotClosed / NonOrientable via the orientation pass, and verifies
     both the cycle condition and that the class generates a 1-dimensional
-    top homology.
+    top homology.  The fundamental class is read for duality, which pairs
+    H_* with H^*, so both are built here, in one walk.
     """
     x = space.complex
     data = orient(x)
     n = x.dim
+    homology, _ = space.homology_and_cohomology()
     chain = tuple(Fraction(s) for s in data.signs)
-    if not vec_is_zero(space.cc.boundary(n).apply(chain)):
-        raise NotClosed(f"oriented top chain of {x.name!r} is not a cycle")
-    if space.homology.betti(n) != 1:
+    try:
+        coeffs = homology.class_of(n, chain)  # the one cycle check, in int
+    except ValueError:
+        raise NotClosed(f"oriented top chain of {x.name!r} is not a cycle") from None
+    if homology.betti(n) != 1:
         raise NotClosed(
             f"H_{n} of {x.name!r} is not one-dimensional; no fundamental class"
         )
-    cls = HClass(space.homology, n, space.homology.class_of(n, chain))
+    cls = HClass(homology, n, coeffs)
     if cls.is_zero():
         raise NotClosed(f"top cycle of {x.name!r} is a boundary")
     return FundamentalClass(space=space, orientation=data, chain=chain, cls=cls)

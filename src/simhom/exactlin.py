@@ -276,11 +276,21 @@ class Solver:
 
     ``_rref`` runs once.  Rank, pivot columns, kernel and image all come
     from the same canonical reduction.
+
+    ``basis``, when given, lists rows of M that span its row space, and
+    only those rows are reduced.  The RREF depends only on the row space
+    (Kaczynski-Mischaikow-Mrozek, Computational Homology, 2004), so every
+    value read off it is the same; the pivots then index ``rref_rows``,
+    not M's rows.  The rows of M^T at the pivot columns of M are such a
+    basis of M^T, which is how one reduction of a wide matrix gives the
+    tall transpose's RREF from rank(M) rows.
     """
 
-    def __init__(self, m: SparseMatrix):
+    def __init__(self, m: SparseMatrix, basis=None):
         self.m = m
         rows = _row_dicts(m)
+        if basis is not None:
+            rows = [rows[i] for i in basis]
         self.pivots = _rref(rows, m.cols)
         self.rref_rows = rows
         self.rank = len(self.pivots)

@@ -1,19 +1,23 @@
 """Homology and cohomology over Q with explicit bases.
 
 A GradedSpace keeps, per degree, a list of representative cycles (or
-cocycles) whose classes form a basis.  Each differential (its transpose
-for cohomology) is eliminated exactly once, giving the cycles of the degree
-it leaves and the boundaries of the degree it enters.
+cocycles) whose classes form a basis.  H_* reads the kernel and image of
+each d_k, H^* those of d_k transposed, and each orientation of each d_k is
+reduced at most once: the wide one (at least as many columns as rows) in
+full, the tall one on the rank(d_k) of its rows at the wide one's pivot
+columns, which span its row space.  When H_* and H^* are built together,
+one walk up the degrees shares these reductions between them, and no
+reduction outlives the walk.
 
 Everything else is read in free coordinates.  The canonical kernel vector
 z_f of a free column f is 1 at f and 0 at the other free columns, so a
-cycle z is the sum of z[f] z_f.  One elimination per degree, of [B_F | I]
-(the boundaries' entries at the free columns beside the identity, dim Z_q
-rows), selects the representatives, the z_f independent modulo
-boundaries, and writes every z_f in them.  The class of a cycle is then a
-sparse sum over its free entries, after one pass over the cached boundary
-matrix checks that it is a cycle: no elimination runs once the spaces are
-built, and only the representatives are stored as dense vectors.
+cycle z is the sum of z[f] z_f.  One elimination per degree, of the
+boundaries' row space B_F^T in these coordinates (rank B_q x dim Z_q),
+selects the representatives, the z_f independent modulo boundaries, and
+writes every z_f in them.  The class of a cycle is then a sparse sum over
+its free entries, after one pass over the cached boundary matrix checks
+that it is a cycle: no elimination runs once the spaces are built, and
+only the representatives are stored as dense vectors.
 
 The Kronecker pairing is Betti-sized too: the representatives of H^q and
 H_q are paired once, by sparse dots over their supports, and every later
@@ -171,64 +175,110 @@ def _select(leaving: Solver, entering: Solver):
 
     ``leaving`` is the reduction of the map leaving the degree, whose free
     columns F index the cycles z_f; ``entering`` that of the map entering
-    it, whose pivot columns are the boundaries B.  A cycle's coordinates in
-    the z_f are its entries at F, and x -> sum x_f z_f is injective, so
-    [B_F | I] has the pivot columns and column relations of [B | Z]: B
-    first, then the kept z_f.  Its RREF row of the t-th kept pivot holds
-    the t-th class coefficient of every later z_f (a column equals the
-    pivot columns times its RREF column).  Returns the dense kept cycles
-    and {f: {t: coefficient}}.
+    it, whose pivot columns are a basis of the boundaries B.  A cycle's
+    coordinates in the z_f are its entries at F, and x -> sum x_f z_f is
+    injective, so B is the row space of B_F^T (one row per boundary basis
+    vector, its entries at F).
+
+    Its RREF, with the free columns in reverse order, is rank B x dim Z.
+    Its non-pivot columns are the kept representatives: the z_f that
+    selecting on [B | Z] keeps, each z_f in F's order that is independent
+    of B and of the z_f kept before it.  A set of columns is a basis of
+    B_F^T's column space exactly when the other z_f complete B to a basis
+    of Z, and the pivots, the greedy such basis over reversed F, leave out
+    the greedy completion over F (matroid duality).  Each RREF row, with
+    pivot f, is a boundary z_f + sum_j r_j z_j whose other entries sit at
+    kept columns j, so class(z_f) = -sum_j r_j [z_j].  Returns the dense
+    kept cycles and {f: {t: coefficient}}, t numbering the kept cycles in
+    F's order.
     """
     free = leaving.free_cols()
-    slot = {f: k for k, f in enumerate(free)}
+    last = len(free) - 1
+    slot = {f: last - k for k, f in enumerate(free)}
     bslot = {c: k for k, c in enumerate(entering.pivot_cols)}
-    nb = len(bslot)
-    m = SparseMatrix(len(free), nb + len(free))
+    m = SparseMatrix(len(bslot), len(free))
     ent = m.entries
     for (i, j), v in entering.m.entries.items():
         if j in bslot and i in slot:
-            ent[(slot[i], bslot[j])] = v
-    for k in range(len(free)):
-        ent[(k, nb + k)] = ONE
+            ent[(bslot[j], slot[i])] = v
     selection = Solver(m)
-    kept = [(r, c) for r, c in selection.pivots if c >= nb]
-    coords = {}
-    for t, (r, c) in enumerate(kept):
-        for j, v in selection.rref_rows[r].items():
-            coords.setdefault(free[j - nb], {})[t] = v
-    return leaving.kernel([free[c - nb] for _, c in kept]), coords
+    pivot_cols = set(selection.pivot_cols)
+    kept = [c for c in range(last, -1, -1) if c not in pivot_cols]
+    t_of = {c: t for t, c in enumerate(kept)}
+    coords = {free[last - c]: {t: ONE} for c, t in t_of.items()}
+    for r, c in selection.pivots:
+        row = selection.rref_rows[r]
+        if len(row) > 1:
+            coords[free[last - c]] = {t_of[j]: -v for j, v in row.items() if j != c}
+    return leaving.kernel([free[last - c] for c in kept]), coords
 
 
-def _graded_space(kind, cc, differential) -> GradedSpace:
-    """H_* (``differential(q)`` = d_q) or H^* (d_{q+1} transposed) of ``cc``.
+class _Differential:
+    """d_k's reductions, of d_k itself and of its transpose, each run once.
 
-    Each map leaving a degree q is eliminated once: its kernel is the cycles
-    of q, its image the boundaries of the degree it enters (degrees go up
-    for homology, down for cohomology).  A degree is settled once both maps
-    at it are reduced, so each reduction lives for two steps.
+    The wide orientation, with at least as many columns as rows, is reduced
+    in full.  The tall one's RREF is that of its rows at the wide one's
+    pivot columns: those rows are the wide one's independent columns, so
+    they span the tall one's row space (see ``Solver``), and that
+    reduction has rank(d_k) rows.  They go in reverse pivot order: the
+    RREF is the same, but the pivot rule's ties then fall on the later
+    rows, which on genus-2 Sd^4's d_2 (44063 rows) took 0.55 s instead of
+    13.2 s in ascending order (Python 3.11, 2-vCPU VM), where each pivot
+    passed a growing set of rows on to the next column.  A reduction is
+    run only when a graded space asks for it, and lives only as long as
+    this object.
     """
-    if kind == HOMOLOGY:
-        step, walk = -1, range(cc.dim + 2)
-    else:
-        step, walk = 1, range(cc.dim, -2, -1)
-    reps, coords = {}, {}
-    reduction = None
-    for q in walk:
-        leaving, reduction = reduction, Solver(differential(q))
-        entered = q + step
-        if 0 <= entered <= cc.dim:
-            reps[entered], coords[entered] = _select(leaving, reduction)
-    return GradedSpace(kind, cc, reps, coords)
+
+    def __init__(self, cc, k):
+        self.cc, self.k = cc, k
+        d = cc.boundary(k)
+        self.wide = d.cols < d.rows  # True when the transpose is the wide one
+        self._solvers = {}
+
+    def reduction(self, transposed: bool) -> Solver:
+        s = self._solvers.get(transposed)
+        if s is None:
+            m = self.cc.coboundary(self.k - 1) if transposed else self.cc.boundary(self.k)
+            if transposed == self.wide:
+                s = Solver(m)
+            else:
+                s = Solver(m, self.reduction(self.wide).pivot_cols[::-1])
+            self._solvers[transposed] = s
+        return s
+
+
+def _graded_spaces(cc, kinds):
+    """H_* and/or H^* of ``cc``, one per kind, in one walk up the degrees.
+
+    Degree q of H_* reads d_q's kernel and d_{q+1}'s image; of H^*, the
+    kernel of d_{q+1}^T and the image of d_q^T.  So each differential is
+    needed at two adjacent degrees, in either orientation, and the walk
+    keeps the reductions of d_q and d_{q+1} only: when both kinds are
+    built, each orientation of each d_k is reduced once for the two.
+    """
+    reps = {kind: {} for kind in kinds}
+    coords = {kind: {} for kind in kinds}
+    below = _Differential(cc, 0)
+    for q in range(cc.dim + 1):
+        above = _Differential(cc, q + 1)
+        for kind in kinds:
+            if kind == HOMOLOGY:
+                leaving, entering = below.reduction(False), above.reduction(False)
+            else:
+                leaving, entering = above.reduction(True), below.reduction(True)
+            reps[kind][q], coords[kind][q] = _select(leaving, entering)
+        below = above
+    return [GradedSpace(kind, cc, reps[kind], coords[kind]) for kind in kinds]
 
 
 def compute_homology(cc) -> GradedSpace:
     """Homology of a ChainComplex (absolute or relative), with explicit bases."""
-    return _graded_space(HOMOLOGY, cc, cc.boundary)
+    return _graded_spaces(cc, (HOMOLOGY,))[0]
 
 
 def compute_cohomology(cc) -> GradedSpace:
     """Cohomology via the transposed differentials."""
-    return _graded_space(COHOMOLOGY, cc, cc.coboundary)
+    return _graded_spaces(cc, (COHOMOLOGY,))[0]
 
 
 class Space:
@@ -252,6 +302,18 @@ class Space:
         if self._cohomology is None:
             self._cohomology = compute_cohomology(self.cc)
         return self._cohomology
+
+    def homology_and_cohomology(self):
+        """(H_*, H^*); when neither is built yet, both come from one walk.
+
+        Each differential is then reduced once for the two.  A space that
+        only ever needs one of them builds it alone and keeps no reduction.
+        """
+        if self._homology is None and self._cohomology is None:
+            self._homology, self._cohomology = _graded_spaces(
+                self.cc, (HOMOLOGY, COHOMOLOGY)
+            )
+        return self.homology, self.cohomology
 
     @property
     def ring(self):
@@ -323,9 +385,9 @@ def class_matrix(source: GradedSpace, q: int, target: GradedSpace, p: int, chain
     """The matrix of H_q(source) -> H_p(target) induced by ``chain_map``.
 
     ``chain_map`` carries each degree-q representative of ``source`` to a
-    degree-p (co)cycle of ``target``, whose class is solved for exactly; the
-    columns are these classes, the rows the target basis.  A result that is
-    not a (co)cycle raises ValueError from ``class_of``.
+    degree-p (co)cycle of ``target``, whose class ``class_of`` reads off its
+    free entries; the columns are these classes, the rows the target basis.
+    A result that is not a (co)cycle raises ValueError from ``class_of``.
     """
     cols = [target.class_of(p, chain_map(r)) for r in source.representatives(q)]
     return tuple(tuple(col[r] for col in cols) for r in range(target.betti(p)))

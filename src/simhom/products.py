@@ -107,7 +107,8 @@ class RingStructure:
     """Memoized cup/cap structure constants of one space's basis classes.
 
     Each Space owns one (``Space.ring``); every product built on the space
-    shares it.
+    shares it.  A basis class's chain is its stored representative, so the
+    constants are read off the representatives as they are.
     """
 
     def __init__(self, space: Space):
@@ -118,17 +119,18 @@ class RingStructure:
     def cup_basis(self, p, i, q, j):
         key = (p, i, q, j)
         if key not in self._cup:
-            a = basis_class(self.space.cohomology, p, i)
-            b = basis_class(self.space.cohomology, q, j)
-            self._cup[key] = cup(a, b, self.space).coeffs
+            c = self.space.cohomology
+            a, b = c.representatives(p)[i], c.representatives(q)[j]
+            self._cup[key] = c.class_of(p + q, cup_cochain(self.space.cc, p, q, a, b))
         return self._cup[key]
 
     def cap_basis(self, q, i, d, j):
         key = (q, i, d, j)
         if key not in self._cap:
-            a = basis_class(self.space.cohomology, q, i)
-            s = basis_class(self.space.homology, d, j)
-            self._cap[key] = cap(a, s, self.space).coeffs
+            a = self.space.cohomology.representatives(q)[i]
+            s = self.space.homology.representatives(d)[j]
+            prod = cap_chain(self.space.cc, q, a, d, s)
+            self._cap[key] = self.space.homology.class_of(d - q, prod)
         return self._cap[key]
 
     def kron(self, q):

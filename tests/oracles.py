@@ -1,8 +1,10 @@
 """Independent brute-force oracles for freezing expected values.
 
-Everything here recomputes from first principles with plain dense row
+The oracles recompute from first principles with plain dense row
 reduction over Fraction, sharing no code path with the package's sparse
-elimination or basis bookkeeping.
+elimination or basis bookkeeping.  The ``oracle_gauss_jordan_rref`` and
+``oracle_select`` references are earlier versions of package routines,
+kept so that their replacements can be checked value for value.
 """
 
 from fractions import Fraction
@@ -207,3 +209,31 @@ def oracle_gauss_jordan_rref(rows, ncols, transform=False):
                         del ti[j]
         pivots.append((p, col))
     return pivots, tr
+
+
+def oracle_select(leaving, entering):
+    """The class selection ``homology._select`` made on [B_F | I], kept as
+    the reference, with Gauss-Jordan for its elimination.
+
+    ``leaving`` and ``entering`` are ``exactlin.Solver`` reductions of the
+    maps leaving and entering one degree.  The selection has dim Z_q rows:
+    the boundaries' entries at the free columns F beside the identity.  Its
+    pivot columns are B first, then the kept cycles z_f, and the RREF row
+    of the t-th kept pivot holds the t-th class coefficient of every later
+    z_f.  Returns the dense kept cycles and {f: {t: coefficient}}.
+    """
+    free = leaving.free_cols()
+    slot = {f: k for k, f in enumerate(free)}
+    bslot = {c: k for k, c in enumerate(entering.pivot_cols)}
+    nb = len(bslot)
+    rows = [{nb + k: 1} for k in range(len(free))]
+    for (i, j), v in entering.m.entries.items():
+        if j in bslot and i in slot:
+            rows[slot[i]][bslot[j]] = v
+    pivots, _ = oracle_gauss_jordan_rref(rows, nb + len(free))
+    kept = [(r, c) for r, c in pivots if c >= nb]
+    coords = {}
+    for t, (r, c) in enumerate(kept):
+        for j, v in rows[r].items():
+            coords.setdefault(free[j - nb], {})[t] = v
+    return leaving.kernel([free[c - nb] for _, c in kept]), coords

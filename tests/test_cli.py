@@ -36,6 +36,26 @@ def test_duality_command(capsys):
     assert data["results"]["duality_invertible"] is True
 
 
+def test_duality_checks_the_manifold_once(capsys, monkeypatch):
+    import sys
+
+    from simhom.complex import manifold_check as real
+
+    reports = []
+
+    def recording(x):
+        reports.append(real(x))
+        return reports[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("simhom") and getattr(module, "manifold_check", None) is real:
+            monkeypatch.setattr(module, "manifold_check", recording)
+    code, data, _ = run_json(capsys, "duality", "torus")
+    assert code == 0
+    assert len(reports) == 1
+    assert data["results"]["manifold"] == reports[0].to_json()
+
+
 def test_duality_rejects_rp2_with_exit_2(capsys):
     code, out, err = run(capsys, "duality", "rp2")
     assert code == 2

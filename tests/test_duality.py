@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,19 @@ def test_fundamental_class_rp2_refused():
 def test_fundamental_class_interval_refused():
     with pytest.raises(NotClosed):
         fundamental_class(space("interval"))
+
+
+def test_fundamental_class_refuses_signs_that_are_no_cycle(monkeypatch):
+    import simhom.duality as duality
+    from simhom.complex import orient
+
+    x = catalog.octahedron()
+    data = orient(x)
+    assert data.report.is_closed_pseudo_manifold
+    flipped = (-data.signs[0],) + data.signs[1:]
+    monkeypatch.setattr(duality, "orient", lambda _: replace(data, signs=flipped))
+    with pytest.raises(NotClosed, match="oriented top chain of 'octahedron' is not a cycle"):
+        fundamental_class(Space(x))
 
 
 def test_duality_operator_invertible_on_catalog():

@@ -374,6 +374,44 @@ def test_rref_matches_gauss_jordan_on_random_matrices():
     assert deficient > 300 and fractional > 500 and non_unit > 500
 
 
+def _reduced_by_pivot(s):
+    """{pivot column: RREF row as Fractions} of a Solver."""
+    return {c: {j: F(v) for j, v in s.rref_rows[r].items()} for r, c in s.pivots}
+
+
+def test_row_basis_reduction_matches_full_reduction():
+    """The rows of M at the pivot columns of M^T span M's row space, so
+    their RREF is M's: same pivot columns, same rows, in either order."""
+    rng = random.Random(1212)
+    deficient = empty = tall = 0
+    for _ in range(1500):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        m = SparseMatrix(rows, cols)
+        for i in range(rows):
+            if i and rng.random() < 0.3:  # a multiple of an earlier row
+                k, c = rng.randrange(i), rng.choice([1, -1, 2, -3])
+                src = [(j, v) for (r, j), v in m.entries.items() if r == k]
+                m.entries.update({(i, j): c * v for j, v in src})
+                continue
+            for j in range(cols):
+                v = rng.choice([0, 0, 0, 1, -1, 2, -3])
+                if v:
+                    m.entries[(i, j)] = v
+        full = Solver(m)
+        basis = Solver(m.transpose()).pivot_cols
+        assert len(basis) == full.rank
+        for order in (basis, basis[::-1]):
+            sub = Solver(m, order)
+            assert len(sub.rref_rows) == full.rank
+            assert sub.pivot_cols == full.pivot_cols
+            assert _reduced_by_pivot(sub) == _reduced_by_pivot(full)
+            assert sub.kernel() == full.kernel() and sub.image() == full.image()
+        deficient += full.rank < min(rows, cols)
+        empty += rows == 0 or cols == 0
+        tall += rows > cols
+    assert deficient > 300 and empty > 100 and tall > 500
+
+
 def _sd1_complexes():
     here = os.path.dirname(os.path.abspath(__file__))
     out = []

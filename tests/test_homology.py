@@ -21,7 +21,7 @@ from simhom.homology import (
     long_exact_sequence,
 )
 
-from oracles import dense_rref, oracle_betti
+from oracles import dense_rref, oracle_betti, oracle_select
 
 F = Fraction
 
@@ -407,14 +407,16 @@ def test_betti_subdivision_invariance_and_iso():
 
 
 def test_each_differential_is_eliminated_once(monkeypatch):
-    """H_* reduces each d_k once and H^* each d_k transposed once."""
+    """Built together, H_* and H^* reduce each d_k in full once, in one
+    orientation, and the other orientation at most once, on rank(d_k) of
+    its rows."""
     from collections import Counter
 
     import simhom.exactlin as exactlin
-    from simhom.homology import compute_cohomology, compute_homology
+    from simhom.exactlin import rank
 
     def signature(rows, ncols):
-        return ncols, tuple(tuple(sorted(r.items())) for r in rows)
+        return ncols, tuple(sorted(tuple(sorted(r.items())) for r in rows))
 
     seen = Counter()
     real_rref = exactlin._rref
@@ -423,17 +425,24 @@ def test_each_differential_is_eliminated_once(monkeypatch):
         seen[signature(rows, ncols)] += 1
         return real_rref(rows, ncols, *args, **kwargs)
 
+    s = space("torus")
+    cc = s.cc
     monkeypatch.setattr(exactlin, "_rref", recording_rref)
-    cc = Space(catalog.get_complex("torus")).cc
-
-    def eliminations(m):
-        return seen[signature(exactlin._row_dicts(m), m.cols)]
-
-    compute_homology(cc)
-    assert [eliminations(cc.boundary(k)) for k in range(cc.dim + 2)] == [1, 1, 1, 1]
-    seen.clear()
-    compute_cohomology(cc)
-    assert [eliminations(cc.coboundary(k - 1)) for k in range(cc.dim + 2)] == [1, 1, 1, 1]
+    s.homology_and_cohomology()
+    monkeypatch.undo()
+    wide_orientations = set()
+    for k in range(1, cc.dim + 1):
+        orientations = (cc.boundary(k), cc.coboundary(k - 1))
+        full = [seen[signature(exactlin._row_dicts(m), m.cols)] for m in orientations]
+        assert sorted(full) == [0, 1], k
+        wide, tall = orientations if full[0] else orientations[::-1]
+        assert wide.cols >= wide.rows, k
+        wide_orientations.add(wide is orientations[0])
+        basis = exactlin.Solver(wide).pivot_cols
+        rows = exactlin._row_dicts(tall)
+        assert len(basis) == rank(tall)
+        assert seen[signature([rows[i] for i in basis], tall.cols)] <= 1, k
+    assert wide_orientations == {True, False}  # d_1 is wide, d_2 tall
 
 
 def _recorded_eliminations(monkeypatch):
@@ -452,27 +461,39 @@ def _recorded_eliminations(monkeypatch):
 
 
 def test_classes_need_no_chain_sized_elimination(monkeypatch):
-    """Each selection has dim Z_q rows; class extraction eliminates nothing
-    bigger than a Betti number once H_* and H^* are built."""
+    """Each selection is rank B_q x dim Z_q; class extraction eliminates
+    nothing bigger than a Betti number once H_* and H^* are built."""
+    import simhom.homology as homology
     from simhom.duality import DualityOperator, fundamental_class
     from simhom.exactlin import rank
 
     s = space("torus")
     cc = s.cc
     ranks = {k: rank(cc.boundary(k)) for k in range(cc.dim + 2)}
-    shapes = _recorded_eliminations(monkeypatch)
+    differentials = [cc.boundary(k) for k in range(cc.dim + 2)]
+    differentials += [cc.coboundary(k - 1) for k in range(cc.dim + 2)]
+    selections = []
+
+    class RecordingSolver(homology.Solver):
+        """Records the shape of every reduction that is not of a differential."""
+
+        def __init__(self, m, *args):
+            if not any(m is d for d in differentials):
+                selections.append((m.rows, m.cols))
+            super().__init__(m, *args)
+
+    monkeypatch.setattr(homology, "Solver", RecordingSolver)
     h, c = s.homology, s.cohomology
+    monkeypatch.undo()
     degrees = range(cc.dim + 1)
-    differentials = {(cc.n(k - 1), cc.n(k)) for k in range(cc.dim + 2)}
-    differentials |= {(cc.n(k), cc.n(k - 1)) for k in range(cc.dim + 2)}
     cycles = {q: cc.n(q) - ranks[q] for q in degrees}
     cocycles = {q: cc.n(q) - ranks[q + 1] for q in degrees}
-    expected = [(cycles[q], ranks[q + 1] + cycles[q]) for q in degrees]
-    expected += [(cocycles[q], ranks[q] + cocycles[q]) for q in degrees]
-    selections = [shape for shape in shapes if shape not in differentials]
+    expected = [(ranks[q + 1], cycles[q]) for q in degrees]
+    expected += [(ranks[q], cocycles[q]) for q in degrees]
     assert sorted(selections) == sorted(expected)
 
-    shapes.clear()
+    shapes = _recorded_eliminations(monkeypatch)
+
     f = catalog.get_map("torus_transpose")
     induced_map(f, h, h)
     induced_map(f, c, c)
@@ -582,3 +603,74 @@ def test_bases_and_classes_match_textbook_selection_and_solve():
                         with pytest.raises(ValueError, match="not a .*cycle"):
                             graded.class_of(q, tuple(z))
     assert checked > 20
+
+
+def _as_fractions(coords):
+    return {f: {t: F(v) for t, v in row.items()} for f, row in coords.items()}
+
+
+def test_selection_matches_identity_block_reference():
+    """Representatives and class coordinates, as Fractions, equal those of
+    the [B_F | I] selection, for H_* and H^* of every catalog complex and
+    of Sd of five surfaces under three vertex shuffles each."""
+    from simhom.complex import barycentric_subdivide
+    from simhom.exactlin import Solver
+
+    complexes = [catalog.get_complex(name) for name in catalog.COMPLEX_BUILDERS]
+    for base in ("octahedron", "icosahedron", "torus", "torus7", "genus2"):
+        sd, _ = barycentric_subdivide(catalog.get_complex(base))
+        complexes += [_shuffled(sd, seed) for seed in (11, 12, 13)]
+    for x in complexes:
+        s = Space(x)
+        h, c = s.homology_and_cohomology()
+        cc = s.cc
+        for q in range(cc.dim + 1):
+            for graded, leaving, entering in (
+                (h, cc.boundary(q), cc.boundary(q + 1)),
+                (c, cc.coboundary(q), cc.coboundary(q - 1)),
+            ):
+                reps, coords = oracle_select(Solver(leaving), Solver(entering))
+                where = (x.name, graded.kind, q)
+                assert graded.representatives(q) == reps, where
+                assert _as_fractions(graded._coords[q]) == _as_fractions(coords), where
+
+
+def _reachable(root):
+    """Objects reachable from ``root``, not entering types, modules or functions."""
+    import gc
+    import types
+
+    seen, todo = set(), [root]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(o))
+        yield o
+        todo.extend(gc.get_referents(o))
+
+
+def test_built_spaces_keep_no_reduction():
+    """No reduction outlives the walk that reads it: not on a space whose
+    H^* is never built, nor on one whose H_* and H^* are built together."""
+    import gc
+
+    from simhom.complex import barycentric_subdivide
+    from simhom.exactlin import Solver
+
+    sd, _ = barycentric_subdivide(catalog.genus2())
+    x = _shuffled(sd, 5)
+
+    def reductions(s):
+        gc.collect()
+        mats = {id(m) for m in (*s.cc._boundary.values(), *s.cc._coboundary.values())}
+        live = [o for o in gc.get_objects() if isinstance(o, Solver) and id(o.m) in mats]
+        return live + [o for o in _reachable(s) if isinstance(o, Solver)]
+
+    alone = Space(x)
+    assert alone.homology.betti_vector() == (1, 4, 1)
+    assert not reductions(alone)
+    together = Space(x)
+    h, c = together.homology_and_cohomology()
+    assert h.betti_vector() == c.betti_vector() == (1, 4, 1)
+    assert not reductions(together)
