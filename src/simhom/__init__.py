@@ -20,7 +20,6 @@ from .chains import (
     ChainComplex,
     build_chain_complex,
     build_relative,
-    cone,
     induced_chain_map,
     subdivision_chain_map,
 )

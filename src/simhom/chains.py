@@ -5,17 +5,17 @@ global vertex order.  Each d_q and each delta^q is built once per complex,
 with its +-1 signs stored as ``int``: elimination takes them as they are,
 and every product with a ``Fraction`` chain is a ``Fraction``.  Induced
 chain maps send a generator to its image simplex with the sign of the
-sorting permutation, or to zero when the image is degenerate.  The cone
-operator and the barycentric subdivision chain map are built on top; the
-subdivision of an m-simplex is the signed sum of its m-factorial flags,
-obtained by coning its subdivided boundary over the barycenter.
+sorting permutation, or to zero when the image is degenerate.  The
+barycentric subdivision chain map sends a q-simplex to the signed sum of
+its (q+1)! flags, the same flags ``complex.barycentric_subdivide`` builds
+Sd X from; the sign of a flag is that of its vertex ordering.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complex import SimplicialComplex, SimplicialMap, _bary_name, barycentric_subdivide
-from .errors import ConeNotDefined, NotSubcomplex
+from .complex import SimplicialComplex, SimplicialMap, _bary_name, barycentric_subdivide, flags
+from .errors import NotSubcomplex
 from .exactlin import ONE, ZERO, SparseMatrix
 
 
@@ -100,9 +100,6 @@ class ChainComplex:
             self._coboundary[q] = m
         return m
 
-    def zero_chain(self, q: int) -> Chain:
-        return Chain(q, tuple([ZERO] * self.n(q)))
-
     def chain_from_simplex(self, simplex) -> Chain:
         simplex = tuple(simplex)
         q = len(simplex) - 1
@@ -174,38 +171,6 @@ def induced_chain_map(f: SimplicialMap) -> dict:
     return out
 
 
-def cone(point, z: Chain, cc: ChainComplex) -> Chain:
-    """Cone p.z inside a complex where each support simplex spans with p.
-
-    Satisfies d(p.z) = z - p.(dz) in degrees >= 1 and d(p.z) = z - eps(z) p
-    in degree 0.  Simplices already containing p cone to zero.
-    """
-    x = cc.complex
-    p = x.vertex_index[point] if point in x.vertex_index else None
-    if p is None:
-        raise ConeNotDefined(f"cone point {point!r} is not a vertex of {x.name!r}")
-    q = z.degree
-    out = [ZERO] * cc.n(q + 1)
-    for j, c in enumerate(z.coeffs):
-        if c == 0:
-            continue
-        s = cc.basis(q)[j]
-        if p in s:
-            continue
-        target = tuple(sorted(s + (p,)))
-        if not x.has_simplex(target):
-            raise ConeNotDefined(
-                f"simplex {x.simplex_names(s)} does not span a simplex with {point!r}"
-            )
-        sign = (-ONE) ** target.index(p)
-        out[x.simplex_id(q + 1, target)] += c * sign
-    return Chain(q + 1, tuple(out))
-
-
-def boundary_of(z: Chain, cc) -> Chain:
-    return Chain(z.degree - 1, cc.boundary(z.degree).apply(z.coeffs))
-
-
 class SubdivisionMap:
     """The chain map Sd_# : C_*(X) -> C_*(Sd X)."""
 
@@ -215,49 +180,28 @@ class SubdivisionMap:
         self.source_cc = ChainComplex(x)
         self.target_cc = ChainComplex(self.subdivided)
         self._matrices = {}
-        self._memo = {}
-
-    def _subdivide_simplex(self, simplex):
-        """Chain in Sd X subdividing one simplex, memoized bottom-up."""
-        simplex = tuple(simplex)
-        if simplex in self._memo:
-            return self._memo[simplex]
-        q = len(simplex) - 1
-        bary = _bary_name(self.source, simplex)
-        if q == 0:
-            out = self.target_cc.chain_from_simplex((self.subdivided.vertex_index[bary],))
-            self._memo[simplex] = out
-            return out
-        # Sd(sigma) = b_sigma . Sd(d sigma)
-        acc = [ZERO] * self.target_cc.n(q - 1)
-        for i in range(len(simplex)):
-            face = simplex[:i] + simplex[i + 1 :]
-            sub = self._subdivide_simplex(face)
-            sgn = (-ONE) ** i
-            for k, b in enumerate(sub.coeffs):
-                if b:
-                    acc[k] += sgn * b
-        coned = cone(bary, Chain(q - 1, tuple(acc)), self.target_cc)
-        self._memo[simplex] = coned
-        return coned
 
     def matrix(self, q: int) -> SparseMatrix:
-        if q in self._matrices:
-            return self._matrices[q]
-        cols = self.source_cc.n(q)
-        rows = self.target_cc.n(q)
-        ent = {}
-        for j, s in enumerate(self.source_cc.basis(q)):
-            image = self._subdivide_simplex(s)
-            for i, v in enumerate(image.coeffs):
-                if v:
-                    ent[(i, j)] = v
-        m = SparseMatrix(rows, cols, ent)
-        self._matrices[q] = m
-        return m
+        """Sd_# on C_q: a q-simplex goes to its flags, each with sign sgn(pi).
 
-    def apply(self, z: Chain) -> Chain:
-        return Chain(z.degree, self.matrix(z.degree).apply(z.coeffs))
+        This is the recursion Sd(s) = b_s . Sd(ds) unrolled.  b_s sorts last
+        in Sd X, so coning a (k-1)-chain over it gives (-1)^k, and dropping
+        vertex i of a simplex gives (-1)^i.  Along the flag of pi the
+        exponents add up to q(q+1) - inv(pi), which has the parity of inv(pi).
+        """
+        m = self._matrices.get(q)
+        if m is None:
+            x, sd = self.source, self.subdivided
+            bary = {
+                s: sd.vertex_index[_bary_name(x, s)] for p in range(q + 1) for s in x.basis(p)
+            }
+            ent = {}
+            for j, s in enumerate(x.basis(q)):
+                for sign, flag in flags(s):
+                    ent[(sd.simplex_id(q, tuple(bary[f] for f in flag)), j)] = sign
+            m = SparseMatrix(self.target_cc.n(q), self.source_cc.n(q), ent)
+            self._matrices[q] = m
+        return m
 
 
 def subdivision_chain_map(x: SimplicialComplex) -> SubdivisionMap:

@@ -417,6 +417,19 @@ def _bary_name(x: SimplicialComplex, simplex) -> str:
     return BARY_SEP.join(str(x.vertices[i]) for i in simplex)
 
 
+def flags(simplex):
+    """The signed full flags s_0 < s_1 < ... < s_q of faces of ``simplex``.
+
+    One flag per ordering pi of the vertices, in ``permutations`` order:
+    s_k is spanned by the first k + 1 vertices of pi.  The sign is sgn(pi),
+    the parity of pi's inversions against the increasing order.
+    """
+    for perm in permutations(simplex):
+        inversions = sum(a > b for k, b in enumerate(perm) for a in perm[:k])
+        flag = tuple(tuple(sorted(perm[: k + 1])) for k in range(len(perm)))
+        yield (-1) ** inversions, flag
+
+
 def barycentric_subdivide(x: SimplicialComplex):
     """Order complex of the face poset, plus the vertex provenance table.
 
@@ -430,11 +443,10 @@ def barycentric_subdivide(x: SimplicialComplex):
     names = {s: _bary_name(x, s) for s in order}
     provenance = {names[s]: x.simplex_names(s) for s in order}
 
-    # Maximal flags: one per permutation of each maximal simplex's vertices.
+    # Maximal simplices: the flags of each maximal simplex of x.
     sd_maximal = []
     for top in sorted(x.maximal_simplices(), key=lambda s: (len(s), s)):
-        for perm in permutations(top):
-            flag = [tuple(sorted(perm[: r + 1])) for r in range(len(perm))]
+        for _, flag in flags(top):
             sd_maximal.append(tuple(names[s] for s in flag))
     vertex_order = [names[s] for s in order]
     sd = validate(

@@ -21,7 +21,7 @@ computable factorwise.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complex import SimplicialMap, manifold_check, orient
+from .complex import SimplicialMap, orient
 from .errors import (
     DegreeMismatch,
     DimensionMismatch,
@@ -262,11 +262,15 @@ def transfers(f: SimplicialMap, dx: DualityOperator, dy: DualityOperator) -> Tra
 
 
 def degree(f: SimplicialMap, dx: DualityOperator, dy: DualityOperator) -> Fraction:
-    """The integer d with f_*[zeta_X] = d [zeta_Y]."""
+    """The integer d with f_*[zeta_X] = d [zeta_Y].
+
+    Y is connected: ``dy`` oriented it, which needs a strongly connected
+    pure complex.
+    """
+    if f.domain is not dx.space.complex or f.codomain is not dy.space.complex:
+        raise DimensionMismatch("degree: duality operators do not match the map")
     if dx.n != dy.n:
         raise DimensionMismatch("degree needs equal-dimensional manifolds")
-    if not manifold_check(f.codomain).connected:
-        raise NotClosed("degree needs a connected codomain")
     return _pushed_degree(induced_map(f, dx.space.homology, dy.space.homology), dx, dy)
 
 

@@ -38,10 +38,6 @@ class NonOrientable(TopologyError):
     """Sign propagation over the dual graph reached a contradiction."""
 
 
-class ConeNotDefined(TopologyError):
-    """A chain simplex does not span a simplex together with the cone point."""
-
-
 class DegreeMismatch(TopologyError):
     """Classes fed to a pairing or product live in incompatible degrees."""
 
@@ -60,7 +56,3 @@ class SingularPairing(TopologyError):
 
 class SingularDuality(TopologyError):
     """Cap with the fundamental class is not invertible in some degree."""
-
-
-class ApproximationUnavailable(TopologyError):
-    """A subdivided map could not be recomputed as a simplicial vertex map."""

@@ -26,10 +26,11 @@ every later pivot.  Because the RREF itself is canonical, every derived
 basis (kernel, image, homology representatives) is reproducible no matter
 how the pivot rows were picked or in which order they were reduced.
 
-Linear-programming feasibility is decided by exact Gaussian elimination of
-the equality constraints followed by Fourier-Motzkin elimination of the
-inequality system; the certificate of feasibility is an explicit rational
-point.
+Linear-programming feasibility reads the equality constraints off the same
+reduction of [A | b] that ``solve`` makes, substitutes each pivot
+variable's RREF row into the inequalities, and decides what is left by
+Fourier-Motzkin elimination over the free variables; the certificate of
+feasibility is an explicit rational point.
 """
 
 from fractions import Fraction
@@ -231,6 +232,8 @@ def _rref(rows, ncols):
     visit only those rows.  Rows come back holding ``int`` and
     ``Fraction`` values; ``Solver`` hands out only ``Fraction``.
     """
+    if not rows:
+        return []
     holders = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j, v in row.items():
@@ -355,12 +358,12 @@ def image_basis(m: SparseMatrix):
     return Solver(m).image()
 
 
-def solve(m: SparseMatrix, b):
-    """Exact particular solution of M x = b, or None if inconsistent.
+def _reduce_augmented(m: SparseMatrix, b):
+    """The ``Solver`` of [M | b], or None when M x = b is inconsistent.
 
-    One elimination of [M | b]: b is in the column space iff its column,
-    ``m.cols``, gets no pivot.  Then, with the free variables 0, x at each
-    pivot column c is the last entry of the RREF row of pivot c.
+    b is in the column space iff its column, ``m.cols``, gets no pivot.
+    The RREF row of pivot c then reads x_c = r[m.cols] - sum of r[j] x_j
+    over the free columns j.
     """
     if len(b) != m.rows:
         raise ValueError("rhs length does not match row count")
@@ -371,11 +374,21 @@ def solve(m: SparseMatrix, b):
         if v:
             aug.entries[(i, n)] = _fraction(v)
     s = Solver(aug)
-    if n in s.pivot_cols:
+    return None if n in s.pivot_cols else s
+
+
+def solve(m: SparseMatrix, b):
+    """Exact particular solution of M x = b, or None if inconsistent.
+
+    One elimination of [M | b].  With the free variables 0, x at each
+    pivot column c is the last entry of the RREF row of pivot c.
+    """
+    s = _reduce_augmented(m, b)
+    if s is None:
         return None
-    x = [ZERO] * n
+    x = [ZERO] * m.cols
     for r, c in s.pivots:
-        x[c] = _fraction(s.rref_rows[r].get(n, ZERO))
+        x[c] = _fraction(s.rref_rows[r].get(m.cols, ZERO))
     return tuple(x)
 
 
@@ -468,10 +481,14 @@ def lp_feasible(constraints, nvars: int):
 
     ``constraints`` is a list of (coeffs, op, rhs) with op one of "<=",
     ">=", "==".  Returns a feasible point as a tuple of Fractions, or None
-    when the system is infeasible.  Equalities are eliminated by exact
-    Gaussian substitution, the residual inequalities by Fourier-Motzkin.
+    when the system is infeasible.  The equalities A x = b are reduced
+    once, as [A | b] is for ``solve``: the RREF row of each pivot variable
+    gives it in terms of the free variables, and substituting those rows
+    into the inequalities leaves a system over the free variables alone,
+    which Fourier-Motzkin elimination decides.
     """
-    eqs = []
+    eqs = {}  # (row, col) -> coefficient of the equality constraints
+    rhs_eq = []
     ineqs = []  # stored as (coeffs list, rhs) meaning coeffs . x <= rhs
     for coeffs, op, rhs in constraints:
         coeffs = [Fraction(c) for c in coeffs]
@@ -479,7 +496,8 @@ def lp_feasible(constraints, nvars: int):
             raise ValueError("constraint arity does not match nvars")
         rhs = Fraction(rhs)
         if op == EQ:
-            eqs.append((coeffs, rhs))
+            eqs.update(((len(rhs_eq), j), c) for j, c in enumerate(coeffs) if c)
+            rhs_eq.append(rhs)
         elif op == LE:
             ineqs.append((coeffs, rhs))
         elif op == GE:
@@ -487,41 +505,10 @@ def lp_feasible(constraints, nvars: int):
         else:
             raise ValueError(f"unknown relation {op!r}")
 
-    # Eliminate equalities: substitution map pivot var -> affine expr in the rest.
-    subs = {}  # var -> (coeffs over all vars with zeros at solved vars, const)
-    for coeffs, rhs in eqs:
-        coeffs = list(coeffs)
-        const = rhs
-        for v, (expr, c0) in subs.items():
-            f = coeffs[v]
-            if f:
-                coeffs[v] = ZERO
-                for j in range(nvars):
-                    coeffs[j] += f * expr[j]
-                const -= f * c0
-        pivot = None
-        for j in range(nvars):
-            if coeffs[j] and j not in subs:
-                pivot = j
-                break
-        if pivot is None:
-            if const != 0:
-                return None
-            continue
-        pv = coeffs[pivot]
-        expr = [-c / pv if j != pivot else ZERO for j, c in enumerate(coeffs)]
-        c0 = const / pv
-        # Re-normalize previous substitutions against the new one.
-        for v, (e, k) in list(subs.items()):
-            f = e[pivot]
-            if f:
-                e = list(e)
-                e[pivot] = ZERO
-                for j in range(nvars):
-                    e[j] += f * expr[j]
-                subs[v] = (e, k + f * c0)
-        subs[pivot] = (expr, c0)
-
+    s = _reduce_augmented(SparseMatrix(len(rhs_eq), nvars, eqs), rhs_eq)
+    if s is None:
+        return None
+    subs = {c: s.rref_rows[r] for r, c in s.pivots}  # pivot var -> its RREF row
     solved = sorted(subs)
     free = [j for j in range(nvars) if j not in subs]
     index = {v: k for k, v in enumerate(free)}
@@ -533,11 +520,12 @@ def lp_feasible(constraints, nvars: int):
         for v in solved:
             f = coeffs[v]
             if f:
-                expr, c0 = subs[v]
                 coeffs[v] = ZERO
-                for j in range(nvars):
-                    coeffs[j] += f * expr[j]
-                const -= f * c0
+                for j, e in subs[v].items():
+                    if j == nvars:
+                        const -= f * e
+                    elif j != v:
+                        coeffs[j] -= f * e
         row = [ZERO] * len(free)
         for j in range(nvars):
             if coeffs[j]:
@@ -552,8 +540,8 @@ def lp_feasible(constraints, nvars: int):
     for k, v in enumerate(free):
         full[v] = point[k]
     for v in solved:
-        expr, c0 = subs[v]
-        full[v] = c0 + sum((expr[j] * full[j] for j in range(nvars)), ZERO)
+        rest = sum((e * full[j] for j, e in subs[v].items() if j != v and j != nvars), ZERO)
+        full[v] = subs[v].get(nvars, ZERO) - rest
     return tuple(full)
 
 

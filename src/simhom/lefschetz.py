@@ -34,24 +34,14 @@ before returning it.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complex import (
-    GeometricPoint,
-    SimplicialComplex,
-    SimplicialMap,
-    check_simplicial,
-)
+from .complex import GeometricPoint, SimplicialComplex, SimplicialMap
 from .duality import (
     DualityOperator,
     ProductDuality,
     duality_operator,
     transfers,
 )
-from .errors import (
-    ApproximationUnavailable,
-    DegreeMismatch,
-    DimensionMismatch,
-    NotSimplicial,
-)
+from .errors import DegreeMismatch, DimensionMismatch
 from .exactlin import ONE, ZERO, dense_mul, dense_trace, lp_feasible, qstr
 from .homology import (
     COHOMOLOGY,
@@ -377,29 +367,6 @@ def _search_complex(f, g, x):
         if sol is not None:
             return {v: t for v, t in zip(verts, sol) if t != 0}
     return None
-
-
-def subdivide_map(f: SimplicialMap, sd: SimplicialComplex, provenance: dict) -> SimplicialMap:
-    """Simplicial approximation of f on the subdivided domain.
-
-    Each barycenter maps to the last vertex (in the codomain order) of the
-    image simplex; for simplicial f this is always simplicial, and a
-    failure is reported as ApproximationUnavailable.
-    """
-    names = f.vertex_map_names()
-    vm = {}
-    for new_vertex, orig_simplex in provenance.items():
-        images = sorted(
-            {names[v] for v in orig_simplex},
-            key=lambda w: f.codomain.vertex_index[w],
-        )
-        vm[new_vertex] = images[-1]
-    try:
-        return check_simplicial(vm, sd, f.codomain, name=f"Sd({f.name})")
-    except NotSimplicial as exc:
-        raise ApproximationUnavailable(
-            f"subdivided map {f.name!r} is no longer simplicial: {exc}"
-        ) from exc
 
 
 def coincidence_witness(f: SimplicialMap, g: SimplicialMap):

@@ -2,9 +2,10 @@
 
 The oracles recompute from first principles with plain dense row
 reduction over Fraction, sharing no code path with the package's sparse
-elimination or basis bookkeeping.  The ``oracle_gauss_jordan_rref`` and
-``oracle_select`` references are earlier versions of package routines,
-kept so that their replacements can be checked value for value.
+elimination or basis bookkeeping.  The ``oracle_gauss_jordan_rref``,
+``oracle_select``, ``oracle_subdivision_matrix`` and ``oracle_lp_feasible``
+references are earlier versions of package routines, kept so that their
+replacements can be checked value for value.
 """
 
 from fractions import Fraction
@@ -237,3 +238,143 @@ def oracle_select(leaving, entering):
         for j, v in rows[r].items():
             coords.setdefault(free[j - nb], {})[t] = v
     return leaving.kernel([free[c - nb] for _, c in kept]), coords
+
+
+def _oracle_cone(p, chain):
+    """Cone p.z of a chain {simplex: coefficient}: the sign is (-1)^k, k
+    the position of p in the sorted simplex; simplices holding p vanish."""
+    out = {}
+    for s, c in chain.items():
+        if p in s:
+            continue
+        t = tuple(sorted(s + (p,)))
+        out[t] = out.get(t, 0) + c * (-1) ** t.index(p)
+    return {t: c for t, c in out.items() if c}
+
+
+def oracle_subdivision_matrix(x, sd, q):
+    """Sd_# on C_q by recursive coning, the construction that
+    ``chains.SubdivisionMap`` used before it read the flags directly.
+
+    Sd(v) = b_v and Sd(s) = b_s . Sd(ds), with the barycenter b_s the
+    vertex of ``sd`` named by s's vertex names joined with "|".  Returns
+    the matrix entries {(row, col): Fraction} in the bases of ``sd`` and
+    ``x``.
+    """
+    memo = {}
+
+    def subdivide(s):
+        if s not in memo:
+            b = sd.vertex_index["|".join(str(x.vertices[i]) for i in s)]
+            if len(s) == 1:
+                memo[s] = {(b,): 1}
+            else:
+                acc = {}
+                for i in range(len(s)):
+                    for t, c in subdivide(s[:i] + s[i + 1 :]).items():
+                        acc[t] = acc.get(t, 0) + c * (-1) ** i
+                memo[s] = _oracle_cone(b, {t: c for t, c in acc.items() if c})
+        return memo[s]
+
+    rows = {s: k for k, s in enumerate(sd.basis(q))}
+    return {
+        (rows[t], j): Fraction(c)
+        for j, s in enumerate(x.basis(q))
+        for t, c in subdivide(s).items()
+    }
+
+
+def oracle_lp_feasible(constraints, nvars):
+    """``exactlin.lp_feasible`` with its own Gauss-Jordan substitution table
+    for the equalities, the version that reduced [A | b] by hand.
+
+    Only the equality elimination is the reference: the inequalities over
+    the free variables go to the package's ``_fourier_motzkin`` as before,
+    so the two must return the same point.
+    """
+    from simhom.exactlin import _fourier_motzkin as fourier_motzkin
+
+    eqs = []
+    ineqs = []  # stored as (coeffs list, rhs) meaning coeffs . x <= rhs
+    for coeffs, op, rhs in constraints:
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) != nvars:
+            raise ValueError("constraint arity does not match nvars")
+        rhs = Fraction(rhs)
+        if op == "==":
+            eqs.append((coeffs, rhs))
+        elif op == "<=":
+            ineqs.append((coeffs, rhs))
+        elif op == ">=":
+            ineqs.append(([-c for c in coeffs], -rhs))
+        else:
+            raise ValueError(f"unknown relation {op!r}")
+
+    # Eliminate equalities: substitution map pivot var -> affine expr in the rest.
+    subs = {}  # var -> (coeffs over all vars with zeros at solved vars, const)
+    for coeffs, rhs in eqs:
+        coeffs = list(coeffs)
+        const = rhs
+        for v, (expr, c0) in subs.items():
+            f = coeffs[v]
+            if f:
+                coeffs[v] = Fraction(0)
+                for j in range(nvars):
+                    coeffs[j] += f * expr[j]
+                const -= f * c0
+        pivot = None
+        for j in range(nvars):
+            if coeffs[j] and j not in subs:
+                pivot = j
+                break
+        if pivot is None:
+            if const != 0:
+                return None
+            continue
+        pv = coeffs[pivot]
+        expr = [-c / pv if j != pivot else Fraction(0) for j, c in enumerate(coeffs)]
+        c0 = const / pv
+        # Re-normalize previous substitutions against the new one.
+        for v, (e, k) in list(subs.items()):
+            f = e[pivot]
+            if f:
+                e = list(e)
+                e[pivot] = Fraction(0)
+                for j in range(nvars):
+                    e[j] += f * expr[j]
+                subs[v] = (e, k + f * c0)
+        subs[pivot] = (expr, c0)
+
+    solved = sorted(subs)
+    free = [j for j in range(nvars) if j not in subs]
+    index = {v: k for k, v in enumerate(free)}
+
+    reduced = []  # rows over free vars: (coeffs, rhs)
+    for coeffs, rhs in ineqs:
+        coeffs = list(coeffs)
+        const = rhs
+        for v in solved:
+            f = coeffs[v]
+            if f:
+                expr, c0 = subs[v]
+                coeffs[v] = Fraction(0)
+                for j in range(nvars):
+                    coeffs[j] += f * expr[j]
+                const -= f * c0
+        row = [Fraction(0)] * len(free)
+        for j in range(nvars):
+            if coeffs[j]:
+                row[index[j]] = coeffs[j]
+        reduced.append((row, const))
+
+    point = fourier_motzkin(reduced, len(free))
+    if point is None:
+        return None
+
+    full = [Fraction(0)] * nvars
+    for k, v in enumerate(free):
+        full[v] = point[k]
+    for v in solved:
+        expr, c0 = subs[v]
+        full[v] = c0 + sum((expr[j] * full[j] for j in range(nvars)), Fraction(0))
+    return tuple(full)

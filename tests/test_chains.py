@@ -1,22 +1,22 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from simhom import catalog
 from simhom.chains import (
-    Chain,
-    boundary_of,
     build_chain_complex,
     build_relative,
-    cone,
     induced_chain_map,
     sort_sign,
     subdivision_chain_map,
 )
-from simhom.complex import identity_map, validate
-from simhom.errors import ConeNotDefined, NotSubcomplex
+from simhom.complex import barycentric_subdivide, identity_map, validate
+from simhom.errors import NotSubcomplex
 from simhom.exactlin import SparseMatrix
+
+from oracles import oracle_subdivision_matrix
 
 F = Fraction
 
@@ -182,70 +182,6 @@ def test_chain_map_identity_on_catalog_maps():
             assert lhs == rhs, (name, q)
 
 
-def test_cone_of_vertex_is_signed_edge():
-    x = validate([["a", "p"]], name="seg")
-    cc = build_chain_complex(x)
-    z = cc.chain_from_simplex((x.vertex_index["a"],))
-    coned = cone("p", z, cc)
-    # p.a = -[a,p] because p sorts after a
-    assert coned.coeffs == (F(-1),)
-    bd = boundary_of(coned, cc)
-    # d(p.a) = a - p
-    av, pv = x.vertex_index["a"], x.vertex_index["p"]
-    assert bd.coeffs[av] == F(1) and bd.coeffs[pv] == F(-1)
-
-
-def test_cone_of_zero_chain():
-    cc = build_chain_complex(catalog.triangle2())
-    z = cc.zero_chain(0)
-    assert cone("a", z, cc).is_zero()
-
-
-def test_cone_opposite_edge_gives_triangle():
-    x = catalog.triangle2()
-    cc = build_chain_complex(x)
-    z = cc.chain_from_simplex(tuple(x.vertex_index[v] for v in ("b", "c")))
-    coned = cone("a", z, cc)
-    assert [abs(c) for c in coned.coeffs] == [F(1)]
-
-
-def test_cone_identity_on_cone_chains():
-    # d(p.z) = z - p.(dz) for chains in a genuine cone (the disk over "a")
-    x = catalog.triangle2()
-    cc = build_chain_complex(x)
-    rng = random.Random(3)
-    for _ in range(20):
-        q = rng.choice([1])
-        z = Chain(q, tuple(F(rng.randint(-2, 2)) for _ in range(cc.n(q))))
-        lhs = boundary_of(cone("a", z, cc), cc)
-        rhs_chain = cone("a", boundary_of(z, cc), cc)
-        rhs = tuple(a - b for a, b in zip(z.coeffs, rhs_chain.coeffs))
-        assert lhs.coeffs == rhs
-
-
-def test_cone_degree_zero_rule():
-    # d(p.z) = z - eps(z) p for 0-chains
-    x = catalog.triangle2()
-    cc = build_chain_complex(x)
-    rng = random.Random(5)
-    pv = x.vertex_index["a"]
-    for _ in range(10):
-        z = Chain(0, tuple(F(rng.randint(-2, 2)) for _ in range(3)))
-        eps = sum(z.coeffs)
-        lhs = boundary_of(cone("a", z, cc), cc)
-        expected = list(z.coeffs)
-        expected[pv] -= eps
-        assert lhs.coeffs == tuple(expected)
-
-
-def test_cone_not_defined():
-    x = catalog.hexagon()
-    cc = build_chain_complex(x)
-    z = cc.chain_from_simplex(tuple(x.vertex_index[v] for v in ("v2", "v3")))
-    with pytest.raises(ConeNotDefined):
-        cone("v0", z, cc)
-
-
 def test_subdivision_edge():
     x = validate([["a", "b"]], name="edge")
     sd_map = subdivision_chain_map(x)
@@ -283,3 +219,27 @@ def test_subdivision_is_chain_map():
             lhs = sd_map.target_cc.boundary(q) @ sd_map.matrix(q)
             rhs = sd_map.matrix(q - 1) @ sd_map.source_cc.boundary(q)
             assert lhs == rhs, (name, q)
+
+
+def _subdivision_inputs():
+    for name in catalog.COMPLEX_BUILDERS:
+        yield catalog.get_complex(name)
+    for name in ["torus", "genus2", "octahedron"]:
+        yield barycentric_subdivide(catalog.get_complex(name))[0]
+    for name, n, r in (("simplex3", 4, 4), ("boundary_simplex4", 5, 4)):
+        vertices = [f"v{i}" for i in range(n)]
+        for seed in (1, 2):
+            order = list(vertices)
+            random.Random(seed).shuffle(order)
+            yield validate(list(combinations(vertices, r)), name=name, vertex_order=order)
+
+
+def test_subdivision_matrix_matches_coning_oracle():
+    for x in _subdivision_inputs():
+        sd_map = subdivision_chain_map(x)
+        for q in range(x.dim + 1):
+            m = sd_map.matrix(q)
+            assert (m.rows, m.cols) == (sd_map.subdivided.n_simplices(q), x.n_simplices(q))
+            expected = oracle_subdivision_matrix(x, sd_map.subdivided, q)
+            assert m.entries == expected, (x.name, q)
+            assert all(type(v) is Fraction for v in m.entries.values())

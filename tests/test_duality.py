@@ -13,7 +13,7 @@ from simhom.duality import (
     intersection,
     transfers,
 )
-from simhom.errors import NonOrientable, NotClosed, SingularDuality
+from simhom.errors import DimensionMismatch, NonOrientable, NotClosed, SingularDuality
 from simhom.exactlin import ONE, ZERO, dense_eq, dense_identity, dense_mul, vec_is_zero
 from simhom.homology import (
     HClass,
@@ -207,6 +207,15 @@ def test_degrees_of_catalog_maps():
         dy = duality_operator(space(cod)) if dom != cod else dx
         assert degree(f, dx, dy) == expected, name
         assert transfers(f, dx, dy).degree() == expected, name
+
+
+def test_degree_rejects_operators_of_other_complexes():
+    f = catalog.hex_wrap2()  # hexagon -> triangle
+    dh, dt = duality_operator(space("hexagon")), duality_operator(space("triangle"))
+    for dx, dy in ((dh, dh), (dt, dt), (dt, dh)):
+        with pytest.raises(DimensionMismatch):
+            degree(f, dx, dy)
+    assert degree(f, dh, dt) == 2
 
 
 def test_suite_duality_builds_each_induced_map_once(monkeypatch):

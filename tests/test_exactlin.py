@@ -25,7 +25,7 @@ from simhom.exactlin import (
     vec_is_zero,
 )
 
-from oracles import dense_rref, oracle_gauss_jordan_rref
+from oracles import dense_rref, oracle_gauss_jordan_rref, oracle_lp_feasible
 
 F = Fraction
 
@@ -56,6 +56,9 @@ def test_kernel_trivial_cases():
     assert kernel_basis(SparseMatrix.identity(3)) == []
     row = SparseMatrix.from_dense([[1, 1, 1]])
     assert len(kernel_basis(row)) == 2
+    empty = Solver(SparseMatrix(0, 4))  # the shape of d_0 and delta^dim
+    assert empty.rank == 0 and empty.free_cols() == [0, 1, 2, 3]
+    assert empty.kernel() == [tuple(F(int(i == j)) for j in range(4)) for i in range(4)]
 
 
 def test_image_basis_dims():
@@ -256,6 +259,32 @@ def test_lp_random_feasible_points_satisfy_all():
                 assert val >= rhs
             else:
                 assert val == rhs
+
+
+def test_lp_matches_substitution_oracle():
+    # random systems, a third of them shaped like the witness LPs: a
+    # barycentric simplex cut by equalities with 0/+-1 coefficients
+    rng = random.Random(2718)
+    found = 0
+    for trial in range(600):
+        nv = rng.randint(1, 5)
+        cons = []
+        if trial % 3 == 0:
+            cons.append(([1] * nv, "==", 1))
+            cons += [([int(i == j) for j in range(nv)], ">=", 0) for i in range(nv)]
+            for _ in range(rng.randint(1, 4)):
+                cons.append(([rng.choice([-1, 0, 0, 1]) for _ in range(nv)], "==", 0))
+        else:
+            for _ in range(rng.randint(1, 6)):
+                coeffs = [_random_entry(rng) for _ in range(nv)]
+                op = rng.choice(["<=", ">=", "==", "=="])
+                cons.append((coeffs, op, _random_entry(rng)))
+        pt = lp_feasible(cons, nv)
+        assert pt == oracle_lp_feasible(cons, nv), cons
+        if pt is not None:
+            found += 1
+            assert all(type(v) is F for v in pt)
+    assert 100 <= found <= 500
 
 
 def _random_entry(rng):

@@ -75,6 +75,7 @@ def queries():
         ]
     out += [["degree", name] for name in catalog.MAP_BUILDERS]
     out += [["coincidence", f, g] for f, g, _, _, _ in COINCIDENCE_PAIRS]
+    out += [["coincidence", f, g, "--witness"] for f, g, _, _, _ in COINCIDENCE_PAIRS]
     for base in SD1_SEEDS:
         out += [
             ["homology", sd1_path(base), "--generators"],
