@@ -16,7 +16,6 @@ from .complex import (
     validate,
 )
 from .chains import (
-    Chain,
     ChainComplex,
     build_chain_complex,
     build_relative,

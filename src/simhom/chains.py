@@ -11,23 +11,11 @@ its (q+1)! flags, the same flags ``complex.barycentric_subdivide`` builds
 Sd X from; the sign of a flag is that of its vertex ordering.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .complex import SimplicialComplex, SimplicialMap, _bary_name, barycentric_subdivide, flags
 from .errors import NotSubcomplex
-from .exactlin import ONE, ZERO, SparseMatrix
-
-
-@dataclass(frozen=True)
-class Chain:
-    """Coefficient vector over the degree's simplex basis."""
-
-    degree: int
-    coeffs: tuple
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+from .exactlin import SparseMatrix
 
 
 class ChainComplex:
@@ -99,13 +87,6 @@ class ChainComplex:
             m.entries = {(j, i): v for (i, j), v in d.entries.items()}
             self._coboundary[q] = m
         return m
-
-    def chain_from_simplex(self, simplex) -> Chain:
-        simplex = tuple(simplex)
-        q = len(simplex) - 1
-        coeffs = [ZERO] * self.n(q)
-        coeffs[self.simplex_id(q, simplex)] = ONE
-        return Chain(q, tuple(coeffs))
 
 
 def build_chain_complex(x: SimplicialComplex) -> ChainComplex:

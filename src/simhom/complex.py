@@ -11,7 +11,6 @@ simplices; a successful propagation also delivers the signs of the
 fundamental cycle.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -169,63 +168,136 @@ class ManifoldReport:
 
 
 def _facet_incidences(x: SimplicialComplex):
-    """Map each (n-1)-simplex to the list of top simplex ids containing it."""
+    """The signed facet table: each (n-1)-simplex -> its (top id, (-1)^i) pairs.
+
+    i is the facet's position in the top simplex, so (-1)^i is the sign the
+    top simplex's boundary gives it.  Facets appear in the complex's order.
+    """
     inc = {f: [] for f in x.basis(x.dim - 1)}
     for t, top in enumerate(x.top_simplices()):
         for i in range(len(top)):
-            facet = top[:i] + top[i + 1 :]
-            inc[facet].append(t)
+            inc[top[:i] + top[i + 1 :]].append((t, -1 if i & 1 else 1))
     return inc
 
 
-def manifold_check(x: SimplicialComplex) -> ManifoldReport:
-    """Report whether the complex is a closed pseudo-manifold."""
+def _dual_walk(n_tops: int, inc):
+    """One breadth-first walk of the dual graph from top simplex 0.
+
+    Two top simplices are linked when they are the only two containing a
+    facet.  The link carries the relative sign -(-1)^i (-1)^j under which
+    the facet's two induced orientations cancel.  Top simplex 0 gets +1 and
+    the signs spread along the links.  Returns (signs, coherent): sign 0
+    marks a top simplex the walk did not reach, and ``coherent`` is False
+    when a link contradicts signs already set.
+    """
+    links = [[] for _ in range(n_tops)]
+    for pair in inc.values():
+        if len(pair) == 2:
+            (a, sa), (b, sb) = pair
+            rel = -sa * sb
+            links[a].append((b, rel))
+            links[b].append((a, rel))
+    signs = [0] * n_tops
+    coherent = True
+    if n_tops:
+        signs[0] = 1
+        order = [0]
+        for t in order:  # grows while it is walked
+            st = signs[t]
+            for u, rel in links[t]:
+                if not signs[u]:
+                    signs[u] = st * rel
+                    order.append(u)
+                elif signs[u] != st * rel:
+                    coherent = False
+    return signs, coherent
+
+
+def _analyse(x: SimplicialComplex):
+    """The manifold report and the walk's signs, from one facet table and one walk.
+
+    Returns (report, signs, coherent) as ``_dual_walk`` defines them.  The
+    complex is strongly connected when the walk reaches every top simplex.
+    A pure, strongly connected complex is connected: every vertex lies in a
+    top simplex.  Only other complexes search the vertex graph.
+    """
     n = x.dim
-    pure = len(x.maximal_simplices()) == len(x.top_simplices())
-    if n <= 0:
+    tops = x.top_simplices()
+    if n <= 0:  # every simplex is a top simplex, so the complex is pure
         connected = x.n_simplices(0) == 1
-        return ManifoldReport(
+        report = ManifoldReport(
             dimension=n,
-            pure=pure,
-            closed=pure,
+            pure=True,
+            closed=True,
             facet_incidences_ok=True,
             strongly_connected=connected,
             connected=connected,
             boundary_facets=(),
-            is_closed_pseudo_manifold=pure and connected,
+            is_closed_pseudo_manifold=connected,
             vertex_links_ok=True,
         )
+        return report, [1] * len(tops), True
     inc = _facet_incidences(x)
-    boundary = tuple(f for f, ts in sorted(inc.items()) if len(ts) == 1)
+    pure = _is_pure(x, inc)
+    boundary = tuple(f for f, ts in inc.items() if len(ts) == 1)
     ok = all(len(ts) <= 2 for ts in inc.values())
     closed = ok and not boundary and pure
-
-    tops = x.top_simplices()
-    adj = {t: [] for t in range(len(tops))}
-    for ts in inc.values():
-        if len(ts) == 2:
-            a, b = ts
-            adj[a].append(b)
-            adj[b].append(a)
-    strongly = _connected_over(range(len(tops)), adj) if tops else False
-
-    vadj = {i: set() for i in range(len(x.vertices))}
-    for e in x.basis(1):
-        vadj[e[0]].add(e[1])
-        vadj[e[1]].add(e[0])
-    connected = _connected_over(range(len(x.vertices)), {k: sorted(v) for k, v in vadj.items()})
-
-    return ManifoldReport(
+    signs, coherent = _dual_walk(len(tops), inc)
+    strongly = bool(tops) and all(signs)
+    report = ManifoldReport(
         dimension=n,
         pure=pure,
         closed=closed,
         facet_incidences_ok=ok,
         strongly_connected=strongly,
-        connected=connected,
+        connected=(pure and strongly) or _vertices_connected(x),
         boundary_facets=tuple(x.simplex_names(f) for f in boundary),
         is_closed_pseudo_manifold=pure and closed and strongly,
         vertex_links_ok=_vertex_links_ok(x) if n <= 2 else None,
     )
+    return report, signs, coherent
+
+
+def _is_pure(x: SimplicialComplex, inc) -> bool:
+    """Whether every simplex lies in a top simplex, so that no maximal
+    simplex is lower-dimensional.  Each (n-1)-simplex does when its facet
+    table entry is not empty, and each lower q-simplex when it is a face
+    of a (q+1)-simplex."""
+    if not all(inc.values()):
+        return False
+    for q in range(x.dim - 1):
+        covered = set()
+        for s in x.basis(q + 1):
+            for i in range(len(s)):
+                covered.add(s[:i] + s[i + 1 :])
+        if len(covered) != x.n_simplices(q):
+            return False
+    return True
+
+
+def manifold_check(x: SimplicialComplex) -> ManifoldReport:
+    """Report whether the complex is a closed pseudo-manifold."""
+    return _analyse(x)[0]
+
+
+def _vertices_connected(x: SimplicialComplex) -> bool:
+    """Whether the vertex graph (the 1-skeleton) is connected and not empty."""
+    nv = len(x.vertices)
+    if not nv:
+        return False
+    nbrs = [[] for _ in range(nv)]
+    for a, b in x.basis(1):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    seen = [False] * nv
+    seen[0] = True
+    order = [0]
+    for v in order:  # grows while it is walked
+        for w in nbrs[v]:
+            if not seen[w]:
+                seen[w] = True
+                order.append(w)
+    return len(order) == nv
 
 
 def _vertex_links_ok(x: SimplicialComplex) -> bool:
@@ -234,15 +306,18 @@ def _vertex_links_ok(x: SimplicialComplex) -> bool:
     Dimension 1: every vertex lies in exactly two edges.  Dimension 2: the
     link of every vertex is a single closed cycle (distinguishes genuine
     surfaces from pinched pseudo-manifolds).  Every link is read off one
-    pass over the triangles.
+    pass over the triangles, and walked once around the cycle through its
+    first vertex: the link is one cycle exactly when every vertex the walk
+    meets has degree 2 and the walk meets them all.  A walk longer than the
+    link has vertices is no single cycle, so every walk ends.
     """
     n = x.dim
     if n == 1:
-        counts = {v: 0 for v in range(len(x.vertices))}
-        for e in x.basis(1):
-            counts[e[0]] += 1
-            counts[e[1]] += 1
-        return all(c == 2 for c in counts.values())
+        counts = [0] * len(x.vertices)
+        for a, b in x.basis(1):
+            counts[a] += 1
+            counts[b] += 1
+        return all(c == 2 for c in counts)
     if n != 2:
         return True
     star = [[] for _ in x.vertices]  # vertex -> edges of its link
@@ -253,34 +328,21 @@ def _vertex_links_ok(x: SimplicialComplex) -> bool:
     for link_edges in star:
         if not link_edges:
             return False
-        deg = {}
+        nbrs = {}
         for a, b in link_edges:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        if any(d != 2 for d in deg.values()):
-            return False
-        adj = {}
-        for a, b in link_edges:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        if not _connected_over(sorted(adj), adj):
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+        start = prev = link_edges[0][0]
+        cur, steps = link_edges[0][1], 1
+        while cur != start:
+            ws = nbrs[cur]
+            if len(ws) != 2 or steps == len(nbrs):
+                return False
+            prev, cur = cur, ws[1] if ws[0] == prev else ws[0]
+            steps += 1
+        if steps != len(nbrs) or len(nbrs[start]) != 2:
             return False
     return True
-
-
-def _connected_over(nodes, adj):
-    nodes = list(nodes)
-    if not nodes:
-        return False
-    seen = {nodes[0]}
-    todo = deque([nodes[0]])
-    while todo:
-        cur = todo.popleft()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return len(seen) == len(nodes)
 
 
 @dataclass(frozen=True)
@@ -297,47 +359,16 @@ def orient(x: SimplicialComplex) -> OrientationData:
     """Coherent orientation by sign propagation over the dual graph.
 
     The first top simplex in canonical order is assigned +1; signs spread
-    by breadth-first traversal.  Raises NotClosed for non-pseudo-manifolds
-    and NonOrientable when propagation meets a contradiction.
+    by the breadth-first walk that also decides strong connectivity, over
+    the facet table the manifold report is read from.  Raises NotClosed
+    for non-pseudo-manifolds and NonOrientable when propagation meets a
+    contradiction.
     """
-    report = manifold_check(x)
+    report, signs, coherent = _analyse(x)
     if not report.is_closed_pseudo_manifold:
         raise NotClosed(f"{x.name!r} is not a closed pseudo-manifold: {report}")
-    n = x.dim
-    tops = x.top_simplices()
-    if n == 0:
-        return OrientationData(signs=(1,) * len(tops), coherent=True, report=report)
-    inc = _facet_incidences(x)
-    signs = [0] * len(tops)
-    signs[0] = 1
-    todo = deque([0])
-
-    def facet_sign(t, facet):
-        top = tops[t]
-        for i in range(len(top)):
-            if top[:i] + top[i + 1 :] == facet:
-                return (-1) ** i
-        raise AssertionError("facet not in top simplex")
-
-    facets_of = [
-        [top[:i] + top[i + 1 :] for i in range(len(top))] for top in tops
-    ]
-    while todo:
-        t = todo.popleft()
-        for facet in facets_of[t]:
-            pair = inc[facet]
-            if len(pair) != 2:
-                raise NotClosed(f"facet {facet} lies in {len(pair)} top simplices")
-            other = pair[0] if pair[1] == t else pair[1]
-            induced = signs[t] * facet_sign(t, facet)
-            needed = -induced * facet_sign(other, facet)
-            if signs[other] == 0:
-                signs[other] = needed
-                todo.append(other)
-            elif signs[other] != needed:
-                raise NonOrientable(f"{x.name!r} admits no coherent orientation")
-    if any(s == 0 for s in signs):
-        raise NotClosed(f"{x.name!r}: dual graph not connected")
+    if not coherent:
+        raise NonOrientable(f"{x.name!r} admits no coherent orientation")
     return OrientationData(signs=tuple(signs), coherent=True, report=report)
 
 

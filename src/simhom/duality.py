@@ -103,7 +103,9 @@ class DualityOperator:
         self._inverse = {}
         self._dual_basis = {}
         self._lefschetz = None  # Lambda_X, built and verified by lefschetz_class
-        zeta = fundamental.cls.chain()
+        # H_n = Z_n (there are no (n+1)-simplices), so the top cycle is its
+        # class's chain exactly
+        zeta = fundamental.chain
         for q in range(self.n + 1):
             bq = space.cohomology.betti(q)
             bnq = space.homology.betti(self.n - q)

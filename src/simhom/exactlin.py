@@ -245,7 +245,14 @@ def _rref(rows, ncols):
         candidates = holders[col]
         if not candidates:
             continue
-        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        # the fewest nonzeros, ties by lowest index; a lone candidate at once
+        it = iter(candidates)
+        p = next(it)
+        best = len(rows[p])
+        for i in it:
+            k = len(rows[i])
+            if k < best or (k == best and i < p):
+                p, best = i, k
         prow = rows[p]
         for j in prow:
             holders[j].discard(p)

@@ -2,12 +2,14 @@
 
 The oracles recompute from first principles with plain dense row
 reduction over Fraction, sharing no code path with the package's sparse
-elimination or basis bookkeeping.  The ``oracle_gauss_jordan_rref``,
-``oracle_select``, ``oracle_subdivision_matrix`` and ``oracle_lp_feasible``
-references are earlier versions of package routines, kept so that their
-replacements can be checked value for value.
+elimination or basis bookkeeping.  The ``oracle_manifold_check``,
+``oracle_orient``, ``oracle_gauss_jordan_rref``, ``oracle_select``,
+``oracle_subdivision_matrix`` and ``oracle_lp_feasible`` references are
+earlier versions of package routines, kept so that their replacements can
+be checked value for value.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -133,6 +135,135 @@ def oracle_vertex_links_ok(x):
         if len(seen) != len(nbrs):
             return False
     return True
+
+
+def _oracle_facet_incidences(x):
+    """Map each (n-1)-simplex to the list of top simplex ids containing it."""
+    inc = {f: [] for f in x.basis(x.dim - 1)}
+    for t, top in enumerate(x.top_simplices()):
+        for i in range(len(top)):
+            facet = top[:i] + top[i + 1 :]
+            inc[facet].append(t)
+    return inc
+
+
+def _oracle_connected_over(nodes, adj):
+    nodes = list(nodes)
+    if not nodes:
+        return False
+    seen = {nodes[0]}
+    todo = deque([nodes[0]])
+    while todo:
+        cur = todo.popleft()
+        for nxt in adj[cur]:
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return len(seen) == len(nodes)
+
+
+def oracle_manifold_check(x):
+    """``complex.manifold_check`` as it built its own unsigned incidence
+    table and searched both the dual graph and the vertex graph, with
+    ``oracle_vertex_links_ok`` for the link condition."""
+    from simhom.complex import ManifoldReport
+
+    n = x.dim
+    pure = len(x.maximal_simplices()) == len(x.top_simplices())
+    if n <= 0:
+        connected = x.n_simplices(0) == 1
+        return ManifoldReport(
+            dimension=n,
+            pure=pure,
+            closed=pure,
+            facet_incidences_ok=True,
+            strongly_connected=connected,
+            connected=connected,
+            boundary_facets=(),
+            is_closed_pseudo_manifold=pure and connected,
+            vertex_links_ok=True,
+        )
+    inc = _oracle_facet_incidences(x)
+    boundary = tuple(f for f, ts in sorted(inc.items()) if len(ts) == 1)
+    ok = all(len(ts) <= 2 for ts in inc.values())
+    closed = ok and not boundary and pure
+
+    tops = x.top_simplices()
+    adj = {t: [] for t in range(len(tops))}
+    for ts in inc.values():
+        if len(ts) == 2:
+            a, b = ts
+            adj[a].append(b)
+            adj[b].append(a)
+    strongly = _oracle_connected_over(range(len(tops)), adj) if tops else False
+
+    vadj = {i: set() for i in range(len(x.vertices))}
+    for e in x.basis(1):
+        vadj[e[0]].add(e[1])
+        vadj[e[1]].add(e[0])
+    connected = _oracle_connected_over(
+        range(len(x.vertices)), {k: sorted(v) for k, v in vadj.items()}
+    )
+
+    return ManifoldReport(
+        dimension=n,
+        pure=pure,
+        closed=closed,
+        facet_incidences_ok=ok,
+        strongly_connected=strongly,
+        connected=connected,
+        boundary_facets=tuple(x.simplex_names(f) for f in boundary),
+        is_closed_pseudo_manifold=pure and closed and strongly,
+        vertex_links_ok=oracle_vertex_links_ok(x) if n <= 2 else None,
+    )
+
+
+def oracle_orient(x):
+    """``complex.orient`` as it checked the manifold first, rebuilt the
+    incidences, searched each facet's position and walked the dual graph
+    a second time."""
+    from simhom.complex import OrientationData
+    from simhom.errors import NonOrientable, NotClosed
+
+    report = oracle_manifold_check(x)
+    if not report.is_closed_pseudo_manifold:
+        raise NotClosed(f"{x.name!r} is not a closed pseudo-manifold: {report}")
+    n = x.dim
+    tops = x.top_simplices()
+    if n == 0:
+        return OrientationData(signs=(1,) * len(tops), coherent=True, report=report)
+    inc = _oracle_facet_incidences(x)
+    signs = [0] * len(tops)
+    signs[0] = 1
+    todo = deque([0])
+
+    def facet_sign(t, facet):
+        top = tops[t]
+        for i in range(len(top)):
+            if top[:i] + top[i + 1 :] == facet:
+                return (-1) ** i
+        raise AssertionError("facet not in top simplex")
+
+    facets_of = [
+        [top[:i] + top[i + 1 :] for i in range(len(top))] for top in tops
+    ]
+    while todo:
+        t = todo.popleft()
+        for facet in facets_of[t]:
+            pair = inc[facet]
+            if len(pair) != 2:
+                raise NotClosed(f"facet {facet} lies in {len(pair)} top simplices")
+            other = pair[0] if pair[1] == t else pair[1]
+            induced = signs[t] * facet_sign(t, facet)
+            needed = -induced * facet_sign(other, facet)
+            if signs[other] == 0:
+                signs[other] = needed
+                todo.append(other)
+            elif signs[other] != needed:
+                raise NonOrientable(f"{x.name!r} admits no coherent orientation")
+    if any(s == 0 for s in signs):
+        raise NotClosed(f"{x.name!r}: dual graph not connected")
+    return OrientationData(signs=tuple(signs), coherent=True, report=report)
 
 
 def _oracle_div(v, p):

@@ -1,6 +1,8 @@
 import json
 
+from simhom import catalog
 from simhom.cli import main
+from simhom.complex import manifold_check
 
 
 def run(capsys, *argv):
@@ -37,23 +39,22 @@ def test_duality_command(capsys):
 
 
 def test_duality_checks_the_manifold_once(capsys, monkeypatch):
-    import sys
+    """One signed facet table per query: the manifold report and the
+    orientation are read off the same table and the same walk."""
+    import simhom.complex as cx
 
-    from simhom.complex import manifold_check as real
-
-    reports = []
+    real = cx._facet_incidences
+    builds = []
 
     def recording(x):
-        reports.append(real(x))
-        return reports[-1]
+        builds.append(x.name)
+        return real(x)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("simhom") and getattr(module, "manifold_check", None) is real:
-            monkeypatch.setattr(module, "manifold_check", recording)
+    monkeypatch.setattr(cx, "_facet_incidences", recording)
     code, data, _ = run_json(capsys, "duality", "torus")
     assert code == 0
-    assert len(reports) == 1
-    assert data["results"]["manifold"] == reports[0].to_json()
+    assert builds == ["torus"]
+    assert data["results"]["manifold"] == manifold_check(catalog.torus()).to_json()
 
 
 def test_duality_rejects_rp2_with_exit_2(capsys):

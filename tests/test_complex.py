@@ -1,8 +1,11 @@
 import json
+import os
+import random
 from fractions import Fraction
 
 import pytest
 
+import simhom.complex as cx
 from simhom import catalog
 from simhom.complex import (
     GeometricPoint,
@@ -29,6 +32,8 @@ from oracles import (
     face_closure,
     oracle_euler,
     oracle_facet_incidences,
+    oracle_manifold_check,
+    oracle_orient,
     oracle_vertex_links_ok,
 )
 
@@ -110,15 +115,24 @@ def test_vertex_links_on_catalog_surfaces():
     assert not manifold_check(catalog.interval()).vertex_links_ok
 
 
-def test_vertex_links_detect_pinched_wedge():
-    # two triangle fans sharing a single vertex: the shared link is two
-    # disjoint cycles, so the link condition fails
+def _wedge():
+    """Two triangle fans sharing a single vertex: the shared link is two
+    disjoint cycles."""
     faces = [["p", "a1", "b1"], ["p", "b1", "c1"], ["p", "c1", "a1"],
              ["p", "a2", "b2"], ["p", "b2", "c2"], ["p", "c2", "a2"],
              ["a1", "b1", "c1"], ["a2", "b2", "c2"]]
-    wedge = validate(faces, name="wedge")
-    rep = manifold_check(wedge)
+    return validate(faces, name="wedge")
+
+
+def test_vertex_links_detect_pinched_wedge():
+    rep = manifold_check(_wedge())
     assert not rep.vertex_links_ok
+
+
+def _read_data_complex(name):
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "data", name)) as fh:
+        return complex_from_json(json.load(fh))
 
 
 def _pinched_icosahedron():
@@ -132,22 +146,76 @@ def _pinched_icosahedron():
 def test_vertex_links_match_reference_scan(monkeypatch):
     """The one-pass star gives the same ManifoldReport as scanning every
     triangle once per vertex."""
-    import os
-
-    import simhom.complex as cx
-
-    here = os.path.dirname(os.path.abspath(__file__))
     complexes = [catalog.get_complex(name) for name in catalog.COMPLEX_BUILDERS]
     complexes.append(_pinched_icosahedron())
-    for base in ("torus", "genus2"):  # Sd^1 with a shuffled vertex order
-        with open(os.path.join(here, "data", f"sd1_{base}.json")) as fh:
-            complexes.append(complex_from_json(json.load(fh)))
+    # Sd^1 with a shuffled vertex order
+    complexes += [_read_data_complex(f"sd1_{base}.json") for base in ("torus", "genus2")]
     reports = [manifold_check(x) for x in complexes]
     monkeypatch.setattr(cx, "_vertex_links_ok", oracle_vertex_links_ok)
     for x, report in zip(complexes, reports):
         assert report == manifold_check(x), x.name
     pinched = reports[len(catalog.COMPLEX_BUILDERS)]
     assert pinched.is_closed_pseudo_manifold and pinched.vertex_links_ok is False
+
+
+def _outcome(orient_fn, x):
+    """The orientation data, or the error's type and message."""
+    try:
+        return orient_fn(x)
+    except (NotClosed, NonOrientable) as err:
+        return type(err), str(err)
+
+
+def _shuffled(x, seed):
+    data = complex_to_json(x)
+    random.Random(seed).shuffle(data["vertex_order"])
+    return complex_from_json(data)
+
+
+def test_one_walk_analysis_matches_reference():
+    """The shared facet table and walk give the reference's reports, signs,
+    error types and messages, across closed, bounded, pinched,
+    non-orientable and disconnected complexes in dimensions -1 to 3."""
+    # triangles {i, i+1, i+2} mod 5: the edges {i, i+2} bound one circle
+    moebius = validate(
+        [[f"m{i}", f"m{(i + 1) % 5}", f"m{(i + 2) % 5}"] for i in range(5)], name="moebius"
+    )
+    oct_faces = [catalog.octahedron().simplex_names(t) for t in catalog.octahedron().top_simplices()]
+    two_octahedra = validate(
+        [[f"{v}{k}" for v in t] for k in (1, 2) for t in oct_faces], name="two octahedra"
+    )
+    sphere3 = validate(
+        [[v for v in "abcde" if v != w] for w in "abcde"], name="boundary of the 4-simplex"
+    )
+    complexes = [catalog.get_complex(name) for name in catalog.COMPLEX_BUILDERS]
+    complexes += [
+        _pinched_icosahedron(),
+        _wedge(),
+        moebius,
+        two_octahedra,
+        sphere3,
+        validate([["u"], ["w"]], name="two points"),
+        validate([], name="empty"),
+    ]
+    complexes += [_read_data_complex(f) for f in ("sd1_torus.json", "sd1_genus2.json", "sd2_torus.json")]
+    for name in ("octahedron", "icosahedron", "torus", "torus7", "genus2"):
+        sd, _ = barycentric_subdivide(catalog.get_complex(name))
+        complexes += [_shuffled(sd, seed) for seed in (21, 22, 23)]
+    for x in complexes:
+        assert manifold_check(x) == oracle_manifold_check(x), x.name
+        assert _outcome(orient, x) == _outcome(oracle_orient, x), x.name
+
+    report = manifold_check(moebius)
+    assert report.pure and report.strongly_connected and not report.closed
+    assert len(report.boundary_facets) == 5
+    assert not cx._analyse(moebius)[2]  # no coherent signs either
+    assert _outcome(orient, moebius)[0] is NotClosed
+    report = manifold_check(two_octahedra)
+    assert report.pure and report.closed and not report.strongly_connected
+    assert not report.connected
+    assert _outcome(orient, catalog.rp2())[0] is NonOrientable
+    assert manifold_check(sphere3).is_closed_pseudo_manifold
+    assert manifold_check(sphere3).vertex_links_ok is None
 
 
 def test_orient_octahedron_coherent():

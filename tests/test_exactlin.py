@@ -403,6 +403,23 @@ def test_rref_matches_gauss_jordan_on_random_matrices():
     assert deficient > 300 and fractional > 500 and non_unit > 500
 
 
+def test_rref_breaks_pivot_ties_toward_the_lowest_row():
+    """Many rows of equal length compete for each pivot: +-1 rows on a few
+    repeated supports.  The pivot rows, and so every RREF row in its slot,
+    are Gauss-Jordan's, whose rule takes the lowest index among the rows
+    with the fewest nonzeros."""
+    rng = random.Random(1414)
+    for _ in range(400):
+        rows, cols = rng.randint(2, 12), rng.randint(2, 8)
+        k = rng.randint(1, cols)
+        supports = [rng.sample(range(cols), k) for _ in range(rng.randint(1, 3))]
+        m = SparseMatrix(rows, cols)
+        for i in range(rows):
+            for j in rng.choice(supports):
+                m.entries[(i, j)] = rng.choice((1, -1))
+        _assert_matches_gauss_jordan(m)
+
+
 def _reduced_by_pivot(s):
     """{pivot column: RREF row as Fractions} of a Solver."""
     return {c: {j: F(v) for j, v in s.rref_rows[r].items()} for r, c in s.pivots}

@@ -91,7 +91,7 @@ def test_class_extraction_roundtrip():
 
 def test_class_of_rejects_non_cycles():
     s = space("torus")
-    edge = s.cc.chain_from_simplex(s.cc.basis(1)[0]).coeffs
+    edge = (ONE,) + (ZERO,) * (s.cc.n(1) - 1)  # the first edge
     # an edge has a nonzero boundary, and its indicator cochain a nonzero
     # coboundary: neither is a (co)cycle
     for graded in (s.homology, s.cohomology):
@@ -111,7 +111,7 @@ def test_cycle_check_scales_fractional_chains_exactly():
     cycle, is not a cycle however small its coefficient.
     """
     s = space("torus")
-    edge = s.cc.chain_from_simplex(s.cc.basis(1)[0]).coeffs
+    edge = (ONE,) + (ZERO,) * (s.cc.n(1) - 1)  # the first edge
     for graded in (s.homology, s.cohomology):
         z1, z2 = graded.representatives(1)
         chain = tuple(F(1, 3) * a + F(2, 5) * b for a, b in zip(z1, z2))
