@@ -27,6 +27,7 @@ from .errors import (
     NotSubcomplex,
     SingularDuality,
     SingularPairing,
+    TooManyFaces,
     TopologyError,
     UnknownVertex,
 )
@@ -38,6 +39,7 @@ from .verify import SUITES, run_suites
 PARSE_ERRORS = (
     DuplicateVertex,
     UnknownVertex,
+    TooManyFaces,
     NotSimplicial,
     NotSubcomplex,
     KeyError,

@@ -20,11 +20,18 @@ from .errors import (
     NonOrientable,
     NotClosed,
     NotSimplicial,
+    TooManyFaces,
     UnknownVertex,
 )
 from .exactlin import qstr
 
 Simplex = tuple  # strictly increasing tuple of vertex indices
+
+# The most faces ``validate`` enumerates: the sum of 2^k - 1 over the
+# maximal simplices, k their vertex counts.  One maximal simplex of 30
+# vertices would need 2^30 faces and exhaust memory; genus-2 Sd^4, the
+# largest input documented, needs about 0.31 M and Sd^5 about 1.85 M.
+MAX_FACES = 1 << 22
 
 
 class SimplicialComplex:
@@ -91,7 +98,9 @@ def validate(maximal_simplices, name="", vertices=None, vertex_order=None) -> Si
     """Build a face-closed complex from a list of maximal simplices.
 
     Vertex identifiers are strings (or any sortable values); the global
-    order is ``vertex_order`` when given, else sorted identifiers.
+    order is ``vertex_order`` when given, else sorted identifiers.  Input
+    whose face enumeration would pass ``MAX_FACES`` raises TooManyFaces
+    before any face is built.
     """
     seen = []
     seen_set = set()
@@ -105,8 +114,15 @@ def validate(maximal_simplices, name="", vertices=None, vertex_order=None) -> Si
         for v in vertices:
             note(v)
     cleaned = []
+    faces = 0
     for raw in maximal_simplices:
         raw = list(raw)
+        faces += (1 << len(raw)) - 1
+        if faces > MAX_FACES:
+            raise TooManyFaces(
+                f"a maximal simplex with {len(raw)} vertices brings the face count "
+                f"to {faces}, above the limit of {MAX_FACES}"
+            )
         if len(set(raw)) != len(raw):
             raise DuplicateVertex(f"duplicate vertices within simplex {raw!r}")
         if vertices is not None:

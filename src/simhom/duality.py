@@ -16,6 +16,11 @@ a . b = D(D^{-1}(a) u D^{-1}(b)).
 On a tensor-model product, capping with zeta_X x zeta_Y decomposes into
 Koszul-signed blocks D_X tensor D_Y, which is what makes the inverse
 computable factorwise.
+
+The cap with zeta runs at chain level in the chains' own values: zeta is
+the orientation's ``int`` signs and the representatives are ``int`` where
+integral, so the capped chains are too.  Every matrix of D and of its
+inverse, dual basis, transfer and degree is Betti-sized and a Fraction.
 """
 
 from dataclasses import dataclass
@@ -53,11 +58,15 @@ from .products import (
 
 @dataclass
 class FundamentalClass:
-    """The coherently signed top cycle and its homology class."""
+    """The coherently signed top cycle and its homology class.
+
+    ``chain`` holds the orientation's ``int`` signs, +-1 over the top
+    simplices; ``cls`` holds Fraction coefficients, as every class does.
+    """
 
     space: Space
     orientation: object
-    chain: tuple  # signed coefficient vector over top simplices
+    chain: tuple  # int +-1 per top simplex
     cls: HClass  # its class in H_n
 
     @property
@@ -77,7 +86,7 @@ def fundamental_class(space: Space) -> FundamentalClass:
     data = orient(x)
     n = x.dim
     homology, _ = space.homology_and_cohomology()
-    chain = tuple(Fraction(s) for s in data.signs)
+    chain = data.signs
     try:
         coeffs = homology.class_of(n, chain)  # the one cycle check, in int
     except ValueError:

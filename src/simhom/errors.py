@@ -18,6 +18,10 @@ class UnknownVertex(TopologyError):
     """A simplex or map refers to a vertex that was never declared."""
 
 
+class TooManyFaces(TopologyError):
+    """The maximal simplices have more faces than ``validate`` enumerates."""
+
+
 class NotSimplicial(TopologyError):
     """A vertex assignment sends some simplex outside the codomain."""
 

@@ -4,9 +4,10 @@ Everything downstream (boundary matrices, induced maps, duality operators,
 the witness search) reduces to the routines in this module.  All arithmetic
 is exact, with no floating point anywhere: elimination works on ``int``
 while entries are integral and makes a ``Fraction`` only when dividing by a
-pivot leaves a remainder, and every entry of a vector or dense matrix the
+pivot leaves a remainder.  Every entry of a vector or dense matrix the
 module returns (kernel, image, solve, dense_inv) is a
-``fractions.Fraction``.
+``fractions.Fraction``; only ``Solver.rref_kernel``, which the homology
+layer reads its representatives from, hands out the RREF's own values.
 
 One elimination, ``_rref``, run by one object, ``Solver``: rank, pivot
 columns, kernel and image are read off a single reduction, and the
@@ -314,24 +315,36 @@ class Solver:
     def kernel(self, free=None):
         """Canonical basis of the null space, one vector per free column.
 
+        ``rref_kernel``'s vectors, with every entry a Fraction.
+        """
+        return [
+            tuple(_fraction(v) if v else ZERO for v in vec)
+            for vec in self.rref_kernel(free)
+        ]
+
+    def rref_kernel(self, free=None):
+        """The canonical kernel vectors in the RREF's own values.
+
         The vector of free column f has 1 at f and -r[f] at the pivot
         column of each RREF row r, so one pass over the pivot rows fills
         every vector: off its pivot, an RREF row is nonzero only at free
-        columns.  ``free`` picks some of the free columns, in the order
-        given; all of them by default.
+        columns.  Entries are the RREF's own: ``int`` while the elimination
+        stayed integral, Fractions once a non-unit pivot left a remainder.
+        ``free`` picks some of the free columns, in the order given; all of
+        them by default.
         """
         n = self.m.cols
         if free is None:
             free = self.free_cols()
         slot = {f: k for k, f in enumerate(free)}
-        basis = [[ZERO] * n for _ in free]
+        basis = [[0] * n for _ in free]
         for k, f in enumerate(free):
-            basis[k][f] = ONE
+            basis[k][f] = 1
         for r, c in self.pivots:
             for j, v in self.rref_rows[r].items():
                 k = slot.get(j)
                 if k is not None:
-                    basis[k][c] = _fraction(-v)
+                    basis[k][c] = -v
         return [tuple(v) for v in basis]
 
     def image(self):

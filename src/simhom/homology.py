@@ -23,6 +23,13 @@ The Kronecker pairing is Betti-sized too: the representatives of H^q and
 H_q are paired once, by sparse dots over their supports, and every later
 evaluation, ``RingStructure.kron`` included, reads that matrix.
 
+Chain-level vectors hold the RREF's own values: a representative is read
+off the reduction as it stands, ``int`` while the elimination stayed
+integral, and so is a chain built from representatives by ``int`` maps and
+signs.  Betti-sized values become Fractions once, as they leave the chain
+layer: class coefficients, Kronecker values and so every matrix on
+(co)homology.
+
 Every matrix on (co)homology comes from one builder, ``class_matrix``: it
 applies a chain map to each representative and extracts the class of the
 result.  Induced maps f_* and f^*, the maps i_*, j_* and the connecting map
@@ -59,7 +66,7 @@ class GradedSpace:
     def __init__(self, kind, cc, reps, coords):
         self.kind = kind
         self.cc = cc
-        self.reps = reps  # degree -> list of representative vectors
+        self.reps = reps  # degree -> representative vectors, int where integral
         self.dims = {q: len(r) for q, r in reps.items()}  # degree -> Betti number
         # degree -> {free column f: {basis index: class coefficient of z_f}}
         self._coords = coords
@@ -85,15 +92,16 @@ class GradedSpace:
     def _is_cycle(self, q: int, nonzero) -> bool:
         """d z = 0 (delta z = 0 for cohomology), by one pass over d's entries.
 
-        ``nonzero`` maps the chain's support to its coefficients.  The chain
-        is scaled by the lcm of its denominators, which changes no zero, so
-        d z is accumulated in ``int`` against d's ``int`` signs.
+        ``nonzero`` maps the chain's support to its coefficients.  A chain
+        with a Fraction coefficient is scaled to ``int`` by the lcm of its
+        denominators, which changes no zero, so d z is accumulated in
+        ``int`` against d's ``int`` signs.
         """
         d = self.cc.boundary(q) if self.kind == HOMOLOGY else self.cc.coboundary(q)
-        scale = 1
-        for c in nonzero.values():
-            scale = lcm(scale, c.denominator)
-        scaled = {j: c.numerator * (scale // c.denominator) for j, c in nonzero.items()}
+        scaled = nonzero
+        if any(type(c) is not int for c in nonzero.values()):
+            scale = lcm(*(c.denominator for c in nonzero.values()))
+            scaled = {j: c.numerator * (scale // c.denominator) for j, c in nonzero.items()}
         acc = {}
         for (i, j), v in d.entries.items():
             c = scaled.get(j)
@@ -105,7 +113,8 @@ class GradedSpace:
         """Coefficients of a cycle's class over the degree-q basis.
 
         The class is the sum over free columns f of vec[f] times z_f's
-        coordinate row; a vector of the wrong length or that is not a
+        coordinate row, accumulated in the vector's own values and made
+        Fractions at the end; a vector of the wrong length or that is not a
         (co)cycle raises ValueError.
         """
         if len(vec) != self.cc.n(q):
@@ -114,11 +123,11 @@ class GradedSpace:
         if not self._is_cycle(q, nonzero):
             raise ValueError(f"vector is not a {self.kind} cycle in degree {q}")
         coords = self._coords.get(q, {})
-        out = [ZERO] * self.betti(q)
+        out = [0] * self.betti(q)
         for f, c in nonzero.items():
             for t, v in coords.get(f, {}).items():
                 out[t] += c * v
-        return tuple(out)
+        return tuple(Fraction(v) for v in out)
 
     def chain_of(self, q: int, coeffs) -> tuple:
         """A representative chain of the class with the given coefficients."""
@@ -190,7 +199,7 @@ def _select(leaving: Solver, entering: Solver):
     pivot f, is a boundary z_f + sum_j r_j z_j whose other entries sit at
     kept columns j, so class(z_f) = -sum_j r_j [z_j].  Returns the dense
     kept cycles and {f: {t: coefficient}}, t numbering the kept cycles in
-    F's order.
+    F's order, both in the RREFs' own values.
     """
     free = leaving.free_cols()
     last = len(free) - 1
@@ -205,12 +214,12 @@ def _select(leaving: Solver, entering: Solver):
     pivot_cols = set(selection.pivot_cols)
     kept = [c for c in range(last, -1, -1) if c not in pivot_cols]
     t_of = {c: t for t, c in enumerate(kept)}
-    coords = {free[last - c]: {t: ONE} for c, t in t_of.items()}
+    coords = {free[last - c]: {t: 1} for c, t in t_of.items()}
     for r, c in selection.pivots:
         row = selection.rref_rows[r]
         if len(row) > 1:
             coords[free[last - c]] = {t_of[j]: -v for j, v in row.items() if j != c}
-    return leaving.kernel([free[last - c] for c in kept]), coords
+    return leaving.rref_kernel([free[last - c] for c in kept]), coords
 
 
 class _Differential:
@@ -416,9 +425,10 @@ def induced_map(f: SimplicialMap, source: GradedSpace, target: GradedSpace) -> G
 def kronecker_matrix(cohomology: GradedSpace, homology: GradedSpace, q: int):
     """K[i][j] = <rep^i, rep_j> of the degree-q representatives, built once.
 
-    One sparse dot per pair of supports; the matrix is cached on the
-    cohomology space, which is the only side that refers to the other, so
-    no reference cycle forms.
+    One sparse dot per pair of supports, in the representatives' values,
+    made a Fraction once; the matrix is cached on the cohomology space,
+    which is the only side that refers to the other, so no reference cycle
+    forms.
     """
     key = (homology, q)
     k = cohomology._pairings.get(key)
@@ -426,7 +436,7 @@ def kronecker_matrix(cohomology: GradedSpace, homology: GradedSpace, q: int):
         cycles = [dict(support) for support in homology._supports.get(q, [])]
         k = tuple(
             tuple(
-                sum((v * z[i] for i, v in support if i in z), ZERO) for z in cycles
+                Fraction(sum(v * z[i] for i, v in support if i in z)) for z in cycles
             )
             for support in cohomology._supports.get(q, [])
         )

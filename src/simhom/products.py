@@ -19,6 +19,10 @@ The Koszul signs of the cross/cup/cap interplay follow the product laws:
 * t_*(s x t) = (-1)^{|s||t|} t x s
 
 The diagonal pullback on X x X is computed as cup, extended bilinearly.
+
+Chain-level cochains keep the values of their inputs: the cup and cap of
+``int`` representatives are ``int``.  Structure constants are class
+coefficients, so they, and every tensor coefficient, are Fractions.
 """
 
 from dataclasses import dataclass
@@ -43,9 +47,13 @@ from .homology import (
 
 
 def cup_cochain(cc, p: int, q: int, avec, bvec):
-    """AW cup of a p-cochain and a q-cochain, as a (p+q)-cochain vector."""
+    """AW cup of a p-cochain and a q-cochain, as a (p+q)-cochain vector.
+
+    Entries are products of the inputs' entries, so ``int`` cochains give an
+    ``int`` one.
+    """
     n = p + q
-    out = [ZERO] * cc.n(n)
+    out = [0] * cc.n(n)
     if not out:
         return tuple(out)
     idx_p = cc.complex.index[p]
@@ -61,11 +69,15 @@ def cup_cochain(cc, p: int, q: int, avec, bvec):
 
 
 def cap_chain(cc, q: int, bvec, sigma_degree: int, svec):
-    """Cap a q-cocycle against a chain of degree sigma_degree."""
+    """Cap a q-cocycle against a chain of degree sigma_degree.
+
+    Accumulated from ``0``, so an ``int`` cocycle and chain give an ``int``
+    chain.
+    """
     p = sigma_degree - q
     if p < 0:
         raise DegreeMismatch("cap would land in negative degree")
-    out = [ZERO] * cc.n(p)
+    out = [0] * cc.n(p)
     idx_q = cc.complex.index[q]
     for m, s in enumerate(cc.basis(sigma_degree)):
         c = svec[m]

@@ -74,6 +74,31 @@ def test_parse_error_exit_1(capsys):
     assert "error" in err
 
 
+def test_face_enumeration_is_bounded_before_it_starts(tmp_path, capsys, monkeypatch):
+    """One 64-vertex maximal simplex would need 2^64 - 1 faces: it is refused
+    with exit code 1, naming its size, before a single face is enumerated.
+    The golden Sd^2 torus, well under the bound, is still accepted."""
+    import os
+
+    import simhom.complex as cx
+
+    huge = {"name": "huge", "maximal_simplices": [[f"v{i}" for i in range(64)]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(huge))
+
+    def no_enumeration(*args):
+        raise AssertionError("faces were enumerated")
+
+    with monkeypatch.context() as m:
+        m.setattr(cx, "combinations", no_enumeration)
+        code, out, err = run(capsys, "homology", str(path))
+    assert code == 1 and not out
+    assert "64 vertices" in err and str(cx.MAX_FACES) in err
+    sd2 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "sd2_torus.json")
+    code, data, _ = run_json(capsys, "homology", sd2)
+    assert code == 0 and data["results"]["betti"] == [1, 2, 1]
+
+
 def test_degree_command(capsys):
     code, data, _ = run_json(capsys, "degree", "hex_wrap2")
     assert code == 0

@@ -459,3 +459,101 @@ def test_product_transfer_law_equal_dims():
         lhs = pdy.invert(fxg_low(pdx.apply(cross(a, b, px))))
         rhs = cross(tf.apply_up(a), tg.apply_up(b), py)
         assert lhs == rhs
+
+
+def _int_or_proper_fraction(values):
+    return all(type(v) is int or (type(v) is F and v.denominator != 1) for v in values)
+
+
+def test_chain_level_vectors_stay_int(monkeypatch):
+    """Representatives of H_* and H^*, the fundamental cycle and every
+    cochain ``cup_basis`` builds hold ``int`` where integral, never an
+    integral Fraction, on every catalog space and the golden Sd inputs."""
+    import json
+    import os
+
+    import simhom.products as products
+    from simhom.complex import complex_from_json
+    from simhom.verify import ORIENTABLE as CLOSED_ORIENTABLE
+
+    here = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+    complexes = [catalog.get_complex(name) for name in catalog.COMPLEX_BUILDERS]
+    for fname in ("sd1_torus.json", "sd1_genus2.json", "sd2_torus.json"):
+        with open(os.path.join(here, fname)) as fh:
+            complexes.append(complex_from_json(json.load(fh)))
+    closed = set(CLOSED_ORIENTABLE) | {x.name for x in complexes[-3:]}
+    cochains = []
+    real_cup = products.cup_cochain
+
+    def recording_cup(*args):
+        out = real_cup(*args)
+        cochains.append(out)
+        return out
+
+    monkeypatch.setattr(products, "cup_cochain", recording_cup)
+    fundamentals = 0
+    for x in complexes:
+        s = Space(x)
+        h, c = s.homology_and_cohomology()
+        for graded in (h, c):
+            for q in range(s.dim + 1):
+                for rep in graded.representatives(q):
+                    assert _int_or_proper_fraction(rep), (x.name, graded.kind, q)
+        if x.name in closed:
+            assert _int_or_proper_fraction(fundamental_class(s).chain), x.name
+            fundamentals += 1
+        for p in range(s.dim + 1):
+            for q in range(s.dim + 1 - p):
+                for i in range(c.betti(p)):
+                    for j in range(c.betti(q)):
+                        s.ring.cup_basis(p, i, q, j)
+    assert fundamentals == len(CLOSED_ORIENTABLE) + 3
+    assert len(cochains) > 50
+    assert all(_int_or_proper_fraction(v) for v in cochains)
+
+
+def test_mixed_int_and_fraction_vectors_match_all_fraction_inputs():
+    """``class_of``, ``cup_cochain`` and ``cap_chain`` give on vectors mixing
+    ``int`` and Fraction entries exactly what they give on the same
+    vectors with every entry a Fraction."""
+    from simhom.products import cap_chain, cup_cochain
+
+    rng = random.Random(15)
+    s = space("genus2")
+    h, c = s.homology_and_cohomology()
+    cc = s.cc
+
+    def combination(graded, q):
+        """A rational combination of degree-q representatives, in two forms:
+        every entry a Fraction, and integral entries as int or Fraction at
+        random."""
+        coeffs = [F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(graded.betti(q))]
+        vec = [F(0)] * cc.n(q)
+        for k, rep in zip(coeffs, graded.representatives(q)):
+            for i, v in enumerate(rep):
+                vec[i] += k * v
+        mixed = tuple(
+            v.numerator if v.denominator == 1 and rng.random() < 0.7 else v for v in vec
+        )
+        if any(type(v) is int and v for v in mixed) and any(type(v) is F for v in mixed):
+            mixes.append(mixed)
+        return coeffs, tuple(vec), mixed
+
+    mixes = []
+    checked = 0
+    for _ in range(4):
+        for graded in (h, c):
+            for q in range(s.dim + 1):
+                coeffs, frac, mixed = combination(graded, q)
+                got = graded.class_of(q, mixed)
+                assert got == graded.class_of(q, frac) == tuple(coeffs)
+                assert all(type(v) is F for v in got)
+        for p, q in ((0, 1), (1, 1), (0, 2), (1, 0)):
+            _, fa, ma = combination(c, p)
+            _, fb, mb = combination(c, q)
+            assert cup_cochain(cc, p, q, ma, fb) == cup_cochain(cc, p, q, fa, fb)
+            assert cup_cochain(cc, p, q, ma, mb) == cup_cochain(cc, p, q, fa, fb)
+            _, fs, ms = combination(h, p + q)
+            assert cap_chain(cc, q, mb, p + q, ms) == cap_chain(cc, q, fb, p + q, fs)
+            checked += 1
+    assert checked == 16 and len(mixes) > 40
