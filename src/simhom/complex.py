@@ -14,6 +14,7 @@ fundamental cycle.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 from .errors import (
     DuplicateVertex,
@@ -483,8 +484,18 @@ def barycentric_subdivide(x: SimplicialComplex):
     Each new vertex is the barycenter of a simplex of ``x``; provenance maps
     the new vertex name to the tuple of original vertex names it subdivides.
     New vertices are ordered by (dimension, simplex), so the vertices of a
-    flag are automatically increasing.
+    flag are automatically increasing.  A maximal simplex of k vertices has
+    k! flags of k vertices each, and ``validate`` counts 2^k - 1 faces for
+    each: when that sum passes ``MAX_FACES``, TooManyFaces is raised before
+    a single flag is enumerated.
     """
+    tops = sorted(x.maximal_simplices(), key=lambda s: (len(s), s))
+    faces = sum(factorial(len(top)) * ((1 << len(top)) - 1) for top in tops)
+    if faces > MAX_FACES:
+        raise TooManyFaces(
+            f"the subdivision of {x.name!r} would have {faces} faces, "
+            f"above the limit of {MAX_FACES}"
+        )
     all_simplices = [s for q in range(x.dim + 1) for s in x.basis(q)]
     order = sorted(all_simplices, key=lambda s: (len(s), s))
     names = {s: _bary_name(x, s) for s in order}
@@ -492,7 +503,7 @@ def barycentric_subdivide(x: SimplicialComplex):
 
     # Maximal simplices: the flags of each maximal simplex of x.
     sd_maximal = []
-    for top in sorted(x.maximal_simplices(), key=lambda s: (len(s), s)):
+    for top in tops:
         for _, flag in flags(top):
             sd_maximal.append(tuple(names[s] for s in flag))
     vertex_order = [names[s] for s in order]

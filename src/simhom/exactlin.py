@@ -15,6 +15,20 @@ module-level functions of the same names are one-line views on it.
 Solving and inversion read the same reduction of an augmented matrix:
 ``solve`` the RREF of [M | b], ``dense_inv`` that of [A | I].
 
+A signed graph's incidence matrix needs no elimination: ``graph_reduction``
+reads its RREF off the graph (the tree-cotree decomposition; Eppstein,
+"Dynamic generators of topologically embedded graphs", SODA 2003).  With
+entries +-1 and at most two per column, the pivot columns are the spanning
+forest a union-find builds in column order, a one-entry column being an
+edge to a ground vertex, and the kernel vector of a free column is its
+signed fundamental cycle.  With at most two per row, the columns fall into
+components, and a balanced one without a one-entry row has all but its
+last column as pivots and its signed indicator as that column's kernel
+vector.  The RREF is unique, so these are ``_rref``'s values, as ``int``.
+Any other matrix, or one whose columns close an unbalanced cycle (no
+re-signing of its rows makes each two-entry column +-(e_a - e_b), as on a
+non-orientable surface), returns None and is left to ``Solver``.
+
 Elimination produces the canonical reduced row echelon form: pivot columns
 are chosen left to right, and within the forced pivot column the row with
 the fewest nonzero entries wins (Markowitz-style fill control), ties broken
@@ -347,6 +361,17 @@ class Solver:
                     basis[k][c] = -v
         return [tuple(v) for v in basis]
 
+    def rref_entries(self, free):
+        """The pivot rows' RREF entries at the free columns ``free``.
+
+        (pivot column, free column, entry) for each nonzero entry there, in
+        the RREF's own values.
+        """
+        want = set(free)
+        return [
+            (c, j, v) for r, c in self.pivots for j, v in self.rref_rows[r].items() if j in want
+        ]
+
     def image(self):
         """Original columns of M sitting at the RREF pivot positions."""
         slot = {c: k for k, c in enumerate(self.pivot_cols)}
@@ -359,6 +384,255 @@ class Solver:
     def solve(self, b):
         """Exact particular solution of M x = b, or None if inconsistent."""
         return solve(self.m, b)
+
+
+class GraphReduction:
+    """The canonical RREF of a signed graph's incidence matrix, read off
+    its graph with no elimination.
+
+    Built by ``graph_reduction``.  It answers what the homology layer reads
+    from a ``Solver`` (``pivot_cols``, ``free_cols``, ``rref_kernel`` and
+    ``rref_entries``) with the same values and types: every entry of the
+    RREF of such a matrix is 0 or an ``int`` +-1.  ``cycle`` maps a free
+    column f to the support of its kernel vector, {column: +-1} with 1 at
+    f; the RREF entry of f in the row of pivot c is minus its value at c.
+    """
+
+    def __init__(self, m, pivot_cols, cycle):
+        self.m = m
+        self.pivot_cols = pivot_cols
+        self._cycle = cycle
+
+    def free_cols(self):
+        pivot_cols = set(self.pivot_cols)
+        return [f for f in range(self.m.cols) if f not in pivot_cols]
+
+    def rref_kernel(self, free=None):
+        if free is None:
+            free = self.free_cols()
+        basis = []
+        for f in free:
+            vec = [0] * self.m.cols
+            for j, v in self._cycle(f).items():
+                vec[j] = v
+            basis.append(tuple(vec))
+        return basis
+
+    def rref_entries(self, free):
+        return [(c, f, -v) for f in free for c, v in self._cycle(f).items() if c != f]
+
+
+def _find(parent, sign, x):
+    """Root of x and x's sign relative to it, compressing the path.
+
+    ``sign[x]`` is x's sign relative to ``parent[x]``: a union-find that
+    also keeps the parity of each element against its root.  A root's own
+    sign is 1.
+    """
+    root, s = x, 1
+    while parent[root] != root:
+        s *= sign[root]
+        root = parent[root]
+    t = s
+    while parent[x] != root:
+        up, su = parent[x], sign[x]
+        parent[x], sign[x] = root, t
+        t *= su
+        x = up
+    return root, s
+
+
+def _ends(m, by_column):
+    """Each line's (first index, its sign, second index, its sign), or None.
+
+    A line is a column (``by_column``) or a row; an index is the entry's
+    row or column.  A missing entry has index -1 and sign 0.  None when an
+    entry is not +-1 or a line has more than two entries.
+    """
+    n = m.cols if by_column else m.rows
+    a, av, b, bv = [-1] * n, [0] * n, [-1] * n, [0] * n
+    for (i, j), v in m.entries.items():
+        if v == 1:  # kept as an int, whatever the entry's type
+            v = 1
+        elif v == -1:
+            v = -1
+        else:
+            return None
+        if not by_column:
+            i, j = j, i
+        if a[j] < 0:
+            a[j], av[j] = i, v
+        elif b[j] < 0:
+            b[j], bv[j] = i, v
+        else:
+            return None
+    return a, av, b, bv
+
+
+def _column_forest(m):
+    """The ``GraphReduction`` of a matrix with at most two entries +-1 per
+    column and no unbalanced cycle, or None.
+
+    Each column is an edge between its rows; a one-entry column joins its
+    row to an implicit ground vertex, and an empty one is a loop.  The
+    matrix is an incidence matrix once its rows are re-signed, unless a
+    cycle of two-entry columns is unbalanced: no signs s_r on the rows make
+    s_a v_a = -s_b v_b on each of its columns.  A union-find with signs
+    over the rows detects that, and then the matroid is not graphic and
+    None is returned.  Otherwise the RREF's pivot columns, the greedy
+    column basis, are the spanning forest union-find builds in column
+    order, and the kernel vector of a free column is its fundamental cycle
+    in that forest.  The sets joined by two-entry columns carry a flag for
+    reaching ground: all such sets are one component of the graph.
+    """
+    ends = _ends(m, True)
+    if ends is None:
+        return None
+    a, av, b, bv = ends
+    parent = list(range(m.rows))
+    sign = [1] * m.rows
+    size = [1] * m.rows
+    grounded = [False] * m.rows
+    pivot_cols = []
+    for j in range(m.cols):
+        x, y = a[j], b[j]
+        if x < 0:
+            continue
+        # a root or a root's child, as most rows are, needs no call
+        p = parent[x]
+        rx, sx = (p, sign[x]) if parent[p] == p else _find(parent, sign, x)
+        if y < 0:
+            if not grounded[rx]:
+                grounded[rx] = True
+                pivot_cols.append(j)
+            continue
+        p = parent[y]
+        ry, sy = (p, sign[y]) if parent[p] == p else _find(parent, sign, y)
+        rel = -av[j] * bv[j]  # s_x s_y on a balanced cycle
+        if rx == ry:
+            if sx * sy != rel:
+                return None
+            continue
+        if not (grounded[rx] and grounded[ry]):
+            pivot_cols.append(j)
+        if size[rx] < size[ry]:
+            rx, ry = ry, rx
+        parent[ry], sign[ry] = rx, rel * sx * sy
+        size[rx] += size[ry]
+        grounded[rx] = grounded[rx] or grounded[ry]
+
+    tree = []  # depth, parent row and parent column of each row; ground last
+
+    def cycle(f):
+        if not tree:
+            tree.extend(_rooted_forest(m.rows, pivot_cols, a, b))
+        depth, up, via = tree
+        out = {f: 1}
+        # walk both ends to where their paths meet, each tree column
+        # cancelling the entry left at the row it leaves
+        x, rx, y, ry = a[f], av[f], b[f], bv[f]
+        while x != y:
+            if depth[x] < depth[y]:
+                x, rx, y, ry = y, ry, x, rx
+            j = via[x]
+            here, there = (av[j], bv[j]) if a[j] == x else (bv[j], av[j])
+            out[j] = v = -rx * here
+            x, rx = up[x], v * there
+        return out
+
+    return GraphReduction(m, pivot_cols, cycle)
+
+
+def _rooted_forest(nrows, pivot_cols, a, b):
+    """Depth, parent row and parent column of each row in the forest of
+    ``pivot_cols``, rooted at ground (index -1, the lists' last slot) and
+    elsewhere at each tree's first row."""
+    adjacent = [[] for _ in range(nrows + 1)]
+    for j in pivot_cols:
+        adjacent[a[j]].append((b[j], j))
+        adjacent[b[j]].append((a[j], j))
+    depth = [-1] * (nrows + 1)
+    up = [-1] * (nrows + 1)
+    via = [-1] * (nrows + 1)
+    for root in (-1, *range(nrows)):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        level = [root]
+        while level:
+            nxt = []
+            for x in level:
+                for y, j in adjacent[x]:
+                    if depth[y] < 0:
+                        depth[y], up[y], via[y] = depth[x] + 1, x, j
+                        nxt.append(y)
+            level = nxt
+    return depth, up, via
+
+
+def _row_components(m):
+    """The ``GraphReduction`` of a matrix with at most two entries +-1 per
+    row, or None.
+
+    Each row joins its columns, and a breadth-first walk splits the
+    columns into components, giving each column a sign x_c against the
+    first of its component such that v_a x_a + v_b x_b = 0 on every row
+    where that is possible.  A component is balanced when it is possible on
+    all of its rows, and then these signs, 1 at its last column, span its
+    kernel.  So a balanced component without a one-entry row has every
+    column but its last as a pivot, with the signed component indicator as
+    that column's kernel vector; any other component is all pivots.
+    """
+    ends = _ends(m, False)
+    if ends is None:
+        return None
+    n = m.cols
+    adjacent = [[] for _ in range(n)]
+    grounded = [False] * n  # holds a one-entry row
+    for x, vx, y, vy in zip(*ends):
+        if y >= 0:
+            rel = -vx * vy  # x_x x_y on the row's kernel
+            adjacent[x].append((y, rel))
+            adjacent[y].append((x, rel))
+        elif x >= 0:
+            grounded[x] = True
+    sign = [0] * n
+    components = {}  # last column of a component with a kernel -> its columns
+    for c in range(n):
+        if sign[c]:
+            continue
+        sign[c] = 1
+        component = [c]
+        kernel = True  # balanced, without a one-entry row
+        for x in component:
+            sx = sign[x]
+            kernel = kernel and not grounded[x]
+            for y, rel in adjacent[x]:
+                if not sign[y]:
+                    sign[y] = sx * rel
+                    component.append(y)
+                elif sign[y] != sx * rel:
+                    kernel = False
+        if kernel:
+            components[max(component)] = component
+    pivot_cols = [c for c in range(n) if c not in components]
+
+    def cycle(f):
+        s = sign[f]
+        return {c: sign[c] * s for c in components[f]}
+
+    return GraphReduction(m, pivot_cols, cycle)
+
+
+def graph_reduction(m: SparseMatrix):
+    """The ``GraphReduction`` of M when M is a signed graph's incidence
+    matrix, or None, and then M is reduced with ``Solver``.
+
+    M qualifies when its entries are +-1 and either each column has at
+    most two, with every cycle balanced (``_column_forest``), or each row
+    has at most two (``_row_components``).
+    """
+    return _column_forest(m) or _row_components(m)
 
 
 def rank(m: SparseMatrix) -> int:

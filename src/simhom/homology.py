@@ -3,21 +3,27 @@
 A GradedSpace keeps, per degree, a list of representative cycles (or
 cocycles) whose classes form a basis.  H_* reads the kernel and image of
 each d_k, H^* those of d_k transposed, and each orientation of each d_k is
-reduced at most once: the wide one (at least as many columns as rows) in
-full, the tall one on the rank(d_k) of its rows at the wide one's pivot
+reduced at most once.  An orientation that is a signed graph's incidence
+matrix is read off its graph with no elimination (``exactlin``'s
+``graph_reduction``, the tree-cotree decomposition): d_1 is the
+1-skeleton's, and on a surface d_2 and its transpose are the dual graph's,
+so on a closed orientable surface nothing is eliminated.  Any other
+orientation is eliminated: the wide one (at least as many columns as rows)
+in full, the tall one on the rank(d_k) of its rows at the wide one's pivot
 columns, which span its row space.  When H_* and H^* are built together,
 one walk up the degrees shares these reductions between them, and no
 reduction outlives the walk.
 
 Everything else is read in free coordinates.  The canonical kernel vector
 z_f of a free column f is 1 at f and 0 at the other free columns, so a
-cycle z is the sum of z[f] z_f.  One elimination per degree, of the
+cycle z is the sum of z[f] z_f.  One reduction per degree, of the
 boundaries' row space B_F^T in these coordinates (rank B_q x dim Z_q),
 selects the representatives, the z_f independent modulo boundaries, and
-writes every z_f in them.  The class of a cycle is then a sparse sum over
-its free entries, after one pass over the cached boundary matrix checks
-that it is a cycle: no elimination runs once the spaces are built, and
-only the representatives are stored as dense vectors.
+writes every z_f in them; on a surface B_F^T is a graph too.  The class
+of a cycle is then a sparse sum over its free entries, after one pass over
+the cached boundary matrix checks that it is a cycle: no elimination runs
+once the spaces are built, and only the representatives are stored as
+dense vectors.
 
 The Kronecker pairing is Betti-sized too: the representatives of H^q and
 H_q are paired once, by sparse dots over their supports, and every later
@@ -53,6 +59,7 @@ from .exactlin import (
     dense_identity,
     dense_mul,
     dense_vec,
+    graph_reduction,
     rank,
 )
 
@@ -179,7 +186,7 @@ def basis_class(space: GradedSpace, q: int, i: int) -> HClass:
     return HClass(space, q, tuple(coeffs))
 
 
-def _select(leaving: Solver, entering: Solver):
+def _select(leaving, entering):
     """Representatives of one degree and the class coordinates of its cycles.
 
     ``leaving`` is the reduction of the map leaving the degree, whose free
@@ -200,6 +207,13 @@ def _select(leaving: Solver, entering: Solver):
     kept columns j, so class(z_f) = -sum_j r_j [z_j].  Returns the dense
     kept cycles and {f: {t: coefficient}}, t numbering the kept cycles in
     F's order, both in the RREFs' own values.
+
+    B_F^T is reduced on its graph when it is one, and eliminated otherwise;
+    either reduction hands out the same RREF entries (``rref_entries``).
+    On a surface it is: the H_1 selection has one column per cotree edge,
+    with its two triangles as entries, those of a dropped triangle cut
+    away; the H^1 selection is the 1-skeleton on the edges outside the dual
+    spanning tree; the H_0 and H^2 selections have two entries per row.
     """
     free = leaving.free_cols()
     last = len(free) - 1
@@ -210,30 +224,33 @@ def _select(leaving: Solver, entering: Solver):
     for (i, j), v in entering.m.entries.items():
         if j in bslot and i in slot:
             ent[(bslot[j], slot[i])] = v
-    selection = Solver(m)
+    selection = graph_reduction(m) or Solver(m)
     pivot_cols = set(selection.pivot_cols)
     kept = [c for c in range(last, -1, -1) if c not in pivot_cols]
     t_of = {c: t for t, c in enumerate(kept)}
     coords = {free[last - c]: {t: 1} for c, t in t_of.items()}
-    for r, c in selection.pivots:
-        row = selection.rref_rows[r]
-        if len(row) > 1:
-            coords[free[last - c]] = {t_of[j]: -v for j, v in row.items() if j != c}
+    for c, j, v in selection.rref_entries(kept):
+        coords.setdefault(free[last - c], {})[t_of[j]] = -v
     return leaving.rref_kernel([free[last - c] for c in kept]), coords
 
 
 class _Differential:
     """d_k's reductions, of d_k itself and of its transpose, each run once.
 
-    The wide orientation, with at least as many columns as rows, is reduced
+    Each orientation is first tried as a graph (``graph_reduction``): on a
+    surface, d_1 and d_2^T have at most two entries per column and d_1^T
+    and d_2 at most two per row, so neither needs the other.  An
+    orientation that is not a graph falls back to elimination.  The wide
+    orientation, with at least as many columns as rows, is then reduced
     in full.  The tall one's RREF is that of its rows at the wide one's
     pivot columns: those rows are the wide one's independent columns, so
     they span the tall one's row space (see ``Solver``), and that
     reduction has rank(d_k) rows.  They go in reverse pivot order: the
     RREF is the same, but the pivot rule's ties then fall on the later
-    rows, which on genus-2 Sd^4's d_2 (44063 rows) took 0.55 s instead of
-    13.2 s in ascending order (Python 3.11, 2-vCPU VM), where each pivot
-    passed a growing set of rows on to the next column.  A reduction is
+    rows, which on genus-2 Sd^4's d_2 (44063 rows), when it was still
+    eliminated, took 0.55 s instead of 13.2 s in ascending order (Python
+    3.11, 2-vCPU VM), where each pivot passed a growing set of rows on to
+    the next column.  A reduction is
     run only when a graded space asks for it, and lives only as long as
     this object.
     """
@@ -242,17 +259,18 @@ class _Differential:
         self.cc, self.k = cc, k
         d = cc.boundary(k)
         self.wide = d.cols < d.rows  # True when the transpose is the wide one
-        self._solvers = {}
+        self._reductions = {}
 
-    def reduction(self, transposed: bool) -> Solver:
-        s = self._solvers.get(transposed)
+    def reduction(self, transposed: bool):
+        s = self._reductions.get(transposed)
         if s is None:
             m = self.cc.coboundary(self.k - 1) if transposed else self.cc.boundary(self.k)
-            if transposed == self.wide:
+            s = graph_reduction(m)
+            if s is None and transposed == self.wide:
                 s = Solver(m)
-            else:
+            elif s is None:
                 s = Solver(m, self.reduction(self.wide).pivot_cols[::-1])
-            self._solvers[transposed] = s
+            self._reductions[transposed] = s
         return s
 
 

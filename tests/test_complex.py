@@ -25,6 +25,7 @@ from simhom.errors import (
     NonOrientable,
     NotClosed,
     NotSimplicial,
+    TooManyFaces,
     UnknownVertex,
 )
 
@@ -288,6 +289,32 @@ def test_subdivide_preserves_euler_characteristic():
         x = catalog.get_complex(name)
         sd, _ = barycentric_subdivide(x)
         assert sd.euler_characteristic() == x.euler_characteristic(), name
+
+
+def test_subdivision_is_bounded_before_flags_are_enumerated(monkeypatch):
+    """An 11-vertex simplex passes ``validate`` with 2047 faces, but its
+    subdivision would have 11! flags of 2047 faces each: TooManyFaces is
+    raised, naming that count, before a single flag is enumerated.  At the
+    bound the decision is the one ``validate`` makes on the flags."""
+    from math import factorial
+
+    big = validate([[f"v{i}" for i in range(11)]], name="big")
+    assert sum(big.counts()) == 2047
+
+    def no_enumeration(*args):
+        raise AssertionError("flags were enumerated")
+
+    with monkeypatch.context() as m:
+        m.setattr(cx, "flags", no_enumeration)
+        m.setattr(cx, "permutations", no_enumeration)
+        with pytest.raises(TooManyFaces, match=str(factorial(11) * 2047)):
+            barycentric_subdivide(big)
+        # Sd of the 2-simplex: 3! flags of 2^3 - 1 faces each
+        m.setattr(cx, "MAX_FACES", 41)
+        with pytest.raises(TooManyFaces, match="42"):
+            barycentric_subdivide(catalog.triangle2())
+    monkeypatch.setattr(cx, "MAX_FACES", 42)
+    assert barycentric_subdivide(catalog.triangle2())[0].counts() == (7, 12, 6)
 
 
 def test_subdivision_euler_matches_oracle():

@@ -15,6 +15,7 @@ from simhom.exactlin import (
     dense_identity,
     dense_inv,
     dense_mul,
+    graph_reduction,
     image_basis,
     kernel_basis,
     lp_feasible,
@@ -509,3 +510,127 @@ def test_rref_leaves_finished_pivot_rows_alone():
     assert nnz == 406
     assert writes < 12000
     assert _writes_and_nnz(d2, _gauss_jordan_pivots) == (29064, 406)
+
+
+def typed(value):
+    """``value`` with every number paired with its type, so that ``==``
+    compares types too: 1 and Fraction(1) differ."""
+    if isinstance(value, dict):
+        return {k: typed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [typed(v) for v in value]
+    return type(value).__name__, value
+
+
+def assert_graph_matches_solver(g, m=None):
+    """A ``GraphReduction`` answers as ``Solver`` does on its matrix: the
+    same pivot and free columns, and the same kernel vectors and RREF
+    entries, value for value and type for type, for every free column and
+    for a few in the reverse order."""
+    s = Solver(g.m if m is None else m)
+    assert g.pivot_cols == s.pivot_cols
+    free = s.free_cols()
+    assert g.free_cols() == free
+    for wanted in (free, free[::-1][:3]):
+        kernel, expected = g.rref_kernel(wanted), s.rref_kernel(wanted)
+        assert kernel == expected
+        assert [tuple(map(type, v)) for v in kernel] == [tuple(map(type, v)) for v in expected]
+        assert typed(sorted(g.rref_entries(wanted))) == typed(sorted(s.rref_entries(wanted)))
+    assert g.rref_kernel() == s.rref_kernel()
+
+
+def _is_balanced(m):
+    """Some signs on the rows make every two-entry column (a, -a), by trying
+    every sign vector."""
+    columns = {}
+    for (i, j), v in m.entries.items():
+        columns.setdefault(j, []).append((i, v))
+    pairs = [c for c in columns.values() if len(c) == 2]
+    for mask in range(1 << m.rows):
+        signs = [-1 if mask >> i & 1 else 1 for i in range(m.rows)]
+        if all(signs[i] * v == -signs[k] * w for (i, v), (k, w) in pairs):
+            return True
+    return False
+
+
+def _random_signed_graph(rng):
+    """Edges as lines of at most two +-1 entries over vertices in a few
+    components: parallel edges, half-edges (one entry), empty lines and
+    isolated vertices included.  Signs follow hidden vertex signs, so that
+    the graph is balanced, unless ``mixed`` lets some be random."""
+    nverts = rng.randint(0, 8)
+    component = [rng.randrange(3) for _ in range(nverts)]
+    hidden = [rng.choice((1, -1)) for _ in range(nverts)]
+    mixed = rng.random() < 0.4
+    edges = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if nverts == 0 or kind < 0.1:
+            edges.append({})
+        elif kind < 0.3:
+            edges.append({rng.randrange(nverts): rng.choice((1, -1))})
+        else:
+            a = rng.randrange(nverts)
+            mates = [b for b in range(nverts) if b != a and component[b] == component[a]]
+            if not mates:
+                edges.append({a: rng.choice((1, -1))})
+                continue
+            b = rng.choice(mates)
+            va = rng.choice((1, -1))
+            vb = -va * hidden[a] * hidden[b]
+            if mixed and rng.random() < 0.3:
+                vb = -vb
+            edges.append({a: va, b: vb})
+    return nverts, edges
+
+
+def test_graph_reduction_matches_elimination_on_random_signed_graphs():
+    """Seeded signed multigraphs, as columns (``_column_forest``) and as
+    rows (``_row_components``): wherever the graph routine answers, it
+    answers as ``Solver`` does; it falls back (None) exactly when no form
+    applies: an unbalanced cycle in the column form and a row with more
+    than two entries."""
+    rng = random.Random(1616)
+    counts = {"column": 0, "row": 0, "fallback": 0, "unbalanced row form": 0}
+    for trial in range(1500):
+        nverts, edges = _random_signed_graph(rng)
+        as_columns = rng.random() < 0.5
+        ent = {}
+        for e, line in enumerate(edges):
+            for v, sign in line.items():
+                ent[(v, e) if as_columns else (e, v)] = sign
+        shape = (nverts, len(edges)) if as_columns else (len(edges), nverts)
+        if trial % 2:
+            m = SparseMatrix(*shape, ent)  # Fraction +-1 entries
+        else:
+            m = SparseMatrix(*shape)
+            m.entries.update(ent)
+        rows_ok = all(
+            sum(i == r for (i, _) in m.entries) <= 2 for r in range(m.rows)
+        )
+        g = graph_reduction(m)
+        if as_columns and not rows_ok:
+            assert (g is None) == (not _is_balanced(m)), trial
+        if g is None:
+            counts["fallback"] += 1
+            continue
+        assert_graph_matches_solver(g)
+        counts["column" if as_columns else "row"] += 1
+        counts["unbalanced row form"] += not as_columns and not _is_balanced(m.transpose())
+    assert min(counts.values()) > 40, counts
+
+
+def test_graph_reduction_falls_back_off_graphs():
+    """An entry other than +-1, three entries in a column and in a row, or
+    an unbalanced cycle with a row of three entries leave the matrix to
+    ``Solver``."""
+    assert graph_reduction(SparseMatrix.from_dense([[2, 0], [1, 1]])) is None
+    # the triangle 0-1-2 with every edge (1, 1), and vertex 0 in three edges
+    odd = [[1, 0, 1, 1], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, -1]]
+    assert graph_reduction(SparseMatrix.from_dense(odd)) is None
+    odd[0][3] = 0  # now each row has two entries
+    assert_graph_matches_solver(graph_reduction(SparseMatrix.from_dense(odd)))
+    d2 = SparseMatrix.from_dense([[1, 1, 1], [1, -1, 0], [1, 0, 0]])
+    assert graph_reduction(d2) is None
+    assert graph_reduction(TRIANGLE_D1) is not None
+    assert_graph_matches_solver(graph_reduction(TRIANGLE_D1))

@@ -406,10 +406,17 @@ def test_betti_subdivision_invariance_and_iso():
                 assert dense_inv(mat) is not None, (name, q)
 
 
+def _boundary_of_4_simplex():
+    """S^3 as the boundary of a 4-simplex: its d_2 has three entries in
+    every column and every row, so it is not graph-like."""
+    return validate([[v for v in "abcde" if v != w] for w in "abcde"], name="S3")
+
+
 def test_each_differential_is_eliminated_once(monkeypatch):
-    """Built together, H_* and H^* reduce each d_k in full once, in one
-    orientation, and the other orientation at most once, on rank(d_k) of
-    its rows."""
+    """Built together, H_* and H^* of S^3 eliminate its d_2, which is not
+    graph-like, in full once in one orientation, and the other orientation
+    once, on rank(d_2) of its rows; d_1 and d_3 are read off their graphs
+    and never eliminated."""
     from collections import Counter
 
     import simhom.exactlin as exactlin
@@ -425,24 +432,26 @@ def test_each_differential_is_eliminated_once(monkeypatch):
         seen[signature(rows, ncols)] += 1
         return real_rref(rows, ncols, *args, **kwargs)
 
-    s = space("torus")
+    s = Space(_boundary_of_4_simplex())
     cc = s.cc
     monkeypatch.setattr(exactlin, "_rref", recording_rref)
-    s.homology_and_cohomology()
+    h, c = s.homology_and_cohomology()
     monkeypatch.undo()
-    wide_orientations = set()
+    assert h.betti_vector() == c.betti_vector() == (1, 0, 0, 1)
     for k in range(1, cc.dim + 1):
         orientations = (cc.boundary(k), cc.coboundary(k - 1))
         full = [seen[signature(exactlin._row_dicts(m), m.cols)] for m in orientations]
-        assert sorted(full) == [0, 1], k
+        if k != 2:
+            assert full == [0, 0], k
+            continue
+        assert sorted(full) == [0, 1]
         wide, tall = orientations if full[0] else orientations[::-1]
-        assert wide.cols >= wide.rows, k
-        wide_orientations.add(wide is orientations[0])
+        assert wide.cols >= wide.rows
         basis = exactlin.Solver(wide).pivot_cols
         rows = exactlin._row_dicts(tall)
-        assert len(basis) == rank(tall)
-        assert seen[signature([rows[i] for i in basis], tall.cols)] <= 1, k
-    assert wide_orientations == {True, False}  # d_1 is wide, d_2 tall
+        assert len(basis) == rank(tall) < tall.rows
+        assert seen[signature([rows[i] for i in basis], tall.cols)] == 1
+    assert sum(seen.values()) == 2
 
 
 def _recorded_eliminations(monkeypatch):
@@ -460,48 +469,84 @@ def _recorded_eliminations(monkeypatch):
     return shapes
 
 
-def test_classes_need_no_chain_sized_elimination(monkeypatch):
-    """Each selection is rank B_q x dim Z_q; class extraction eliminates
-    nothing bigger than a Betti number once H_* and H^* are built."""
+def _recorded_graph_reductions(monkeypatch):
+    """Record (matrix, reduction or None) of every graph reduction the
+    homology layer tries from now on."""
     import simhom.homology as homology
+
+    seen = []
+    real = homology.graph_reduction
+
+    def recording(m):
+        g = real(m)
+        seen.append((m, g))
+        return g
+
+    monkeypatch.setattr(homology, "graph_reduction", recording)
+    return seen
+
+
+def test_classes_need_no_chain_sized_elimination(monkeypatch):
+    """Each selection is rank B_q x dim Z_q, whether a graph or ``_rref``
+    reduces it; class extraction eliminates nothing bigger than a Betti
+    number once H_* and H^* are built.  On the torus nothing is eliminated
+    at all while they are built; on S^3 only d_2 is."""
+    from simhom.complex import check_simplicial
     from simhom.duality import DualityOperator, fundamental_class
     from simhom.exactlin import rank
 
-    s = space("torus")
-    cc = s.cc
-    ranks = {k: rank(cc.boundary(k)) for k in range(cc.dim + 2)}
-    differentials = [cc.boundary(k) for k in range(cc.dim + 2)]
-    differentials += [cc.coboundary(k - 1) for k in range(cc.dim + 2)]
-    selections = []
+    s3 = _boundary_of_4_simplex()
+    swap = check_simplicial({"a": "b", "b": "a", "c": "c", "d": "d", "e": "e"}, s3, s3)
+    for x, f in ((catalog.torus(), catalog.get_map("torus_transpose")), (s3, swap)):
+        s = Space(x)
+        cc = s.cc
+        ranks = {k: rank(cc.boundary(k)) for k in range(cc.dim + 2)}
+        differentials = [cc.boundary(k) for k in range(cc.dim + 2)]
+        differentials += [cc.coboundary(k - 1) for k in range(cc.dim + 2)]
+        tried = _recorded_graph_reductions(monkeypatch)
+        shapes = _recorded_eliminations(monkeypatch)
+        h, c = s.homology, s.cohomology
+        monkeypatch.undo()
+        selections = [(m.rows, m.cols) for m, _ in tried if not any(m is d for d in differentials)]
+        degrees = range(cc.dim + 1)
+        cycles = {q: cc.n(q) - ranks[q] for q in degrees}
+        cocycles = {q: cc.n(q) - ranks[q + 1] for q in degrees}
+        expected = [(ranks[q + 1], cycles[q]) for q in degrees]
+        expected += [(ranks[q], cocycles[q]) for q in degrees]
+        assert sorted(selections) == sorted(expected), x.name
+        if x is s3:
+            # built apart, each walk reduces d_2 in full; H^* also its
+            # transpose, on rank(d_2) rows
+            assert sorted(shapes) == [(ranks[2], cc.n(1))] + [(cc.n(1), cc.n(2))] * 2
+        else:
+            assert shapes == []
 
-    class RecordingSolver(homology.Solver):
-        """Records the shape of every reduction that is not of a differential."""
+        shapes = _recorded_eliminations(monkeypatch)
+        induced_map(f, h, h)
+        induced_map(f, c, c)
+        class_matrix(h, 1, h, 1, lambda rep: rep)
+        DualityOperator(s, fundamental_class(s))
+        monkeypatch.undo()
+        largest = max(h.betti_vector())
+        # each run inverts a Betti-sized matrix A as the RREF of [A | I]
+        assert shapes and all(r <= largest and n == 2 * r for r, n in shapes), x.name
 
-        def __init__(self, m, *args):
-            if not any(m is d for d in differentials):
-                selections.append((m.rows, m.cols))
-            super().__init__(m, *args)
 
-    monkeypatch.setattr(homology, "Solver", RecordingSolver)
-    h, c = s.homology, s.cohomology
-    monkeypatch.undo()
-    degrees = range(cc.dim + 1)
-    cycles = {q: cc.n(q) - ranks[q] for q in degrees}
-    cocycles = {q: cc.n(q) - ranks[q + 1] for q in degrees}
-    expected = [(ranks[q + 1], cycles[q]) for q in degrees]
-    expected += [(ranks[q], cocycles[q]) for q in degrees]
-    assert sorted(selections) == sorted(expected)
+def test_closed_orientable_surfaces_need_no_elimination(monkeypatch):
+    """On a closed orientable surface every reduction H_* and H^* make is
+    a graph's: built alone or together, they run no ``_rref`` at all."""
+    from simhom.complex import barycentric_subdivide
 
-    shapes = _recorded_eliminations(monkeypatch)
-
-    f = catalog.get_map("torus_transpose")
-    induced_map(f, h, h)
-    induced_map(f, c, c)
-    class_matrix(h, 1, h, 1, lambda rep: rep)
-    DualityOperator(s, fundamental_class(s))
-    largest = max(h.betti_vector())
-    # each run inverts a Betti-sized matrix A as the RREF of [A | I]
-    assert shapes and all(r <= largest and n == 2 * r for r, n in shapes)
+    surfaces = [catalog.get_complex(n) for n in ("octahedron", "torus", "torus7", "genus2")]
+    surfaces.append(_shuffled(barycentric_subdivide(catalog.genus2())[0], 6))
+    for x in surfaces:
+        shapes = _recorded_eliminations(monkeypatch)
+        tried = _recorded_graph_reductions(monkeypatch)
+        alone, other, together = Space(x), Space(x), Space(x)
+        alone.homology, other.cohomology, together.homology_and_cohomology()
+        monkeypatch.undo()
+        assert shapes == [], x.name
+        assert tried and all(g is not None for _, g in tried), x.name
 
 
 def _shuffled(x, seed):
@@ -656,21 +701,111 @@ def test_built_spaces_keep_no_reduction():
     import gc
 
     from simhom.complex import barycentric_subdivide
-    from simhom.exactlin import Solver
+    from simhom.exactlin import GraphReduction, Solver
 
     sd, _ = barycentric_subdivide(catalog.genus2())
-    x = _shuffled(sd, 5)
+    kinds = (Solver, GraphReduction)
 
     def reductions(s):
         gc.collect()
         mats = {id(m) for m in (*s.cc._boundary.values(), *s.cc._coboundary.values())}
-        live = [o for o in gc.get_objects() if isinstance(o, Solver) and id(o.m) in mats]
-        return live + [o for o in _reachable(s) if isinstance(o, Solver)]
+        live = [o for o in gc.get_objects() if isinstance(o, kinds) and id(o.m) in mats]
+        return live + [o for o in _reachable(s) if isinstance(o, kinds)]
 
-    alone = Space(x)
-    assert alone.homology.betti_vector() == (1, 4, 1)
-    assert not reductions(alone)
-    together = Space(x)
-    h, c = together.homology_and_cohomology()
-    assert h.betti_vector() == c.betti_vector() == (1, 4, 1)
-    assert not reductions(together)
+    # genus 2 is reduced on graphs only; rp2 and S^3 fall back to Solver
+    for x, betti in (
+        (_shuffled(sd, 5), (1, 4, 1)),
+        (catalog.rp2(), (1, 0, 0)),
+        (_boundary_of_4_simplex(), (1, 0, 0, 1)),
+    ):
+        alone = Space(x)
+        assert alone.homology.betti_vector() == betti
+        assert not reductions(alone)
+        together = Space(x)
+        h, c = together.homology_and_cohomology()
+        assert h.betti_vector() == c.betti_vector() == betti
+        assert not reductions(together)
+
+
+def test_homology_alone_builds_no_coboundary():
+    """H_* reads d_k in its own orientation on a surface, so building it
+    alone caches no delta^q on the chain complex; H^* alone builds them."""
+    from simhom.complex import barycentric_subdivide
+
+    sd, _ = barycentric_subdivide(catalog.genus2())
+    s = Space(sd)
+    assert s.homology.betti_vector() == (1, 4, 1)
+    assert s.cc._coboundary == {}
+    assert Space(sd).cohomology.betti_vector() == (1, 4, 1)
+
+
+def test_graph_reductions_equal_elimination(monkeypatch):
+    """Every reduction the homology layer reads off a graph equals the
+    ``Solver`` of the same matrix, value for value and type for type, and
+    the spaces equal those built with the graph routine switched off.
+    Over every catalog complex (only rp2 falls back), Sd of five surfaces
+    under three vertex shuffles each, and the pairs of the long exact
+    sequences and excisions ``verify`` checks, whose relative chains give
+    one-entry columns."""
+    from collections import Counter
+
+    import simhom.homology as homology
+    from simhom.chains import build_relative
+    from simhom.complex import barycentric_subdivide
+    from simhom.homology import GradedSpace, compute_cohomology, compute_homology
+
+    from test_exactlin import assert_graph_matches_solver, typed
+
+    def comparable(result):
+        if isinstance(result, GradedSpace):
+            return typed(result.reps), typed(result._coords)
+        return typed(result)
+
+    def agree(build, label):
+        """Build with and without the graph routine; returns what it tried."""
+        tried = _recorded_graph_reductions(monkeypatch)
+        fast = build()
+        monkeypatch.undo()
+        for m, g in tried:
+            if g is not None:
+                assert_graph_matches_solver(g, m)
+        monkeypatch.setattr(homology, "graph_reduction", lambda m: None)
+        slow = build()
+        monkeypatch.undo()
+        assert [comparable(r) for r in fast] == [comparable(r) for r in slow], label
+        return tried
+
+    def spaces(x):
+        return lambda: Space(x).homology_and_cohomology()
+
+    for name in catalog.COMPLEX_BUILDERS:
+        tried = agree(spaces(catalog.get_complex(name)), name)
+        assert any(g is None for _, g in tried) == (name == "rp2"), name
+    for base in ("octahedron", "icosahedron", "torus", "torus7", "genus2"):
+        sd, _ = barycentric_subdivide(catalog.get_complex(base))
+        for seed in (11, 12, 13):
+            tried = agree(spaces(_shuffled(sd, seed)), (base, seed))
+            assert all(g is not None for _, g in tried), (base, seed)
+
+    def has_one_entry_column(m):
+        return 1 in Counter(j for (_, j) in m.entries).values()
+
+    circle = validate([["a", "b"], ["b", "c"], ["a", "c"]], name="circle")
+    equator = validate([["n", "e"], ["e", "s"], ["s", "w"], ["n", "w"]], name="equator")
+    arc = validate([["v0", "v1"], ["v1", "v2"]], name="arc")
+    pairs = [(catalog.triangle2(), circle), (catalog.octahedron(), equator), (catalog.hexagon(), arc)]
+    for x, a in pairs:
+
+        def sequence():
+            seq = long_exact_sequence(x, a)
+            return [seq.pair, seq.j_star, seq.connecting, seq.exact, seq.details]
+
+        tried = agree(sequence, a.name)
+        assert any(g is not None and has_one_entry_column(m) for m, g in tried), a.name
+        rel = build_relative(x, a)
+        agree(lambda: [compute_homology(rel), compute_cohomology(rel)], a.name)
+    for u in ([("a", "b")], []):
+        agree(lambda: [excision_check(catalog.triangle2(), circle, u)], u)
+
+
+
