@@ -1,9 +1,12 @@
 """Chain and cochain complexes of a simplicial complex.
 
 Boundary matrices use the classical alternating-sign face maps over the
-global vertex order.  Each d_q and each delta^q is built once per complex,
-with its +-1 signs stored as ``int``: elimination takes them as they are,
-and every product with a ``Fraction`` chain is a ``Fraction``.  Induced
+global vertex order.  On the full complex d_q is the complex's own signed
+facet table (``SimplicialComplex.boundary``), so every chain complex of it
+shares one; a quotient view keeps the entries between its kept simplices.
+The +-1 signs stay ``int``: elimination takes them as they are, and every
+product with a ``Fraction`` chain is a ``Fraction``.  Each delta^q is the
+transpose of d_{q+1}, built once per chain complex.  Induced
 chain maps send a generator to its image simplex with the sign of the
 sorting permutation, or to zero when the image is degenerate.  The
 barycentric subdivision chain map sends a q-simplex to the signed sum of
@@ -56,21 +59,21 @@ class ChainComplex:
         return self.index[q][tuple(simplex)]
 
     def boundary(self, q: int) -> SparseMatrix:
-        """The matrix of d_q : C_q -> C_{q-1}, built once; entries are int +-1.
+        """The matrix of d_q : C_q -> C_{q-1}; entries are int +-1.
 
-        The faces of a simplex are distinct, so each entry is one face sign.
+        The complex's own table on the full view; a quotient view keeps its
+        entries between kept simplices, renumbered, and builds that once.
         """
+        x = self.complex
+        if self.index is x.index:
+            return x.boundary(q)
         m = self._boundary.get(q)
         if m is None:
+            rows, cols = ([self.index[p].get(s) for s in x.basis(p)] for p in (q - 1, q))
             m = SparseMatrix(self.n(q - 1), self.n(q))
-            if 1 <= q <= self.dim:
-                ent = m.entries
-                lower = self.index[q - 1]
-                for j, s in enumerate(self.basis(q)):
-                    for i in range(len(s)):
-                        row = lower.get(s[:i] + s[i + 1 :])
-                        if row is not None:
-                            ent[(row, j)] = -1 if i & 1 else 1
+            for (i, j), v in x.boundary(q).entries.items():
+                if rows[i] is not None and cols[j] is not None:
+                    m.entries[(rows[i], cols[j])] = v
             self._boundary[q] = m
         return m
 

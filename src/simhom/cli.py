@@ -15,12 +15,13 @@ import time
 from dataclasses import dataclass
 
 from . import __version__, catalog
-from .complex import complex_from_json, map_from_json
+from .complex import complex_from_json, map_ends, map_from_json
 from .duality import duality_operator, degree as map_degree
 from .errors import (
     DegreeMismatch,
     DimensionMismatch,
     DuplicateVertex,
+    MalformedInput,
     NonOrientable,
     NotClosed,
     NotSimplicial,
@@ -37,6 +38,7 @@ from .lefschetz import coincidence_number, euler_data, lefschetz_class
 from .verify import SUITES, run_suites
 
 PARSE_ERRORS = (
+    MalformedInput,
     DuplicateVertex,
     UnknownVertex,
     TooManyFaces,
@@ -83,8 +85,7 @@ class _Resolver:
         with open(ref) as fh:
             data = json.load(fh)
         base = os.path.dirname(os.path.abspath(ref))
-        dom = self.complex(data["domain"], base)
-        cod = self.complex(data["codomain"], base)
+        dom, cod = (self.complex(end, base) for end in map_ends(data))
         return map_from_json(data, dom, cod, name=data.get("name", os.path.basename(ref)))
 
 

@@ -6,25 +6,32 @@ index tuples, closed under faces.  The vertex order is global (explicit
 simplices used by every chain-level construction downstream, in particular
 the Alexander-Whitney front/back face splitting.
 
+Each complex holds one signed facet table per degree, built on first use:
+``boundary(q)``, the matrix of d_q with the entry (-1)^i for the facet that
+drops vertex i.  It is the only place that enumerates facets.  The chain
+complex, the manifold check, purity and ``maximal_simplices`` all read it.
+
 Orientability is decided by sign propagation over the dual graph of top
-simplices; a successful propagation also delivers the signs of the
-fundamental cycle.
+simplices, whose links are read off d_n; a successful propagation also
+delivers the signs of the fundamental cycle.
 """
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import factorial
 
 from .errors import (
     DuplicateVertex,
+    MalformedInput,
     NonOrientable,
     NotClosed,
     NotSimplicial,
     TooManyFaces,
     UnknownVertex,
 )
-from .exactlin import qstr
+from .exactlin import SparseMatrix, qstr
 
 Simplex = tuple  # strictly increasing tuple of vertex indices
 
@@ -49,6 +56,7 @@ class SimplicialComplex:
             {s: k for k, s in enumerate(level)} for k, level in enumerate(self.simplices)
         )
         self.dim = len(self.simplices) - 1
+        self._boundary = {}
 
     def n_simplices(self, q: int) -> int:
         if 0 <= q <= self.dim:
@@ -77,15 +85,28 @@ class SimplicialComplex:
     def top_simplices(self):
         return self.simplices[self.dim] if self.dim >= 0 else ()
 
+    def boundary(self, q: int) -> SparseMatrix:
+        """The signed facet table of the q-simplices, built once: the matrix
+        of d_q, whose entry (facet id, simplex id) is the int (-1)^i of the
+        facet that drops vertex i, in column order."""
+        m = self._boundary.get(q)
+        if m is None:
+            m = SparseMatrix(self.n_simplices(q - 1), self.n_simplices(q))
+            if 1 <= q <= self.dim:
+                ent, lower = m.entries, self.index[q - 1]
+                for j, s in enumerate(self.basis(q)):
+                    for i in range(len(s)):
+                        ent[(lower[s[:i] + s[i + 1 :]], j)] = -1 if i & 1 else 1
+            self._boundary[q] = m
+        return m
+
     def maximal_simplices(self):
-        """All simplices that are not a proper face of another simplex."""
+        """All simplices that are not a proper face of another simplex: the
+        q-simplices whose row of d_{q+1} holds no entry."""
         out = []
         for q in range(self.dim + 1):
-            covered = set()
-            for s in self.basis(q + 1):
-                for i in range(len(s)):
-                    covered.add(s[:i] + s[i + 1 :])
-            out.extend(s for s in self.basis(q) if s not in covered)
+            covered = {i for i, _ in self.boundary(q + 1).entries}
+            out.extend(s for i, s in enumerate(self.basis(q)) if i not in covered)
         return out
 
     def counts(self):
@@ -185,15 +206,15 @@ class ManifoldReport:
 
 
 def _facet_incidences(x: SimplicialComplex):
-    """The signed facet table: each (n-1)-simplex -> its (top id, (-1)^i) pairs.
+    """d_n by rows: each (n-1)-simplex id -> its (top id, (-1)^i) pairs.
 
-    i is the facet's position in the top simplex, so (-1)^i is the sign the
-    top simplex's boundary gives it.  Facets appear in the complex's order.
+    (-1)^i is the sign the top simplex's boundary gives the facet; the
+    pairs of a facet come in the order of the top simplices.
     """
-    inc = {f: [] for f in x.basis(x.dim - 1)}
-    for t, top in enumerate(x.top_simplices()):
-        for i in range(len(top)):
-            inc[top[:i] + top[i + 1 :]].append((t, -1 if i & 1 else 1))
+    d = x.boundary(x.dim)
+    inc = [[] for _ in range(d.rows)]
+    for (f, t), sign in d.entries.items():
+        inc[f].append((t, sign))
     return inc
 
 
@@ -208,7 +229,7 @@ def _dual_walk(n_tops: int, inc):
     when a link contradicts signs already set.
     """
     links = [[] for _ in range(n_tops)]
-    for pair in inc.values():
+    for pair in inc:
         if len(pair) == 2:
             (a, sa), (b, sb) = pair
             rel = -sa * sb
@@ -255,9 +276,9 @@ def _analyse(x: SimplicialComplex):
         )
         return report, [1] * len(tops), True
     inc = _facet_incidences(x)
-    pure = _is_pure(x, inc)
-    boundary = tuple(f for f, ts in inc.items() if len(ts) == 1)
-    ok = all(len(ts) <= 2 for ts in inc.values())
+    pure = all(len(s) == n + 1 for s in x.maximal_simplices())
+    boundary = tuple(x.basis(n - 1)[f] for f, ts in enumerate(inc) if len(ts) == 1)
+    ok = all(len(ts) <= 2 for ts in inc)
     closed = ok and not boundary and pure
     signs, coherent = _dual_walk(len(tops), inc)
     strongly = bool(tops) and all(signs)
@@ -273,23 +294,6 @@ def _analyse(x: SimplicialComplex):
         vertex_links_ok=_vertex_links_ok(x) if n <= 2 else None,
     )
     return report, signs, coherent
-
-
-def _is_pure(x: SimplicialComplex, inc) -> bool:
-    """Whether every simplex lies in a top simplex, so that no maximal
-    simplex is lower-dimensional.  Each (n-1)-simplex does when its facet
-    table entry is not empty, and each lower q-simplex when it is a face
-    of a (q+1)-simplex."""
-    if not all(inc.values()):
-        return False
-    for q in range(x.dim - 1):
-        covered = set()
-        for s in x.basis(q + 1):
-            for i in range(len(s)):
-                covered.add(s[:i] + s[i + 1 :])
-        if len(covered) != x.n_simplices(q):
-            return False
-    return True
 
 
 def manifold_check(x: SimplicialComplex) -> ManifoldReport:
@@ -555,9 +559,56 @@ def complex_to_json(x: SimplicialComplex) -> dict:
     }
 
 
-def complex_from_json(data: dict) -> SimplicialComplex:
+# JSON strings and numbers; a JSON true or false is no vertex id.
+_VERTEX_ID_TYPES = frozenset((str, int, float))
+_VERTEX_ID = "a vertex id (a string or a number)"
+
+
+def _checked(entry, label: str, ok: bool, want: str):
+    """``entry`` when ``ok``, else MalformedInput naming ``label``."""
+    if not ok:
+        raise MalformedInput(f"{label} must be {want}, not {reprlib.repr(entry)}")
+    return entry
+
+
+def _vertex_ids(entry, label: str) -> list:
+    _checked(entry, label, isinstance(entry, list), "an array of vertex ids")
+    if not _VERTEX_ID_TYPES.issuperset(map(type, entry)):
+        for k, v in enumerate(entry):
+            _checked(v, f"{label}[{k}]", type(v) in _VERTEX_ID_TYPES, _VERTEX_ID)
+    return entry
+
+
+def _json_object(data, kind: str) -> dict:
+    return _checked(data, f"a {kind} file", isinstance(data, dict), "a JSON object")
+
+
+def complex_from_json(data) -> SimplicialComplex:
+    """Validate a complex file; an entry of the wrong shape raises
+    MalformedInput naming it."""
+    data = _json_object(data, "complex")
+    simplices = data["maximal_simplices"]
+    _checked(simplices, "maximal_simplices", isinstance(simplices, list), "an array")
+    for k, s in enumerate(simplices):
+        # a label is made only for a bad simplex
+        if not (isinstance(s, list) and s and _VERTEX_ID_TYPES.issuperset(map(type, s))):
+            label = f"maximal_simplices[{k}]"
+            _checked(s, label, bool(_vertex_ids(s, label)), "a non-empty simplex")
+    for key in ("vertices", "vertex_order"):
+        if data.get(key) is not None:
+            _vertex_ids(data[key], key)
+    if data.get("vertex_order") is None:
+        ids = [*chain.from_iterable(simplices), *(data.get("vertices") or ())]
+        kinds = set(map(type, ids))
+        if str in kinds and len(kinds) > 1:
+            text = next(v for v in ids if type(v) is str)
+            number = next(v for v in ids if type(v) is not str)
+            raise MalformedInput(
+                f"vertex ids {text!r} and {number!r} mix strings and numbers, "
+                "which have no order: list every vertex in vertex_order"
+            )
     return validate(
-        data["maximal_simplices"],
+        simplices,
         name=data.get("name", ""),
         vertices=data.get("vertices"),
         vertex_order=data.get("vertex_order"),
@@ -572,5 +623,21 @@ def map_to_json(f: SimplicialMap) -> dict:
     }
 
 
-def map_from_json(data: dict, domain: SimplicialComplex, codomain: SimplicialComplex, name="") -> SimplicialMap:
-    return check_simplicial(data["vertex_map"], domain, codomain, name=name or data.get("name", ""))
+def map_ends(data) -> tuple:
+    """The domain and codomain references of a map file."""
+    data = _json_object(data, "map")
+    return tuple(
+        _checked(data[key], key, isinstance(data[key], str), "a complex name or path")
+        for key in ("domain", "codomain")
+    )
+
+
+def map_from_json(data, domain: SimplicialComplex, codomain: SimplicialComplex, name="") -> SimplicialMap:
+    """Validate a map file's vertex map against its domain and codomain;
+    an entry of the wrong shape raises MalformedInput naming it."""
+    data = _json_object(data, "map")
+    vertex_map = data["vertex_map"]
+    _checked(vertex_map, "vertex_map", isinstance(vertex_map, dict), "an object")
+    for v, w in vertex_map.items():
+        _checked(w, f"vertex_map[{v!r}]", type(w) in _VERTEX_ID_TYPES, _VERTEX_ID)
+    return check_simplicial(vertex_map, domain, codomain, name=name or data.get("name", ""))

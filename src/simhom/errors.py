@@ -10,6 +10,10 @@ class TopologyError(Exception):
     """Base class for all engine errors."""
 
 
+class MalformedInput(TopologyError):
+    """An input file's JSON does not have the documented shape."""
+
+
 class DuplicateVertex(TopologyError):
     """A simplex lists the same vertex twice."""
 

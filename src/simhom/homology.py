@@ -623,10 +623,10 @@ def excision_check(x: SimplicialComplex, a: SimplicialComplex, u) -> ExcisionRep
     if not u_idx <= all_a:
         raise HypothesisViolated("U is not contained in A")
     a_minus_u = all_a - u_idx
-    for s in a_minus_u:
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            if face and face in u_idx:
+    for q in range(1, x.dim + 1):
+        faces, simplices = x.basis(q - 1), x.basis(q)
+        for i, j in x.boundary(q).entries:
+            if simplices[j] in a_minus_u and faces[i] in u_idx:
                 raise HypothesisViolated(
                     "A - U is not face-closed: U is not open inside A"
                 )

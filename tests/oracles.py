@@ -41,6 +41,35 @@ def dense_boundary(levels, q):
     return mat
 
 
+def oracle_boundary(lower, upper):
+    """The textbook d_q on the bases ``lower`` and ``upper``, dense in int.
+
+    Dropping the vertex at position i of ``upper[j]`` gives a face; when
+    ``lower`` holds it, its row gets (-1)^i in column j.  Faces outside
+    ``lower`` are dropped, as in a quotient of the chains.
+    """
+    row = {s: r for r, s in enumerate(lower)}
+    mat = [[0] * len(upper) for _ in lower]
+    for j, s in enumerate(upper):
+        for i in range(len(s)):
+            face = s[:i] + s[i + 1 :]
+            if face in row:
+                mat[row[face]][j] += (-1) ** i
+    return mat
+
+
+def oracle_maximal_simplices(x):
+    """The simplices of ``x`` that lie in no other, by comparing all pairs,
+    in the order of dimension and then of ``x``'s bases."""
+    every = [set(s) for q in range(x.dim + 1) for s in x.basis(q)]
+    return [
+        s
+        for q in range(x.dim + 1)
+        for s in x.basis(q)
+        if not any(set(s) < t for t in every)
+    ]
+
+
 def dense_rref(mat, ncols):
     """Textbook Gauss-Jordan over Fraction: (nonzero RREF rows, pivot columns).
 

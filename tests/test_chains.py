@@ -16,7 +16,7 @@ from simhom.complex import barycentric_subdivide, identity_map, validate
 from simhom.errors import NotSubcomplex
 from simhom.exactlin import SparseMatrix
 
-from oracles import oracle_subdivision_matrix
+from oracles import oracle_boundary, oracle_subdivision_matrix
 
 F = Fraction
 
@@ -124,6 +124,48 @@ def test_boundaries_are_built_once_with_int_signs():
         assert (cc.coboundary(-1).rows, cc.coboundary(-1).cols) == (cc.n(0), 0)
         assert (cc.boundary(0).rows, cc.boundary(0).cols) == (0, cc.n(0))
         assert cc.boundary(0) is not cc.coboundary(-1)
+
+
+def test_boundary_matches_textbook_oracle():
+    """d_q of every chain complex equals the dense textbook boundary, entry
+    for entry and type for type (int), and the full complex's is the
+    complex's own table: over the catalog, Sd of five surfaces under three
+    vertex shuffles each, and three relative pairs, whose kept bases the
+    check derives from vertex names alone."""
+    from test_complex import _shuffled
+
+    def typed_dense(m):
+        dense = [[0] * m.cols for _ in range(m.rows)]
+        for (i, j), v in m.entries.items():
+            dense[i][j] = v
+        return [[(type(v), v) for v in row] for row in dense]
+
+    def agree(cc, bases, label):
+        for q in range(-1, cc.dim + 2):
+            d = cc.boundary(q)
+            expected = oracle_boundary(bases(q - 1), bases(q))
+            assert (d.rows, d.cols) == (len(bases(q - 1)), len(bases(q))), (label, q)
+            assert typed_dense(d) == [[(type(v), v) for v in row] for row in expected], (label, q)
+
+    complexes = [catalog.get_complex(name) for name in catalog.COMPLEX_BUILDERS]
+    for base in ("octahedron", "icosahedron", "torus", "torus7", "genus2"):
+        sd, _ = barycentric_subdivide(catalog.get_complex(base))
+        complexes += [_shuffled(sd, seed) for seed in (11, 12, 13)]
+    for x in complexes:
+        cc = build_chain_complex(x)
+        agree(cc, x.basis, x.name)
+        assert all(cc.boundary(q) is x.boundary(q) for q in range(-1, x.dim + 2)), x.name
+
+    circle = validate([["a", "b"], ["b", "c"], ["a", "c"]], name="circle")
+    equator = validate([["n", "e"], ["e", "s"], ["s", "w"], ["n", "w"]], name="equator")
+    arc = validate([["v0", "v1"], ["v1", "v2"]], name="arc")
+    for x, a in [(catalog.triangle2(), circle), (catalog.octahedron(), equator), (catalog.hexagon(), arc)]:
+        in_a = {frozenset(a.simplex_names(s)) for q in range(a.dim + 1) for s in a.basis(q)}
+
+        def kept(q, x=x, in_a=in_a):
+            return [s for s in x.basis(q) if frozenset(x.simplex_names(s)) not in in_a]
+
+        agree(build_relative(x, a), kept, (x.name, a.name))
 
 
 def test_solve_homogeneous_boundary():

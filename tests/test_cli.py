@@ -1,8 +1,23 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
+import pytest
+
+import simhom
 from simhom import catalog
-from simhom.cli import main
-from simhom.complex import manifold_check
+from simhom.cli import PARSE_ERRORS, main
+from simhom.complex import (
+    SimplicialComplex,
+    barycentric_subdivide,
+    complex_from_json,
+    complex_to_json,
+    manifold_check,
+)
+from simhom.errors import MalformedInput
+from simhom.homology import Space
 
 
 def run(capsys, *argv):
@@ -55,6 +70,33 @@ def test_duality_checks_the_manifold_once(capsys, monkeypatch):
     assert code == 0
     assert builds == ["torus"]
     assert data["results"]["manifold"] == manifold_check(catalog.torus()).to_json()
+
+
+def test_duality_and_lefschetz_build_each_facet_table_once(tmp_path, capsys, monkeypatch):
+    """One query builds each d_q of its complex at most once, on the
+    complex: the manifold check, the orientation and the (co)homology walk
+    all read it, and the chain complex hands out the complex's own."""
+    real = SimplicialComplex.boundary
+    builds = []
+
+    def recording(x, q):
+        if q not in x._boundary:
+            builds.append((x, q))
+        return real(x, q)
+
+    sd, _ = barycentric_subdivide(catalog.torus())
+    (tmp_path / "sd_torus.json").write_text(json.dumps(complex_to_json(sd)))
+    monkeypatch.setattr(SimplicialComplex, "boundary", recording)
+    for command in ("duality", "lefschetz"):
+        builds.clear()
+        code, _, _ = run_json(capsys, command, str(tmp_path / "sd_torus.json"))
+        assert code == 0, command
+        assert builds and len({x for x, _ in builds}) == 1, command
+        assert len({q for _, q in builds}) == len(builds), command
+
+    x = complex_from_json(complex_to_json(sd))
+    cc = Space(x).cc
+    assert all(cc.boundary(q) is x.boundary(q) for q in range(-1, x.dim + 2))
 
 
 def test_duality_rejects_rp2_with_exit_2(capsys):
@@ -260,3 +302,72 @@ def test_human_output_runs(capsys):
     assert code == 0
     assert "genus2" in out
     assert "betti" in out
+
+
+# Input files of the wrong shape: each is refused with exit code 1 and a
+# MalformedInput that names the bad entry, with no traceback.
+HOSTILE_COMPLEXES = {
+    "string-simplex": ({"maximal_simplices": ["abc"]}, "maximal_simplices[0] must be an array"),
+    "empty-simplex": ({"maximal_simplices": [[]]}, "maximal_simplices[0] must be a non-empty simplex"),
+    "not-an-object": ([["a", "b"]], "a complex file must be a JSON object"),
+    "list-vertex": ({"maximal_simplices": [[["a"], "b"]]}, "maximal_simplices[0][0]"),
+    "mixed-vertex-ids": ({"maximal_simplices": [["a", 1]]}, "vertex ids 'a' and 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_COMPLEXES))
+def test_malformed_complex_file_exit_1(tmp_path, capsys, case):
+    data, named = HOSTILE_COMPLEXES[case]
+    assert MalformedInput in PARSE_ERRORS
+    with pytest.raises(MalformedInput, match=re.escape(named)):
+        complex_from_json(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "homology", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and named in err
+
+
+def test_mixed_vertex_ids_with_an_order_are_accepted(tmp_path, capsys):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"maximal_simplices": [["a", 1]], "vertex_order": [1, "a"]}))
+    code, data, _ = run_json(capsys, "homology", str(path))
+    assert code == 0
+    assert data["results"]["betti"] == [1, 0]
+
+
+HOSTILE_MAPS = {
+    "list-image": (
+        {"domain": "hexagon", "codomain": "triangle", "vertex_map": {"v0": ["w0"]}},
+        "vertex_map['v0']",
+    ),
+    "not-an-object": ([1], "a map file must be a JSON object"),
+    "list-domain": (
+        {"domain": ["hexagon"], "codomain": "triangle", "vertex_map": {}},
+        "domain must be a complex name or path",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_MAPS))
+def test_malformed_map_file_exit_1(tmp_path, capsys, case):
+    data, named = HOSTILE_MAPS[case]
+    path = tmp_path / "bad_map.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "degree", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and named in err
+
+
+def test_python_m_simhom_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(simhom.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "simhom", "homology", "point", "--json"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["results"]["betti"] == [1]

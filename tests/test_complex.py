@@ -34,6 +34,7 @@ from oracles import (
     oracle_euler,
     oracle_facet_incidences,
     oracle_manifold_check,
+    oracle_maximal_simplices,
     oracle_orient,
     oracle_vertex_links_ok,
 )
@@ -217,6 +218,22 @@ def test_one_walk_analysis_matches_reference():
     assert _outcome(orient, catalog.rp2())[0] is NonOrientable
     assert manifold_check(sphere3).is_closed_pseudo_manifold
     assert manifold_check(sphere3).vertex_links_ok is None
+
+
+def test_maximal_simplices_match_brute_force():
+    """Coverage read off the rows of d_{q+1} finds the maximal simplices of
+    an impure complex, a triangle with a dangling edge and an isolated
+    vertex, which is then not pure; and of every catalog complex."""
+    impure = validate([["a", "b", "c"], ["c", "d"], ["e"]], name="impure")
+    assert [impure.simplex_names(s) for s in impure.maximal_simplices()] == [
+        ("e",), ("c", "d"), ("a", "b", "c")
+    ]
+    complexes = [impure] + [catalog.get_complex(name) for name in catalog.COMPLEX_BUILDERS]
+    for x in complexes:
+        assert x.maximal_simplices() == oracle_maximal_simplices(x), x.name
+    report = manifold_check(impure)
+    assert not report.pure and not report.closed
+    assert report == oracle_manifold_check(impure)
 
 
 def test_orient_octahedron_coherent():

@@ -708,7 +708,7 @@ def test_built_spaces_keep_no_reduction():
 
     def reductions(s):
         gc.collect()
-        mats = {id(m) for m in (*s.cc._boundary.values(), *s.cc._coboundary.values())}
+        mats = {id(m) for m in (*s.complex._boundary.values(), *s.cc._coboundary.values())}
         live = [o for o in gc.get_objects() if isinstance(o, kinds) and id(o.m) in mats]
         return live + [o for o in _reachable(s) if isinstance(o, kinds)]
 
