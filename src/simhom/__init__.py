@@ -17,7 +17,6 @@ from .complex import (
 )
 from .chains import (
     ChainComplex,
-    build_chain_complex,
     build_relative,
     induced_chain_map,
     subdivision_chain_map,

@@ -92,10 +92,6 @@ class ChainComplex:
         return m
 
 
-def build_chain_complex(x: SimplicialComplex) -> ChainComplex:
-    return ChainComplex(x)
-
-
 def embed(ambient: SimplicialComplex, sub: SimplicialComplex, q: int) -> list:
     """Sub's q-simplices as ambient vertex-index tuples, in sub's order."""
     return [

@@ -11,9 +11,9 @@ Each complex holds one signed facet table per degree, built on first use:
 drops vertex i.  It is the only place that enumerates facets.  The chain
 complex, the manifold check, purity and ``maximal_simplices`` all read it.
 
-Orientability is decided by sign propagation over the dual graph of top
-simplices, whose links are read off d_n; a successful propagation also
-delivers the signs of the fundamental cycle.
+Orientability is decided by one signed union-find pass over the dual graph
+of top simplices (``exactlin.SignedForest``), whose links are read off d_n;
+a balanced dual graph also delivers the signs of the fundamental cycle.
 """
 
 import reprlib
@@ -31,7 +31,7 @@ from .errors import (
     TooManyFaces,
     UnknownVertex,
 )
-from .exactlin import SparseMatrix, qstr
+from .exactlin import SignedForest, SparseMatrix, qstr
 
 Simplex = tuple  # strictly increasing tuple of vertex indices
 
@@ -218,46 +218,19 @@ def _facet_incidences(x: SimplicialComplex):
     return inc
 
 
-def _dual_walk(n_tops: int, inc):
-    """One breadth-first walk of the dual graph from top simplex 0.
+def _analyse(x: SimplicialComplex):
+    """The manifold report and the orientation signs, from one facet table
+    and one pass over the dual graph.
 
     Two top simplices are linked when they are the only two containing a
-    facet.  The link carries the relative sign -(-1)^i (-1)^j under which
-    the facet's two induced orientations cancel.  Top simplex 0 gets +1 and
-    the signs spread along the links.  Returns (signs, coherent): sign 0
-    marks a top simplex the walk did not reach, and ``coherent`` is False
-    when a link contradicts signs already set.
-    """
-    links = [[] for _ in range(n_tops)]
-    for pair in inc:
-        if len(pair) == 2:
-            (a, sa), (b, sb) = pair
-            rel = -sa * sb
-            links[a].append((b, rel))
-            links[b].append((a, rel))
-    signs = [0] * n_tops
-    coherent = True
-    if n_tops:
-        signs[0] = 1
-        order = [0]
-        for t in order:  # grows while it is walked
-            st = signs[t]
-            for u, rel in links[t]:
-                if not signs[u]:
-                    signs[u] = st * rel
-                    order.append(u)
-                elif signs[u] != st * rel:
-                    coherent = False
-    return signs, coherent
-
-
-def _analyse(x: SimplicialComplex):
-    """The manifold report and the walk's signs, from one facet table and one walk.
-
-    Returns (report, signs, coherent) as ``_dual_walk`` defines them.  The
-    complex is strongly connected when the walk reaches every top simplex.
-    A pure, strongly connected complex is connected: every vertex lies in a
-    top simplex.  Only other complexes search the vertex graph.
+    facet; the link balances when the facet's two induced orientations
+    cancel.  A ``SignedForest`` over the links gives each top simplex t in
+    top simplex 0's component the sign s_t s_0, and every other one 0.
+    Returns (report, signs, coherent): ``coherent`` is the balance of top
+    simplex 0's component, and the complex is strongly connected when that
+    component holds every top simplex.  A pure, strongly connected complex
+    is connected: every vertex lies in a top simplex.  Only other complexes
+    join the vertices along the edges, with the same routine.
     """
     n = x.dim
     tops = x.top_simplices()
@@ -280,15 +253,27 @@ def _analyse(x: SimplicialComplex):
     boundary = tuple(x.basis(n - 1)[f] for f, ts in enumerate(inc) if len(ts) == 1)
     ok = all(len(ts) <= 2 for ts in inc)
     closed = ok and not boundary and pure
-    signs, coherent = _dual_walk(len(tops), inc)
-    strongly = bool(tops) and all(signs)
+    a, av, b, bv = [], [], [], []
+    for pair in inc:
+        if len(pair) == 2:
+            (t, st), (u, su) = pair
+            a.append(t), av.append(st), b.append(u), bv.append(su)
+    dual = SignedForest(len(tops), a, av, b, bv)
+    roots, signs = dual.flatten()
+    r0, s0 = roots[0], signs[0]
+    signs = [s * s0 if r == r0 else 0 for r, s in zip(roots, signs)]
+    coherent = dual.balanced[r0]
+    strongly = all(signs)
+    connected = pure and strongly
+    if not connected:  # d_1's columns are the edges
+        connected = len(SignedForest.of(x.boundary(1), True).joins) == len(x.vertices) - 1
     report = ManifoldReport(
         dimension=n,
         pure=pure,
         closed=closed,
         facet_incidences_ok=ok,
         strongly_connected=strongly,
-        connected=(pure and strongly) or _vertices_connected(x),
+        connected=connected,
         boundary_facets=tuple(x.simplex_names(f) for f in boundary),
         is_closed_pseudo_manifold=pure and closed and strongly,
         vertex_links_ok=_vertex_links_ok(x) if n <= 2 else None,
@@ -299,26 +284,6 @@ def _analyse(x: SimplicialComplex):
 def manifold_check(x: SimplicialComplex) -> ManifoldReport:
     """Report whether the complex is a closed pseudo-manifold."""
     return _analyse(x)[0]
-
-
-def _vertices_connected(x: SimplicialComplex) -> bool:
-    """Whether the vertex graph (the 1-skeleton) is connected and not empty."""
-    nv = len(x.vertices)
-    if not nv:
-        return False
-    nbrs = [[] for _ in range(nv)]
-    for a, b in x.basis(1):
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    seen = [False] * nv
-    seen[0] = True
-    order = [0]
-    for v in order:  # grows while it is walked
-        for w in nbrs[v]:
-            if not seen[w]:
-                seen[w] = True
-                order.append(w)
-    return len(order) == nv
 
 
 def _vertex_links_ok(x: SimplicialComplex) -> bool:

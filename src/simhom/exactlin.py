@@ -15,19 +15,24 @@ module-level functions of the same names are one-line views on it.
 Solving and inversion read the same reduction of an augmented matrix:
 ``solve`` the RREF of [M | b], ``dense_inv`` that of [A | I].
 
-A signed graph's incidence matrix needs no elimination: ``graph_reduction``
+A signed graph's incidence matrix needs no elimination: ``graph_reductions``
 reads its RREF off the graph (the tree-cotree decomposition; Eppstein,
-"Dynamic generators of topologically embedded graphs", SODA 2003).  With
-entries +-1 and at most two per column, the pivot columns are the spanning
-forest a union-find builds in column order, a one-entry column being an
-edge to a ground vertex, and the kernel vector of a free column is its
-signed fundamental cycle.  With at most two per row, the columns fall into
-components, and a balanced one without a one-entry row has all but its
-last column as pivots and its signed indicator as that column's kernel
-vector.  The RREF is unique, so these are ``_rref``'s values, as ``int``.
-Any other matrix, or one whose columns close an unbalanced cycle (no
-re-signing of its rows makes each two-entry column +-(e_a - e_b), as on a
-non-orientable surface), returns None and is left to ``Solver``.
+"Dynamic generators of topologically embedded graphs", SODA 2003), in both
+orientations at once.  Its entries are +-1 and the lines of one direction,
+columns or rows, hold at most two, so each line is an edge between the
+lines of the other direction, a one-entry line an edge to ground.  One
+signed union-find, ``SignedForest``, passes over these edges in order and
+marks each component grounded or not, and balanced or not: balanced when
+signs on its vertices make every edge +-(e_a - e_b) (Zaslavsky, "Signed
+graphs", Discrete Appl. Math. 1982).  With the edges as columns and every
+component balanced, the pivot columns are the spanning forest and the
+kernel vector of a free column is its signed fundamental cycle.  With the
+edges as rows, every column is a pivot but the last of each balanced,
+ungrounded component, whose kernel vector is that component's signs.  A
+matrix's columns are its transpose's rows, so one pass gives both.  The
+RREF is unique, so these are ``_rref``'s values, as ``int``.  Any other
+matrix is left to ``Solver``.  The same routine decides the orientation
+and the connectivity of a complex (``complex._analyse``).
 
 Elimination produces the canonical reduced row echelon form: pivot columns
 are chosen left to right, and within the forced pivot column the row with
@@ -390,7 +395,7 @@ class GraphReduction:
     """The canonical RREF of a signed graph's incidence matrix, read off
     its graph with no elimination.
 
-    Built by ``graph_reduction``.  It answers what the homology layer reads
+    Built by ``graph_reductions``.  It answers what the homology layer reads
     from a ``Solver`` (``pivot_cols``, ``free_cols``, ``rref_kernel`` and
     ``rref_entries``) with the same values and types: every entry of the
     RREF of such a matrix is 0 or an ``int`` +-1.  ``cycle`` maps a free
@@ -403,9 +408,7 @@ class GraphReduction:
         self.pivot_cols = pivot_cols
         self._cycle = cycle
 
-    def free_cols(self):
-        pivot_cols = set(self.pivot_cols)
-        return [f for f in range(self.m.cols) if f not in pivot_cols]
+    free_cols = Solver.free_cols
 
     def rref_kernel(self, free=None):
         if free is None:
@@ -469,58 +472,94 @@ def _ends(m, by_column):
     return a, av, b, bv
 
 
-def _column_forest(m):
-    """The ``GraphReduction`` of a matrix with at most two entries +-1 per
-    column and no unbalanced cycle, or None.
+class SignedForest:
+    """One pass of a union-find with signs over ``n`` vertices and the
+    edges (a[j], av[j], b[j], bv[j]) of ``_ends``, in edge order.
 
-    Each column is an edge between its rows; a one-entry column joins its
-    row to an implicit ground vertex, and an empty one is a loop.  The
-    matrix is an incidence matrix once its rows are re-signed, unless a
-    cycle of two-entry columns is unbalanced: no signs s_r on the rows make
-    s_a v_a = -s_b v_b on each of its columns.  A union-find with signs
-    over the rows detects that, and then the matroid is not graphic and
-    None is returned.  Otherwise the RREF's pivot columns, the greedy
-    column basis, are the spanning forest union-find builds in column
-    order, and the kernel vector of a free column is its fundamental cycle
-    in that forest.  The sets joined by two-entry columns carry a flag for
-    reaching ground: all such sets are one component of the graph.
+    An edge with b[j] = -1 joins a[j] to an implicit ground vertex, and
+    one with a[j] = -1 is a loop.  Signs s on the vertices balance an edge
+    when s_a av = -s_b bv, and each vertex gets a sign relative to its
+    root that balances every edge of the forest.  ``joins`` lists the edges
+    that join two components, not both grounded, or ground one: the
+    spanning forest of the graph with ground, built greedily in edge
+    order.  Per root, ``grounded`` says that an edge reaches ground,
+    ``balanced`` that no edge closes a cycle its signs cannot balance, and
+    ``last`` is the component's highest vertex.  A non-root keeps the
+    flags it had as a root, so all(balanced) says that every component is
+    balanced.
     """
-    ends = _ends(m, True)
-    if ends is None:
-        return None
-    a, av, b, bv = ends
-    parent = list(range(m.rows))
-    sign = [1] * m.rows
-    size = [1] * m.rows
-    grounded = [False] * m.rows
-    pivot_cols = []
-    for j in range(m.cols):
-        x, y = a[j], b[j]
-        if x < 0:
-            continue
-        # a root or a root's child, as most rows are, needs no call
-        p = parent[x]
-        rx, sx = (p, sign[x]) if parent[p] == p else _find(parent, sign, x)
-        if y < 0:
-            if not grounded[rx]:
-                grounded[rx] = True
-                pivot_cols.append(j)
-            continue
-        p = parent[y]
-        ry, sy = (p, sign[y]) if parent[p] == p else _find(parent, sign, y)
-        rel = -av[j] * bv[j]  # s_x s_y on a balanced cycle
-        if rx == ry:
-            if sx * sy != rel:
-                return None
-            continue
-        if not (grounded[rx] and grounded[ry]):
-            pivot_cols.append(j)
-        if size[rx] < size[ry]:
-            rx, ry = ry, rx
-        parent[ry], sign[ry] = rx, rel * sx * sy
-        size[rx] += size[ry]
-        grounded[rx] = grounded[rx] or grounded[ry]
 
+    def __init__(self, n, a, av, b, bv):
+        self.ends = a, av, b, bv
+        self.parent = parent = list(range(n))
+        self.sign = sign = [1] * n
+        self.grounded = grounded = [False] * n
+        self.balanced = balanced = [True] * n
+        self.last = last = list(range(n))
+        self.joins = joins = []
+        size = [1] * n
+        for j in range(len(a)):
+            x, y = a[j], b[j]
+            if x < 0:
+                continue
+            # a root or a root's child, as most vertices are, needs no call
+            p = parent[x]
+            rx, sx = (p, sign[x]) if parent[p] == p else _find(parent, sign, x)
+            if y < 0:
+                if not grounded[rx]:
+                    grounded[rx] = True
+                    joins.append(j)
+                continue
+            p = parent[y]
+            ry, sy = (p, sign[y]) if parent[p] == p else _find(parent, sign, y)
+            rel = -av[j] * bv[j]  # s_x s_y on a balanced edge
+            if rx == ry:
+                if sx * sy != rel:
+                    balanced[rx] = False
+                continue
+            if not (grounded[rx] and grounded[ry]):
+                joins.append(j)
+            if size[rx] < size[ry]:
+                rx, ry = ry, rx
+            parent[ry], sign[ry] = rx, rel * sx * sy
+            size[rx] += size[ry]
+            grounded[rx] |= grounded[ry]
+            balanced[rx] &= balanced[ry]
+            if last[ry] > last[rx]:
+                last[rx] = last[ry]
+
+    @classmethod
+    def of(cls, m, by_column):
+        """The forest of M's columns (``by_column``) or rows, or None when
+        an entry is not +-1 or a line has more than two entries."""
+        ends = _ends(m, by_column)
+        return ends and cls(m.rows if by_column else m.cols, *ends)
+
+    def flatten(self):
+        """Each vertex's root and its sign relative to that root, as two
+        lists indexed by vertex: ``parent`` and ``sign`` once every path is
+        compressed.  They are the forest's own lists, to be read only."""
+        parent, sign = self.parent, self.sign
+        for x in range(len(parent)):
+            if parent[parent[x]] != parent[x]:
+                _find(parent, sign, x)
+        return parent, sign
+
+
+def _column_form(m, forest):
+    """The ``GraphReduction`` of M from the forest of its columns, or None
+    when a component is unbalanced.
+
+    When every component is balanced, signs on M's rows make each
+    two-entry column +-(e_a - e_b), so M is an incidence matrix up to those
+    signs: its pivot columns are the forest's ``joins``, and the kernel
+    vector of a free column is its fundamental cycle.  An unbalanced cycle
+    makes the matroid non-graphic.
+    """
+    if forest is None or not all(forest.balanced):
+        return None
+    a, av, b, bv = forest.ends
+    pivot_cols = forest.joins
     tree = []  # depth, parent row and parent column of each row; ground last
 
     def cycle(f):
@@ -570,69 +609,58 @@ def _rooted_forest(nrows, pivot_cols, a, b):
     return depth, up, via
 
 
-def _row_components(m):
-    """The ``GraphReduction`` of a matrix with at most two entries +-1 per
-    row, or None.
+def _row_form(m, forest):
+    """The ``GraphReduction`` of M from the forest of its rows, or None
+    when there is no forest.
 
-    Each row joins its columns, and a breadth-first walk splits the
-    columns into components, giving each column a sign x_c against the
-    first of its component such that v_a x_a + v_b x_b = 0 on every row
-    where that is possible.  A component is balanced when it is possible on
-    all of its rows, and then these signs, 1 at its last column, span its
-    kernel.  So a balanced component without a one-entry row has every
-    column but its last as a pivot, with the signed component indicator as
-    that column's kernel vector; any other component is all pivots.
+    M's rows are the edges between its columns.  A kernel vector x of M
+    balances every two-entry row and vanishes where a one-entry row is, so
+    on a balanced component without ground it is a multiple of the
+    forest's signs, and it is 0 on any other component.  So the last column
+    of each balanced, ungrounded component is free, with kernel vector
+    s_c s_last on its component, and every other column is a pivot.
     """
-    ends = _ends(m, False)
-    if ends is None:
+    if forest is None:
         return None
-    n = m.cols
-    adjacent = [[] for _ in range(n)]
-    grounded = [False] * n  # holds a one-entry row
-    for x, vx, y, vy in zip(*ends):
-        if y >= 0:
-            rel = -vx * vy  # x_x x_y on the row's kernel
-            adjacent[x].append((y, rel))
-            adjacent[y].append((x, rel))
-        elif x >= 0:
-            grounded[x] = True
-    sign = [0] * n
-    components = {}  # last column of a component with a kernel -> its columns
-    for c in range(n):
-        if sign[c]:
-            continue
-        sign[c] = 1
-        component = [c]
-        kernel = True  # balanced, without a one-entry row
-        for x in component:
-            sx = sign[x]
-            kernel = kernel and not grounded[x]
-            for y, rel in adjacent[x]:
-                if not sign[y]:
-                    sign[y] = sx * rel
-                    component.append(y)
-                elif sign[y] != sx * rel:
-                    kernel = False
-        if kernel:
-            components[max(component)] = component
-    pivot_cols = [c for c in range(n) if c not in components]
+    n, parent, last = m.cols, forest.parent, forest.last
+    ungrounded = (r for r in range(n) if parent[r] == r and not forest.grounded[r])
+    free = {last[r] for r in ungrounded if forest.balanced[r]}
+    pivot_cols = [c for c in range(n) if c not in free]
+    members = {f: [] for f in free}  # free column -> the columns of its component
 
     def cycle(f):
-        s = sign[f]
-        return {c: sign[c] * s for c in components[f]}
+        if not members[f]:  # the first call fills every component
+            root, _ = forest.flatten()
+            for c in range(n):
+                component = members.get(last[root[c]])
+                if component is not None:
+                    component.append(c)
+        sign = forest.sign  # relative to the root, once flattened
+        return {c: sign[c] * sign[f] for c in members[f]}
 
     return GraphReduction(m, pivot_cols, cycle)
 
 
-def graph_reduction(m: SparseMatrix):
-    """The ``GraphReduction`` of M when M is a signed graph's incidence
-    matrix, or None, and then M is reduced with ``Solver``.
+def graph_reductions(m: SparseMatrix, mt=None):
+    """The ``GraphReduction``s of M and of its transpose ``mt``, each None
+    when that orientation is no signed graph's incidence matrix; without
+    ``mt`` the second is None.
 
-    M qualifies when its entries are +-1 and either each column has at
-    most two, with every cycle balanced (``_column_forest``), or each row
-    has at most two (``_row_components``).
+    Entries must be +-1.  An orientation is read in its column form, with
+    at most two entries per column and every component balanced, or else
+    in its row form, with at most two per row.  M's columns are M^T's rows,
+    so one ``SignedForest`` pass over M's columns gives M's column form and
+    M^T's row form, and one over M's rows the other two.  With ``mt`` both
+    passes run when both line forms qualify (paths and cycles); without it,
+    the one over M's rows runs only when M's column form fails.
     """
-    return _column_forest(m) or _row_components(m)
+    columns = SignedForest.of(m, True)
+    red = _column_form(m, columns)
+    rows = SignedForest.of(m, False) if red is None or mt is not None else None
+    red = red or _row_form(m, rows)
+    if mt is None:
+        return red, None
+    return red, _column_form(mt, rows) or _row_form(mt, columns)
 
 
 def rank(m: SparseMatrix) -> int:

@@ -5,9 +5,10 @@ cocycles) whose classes form a basis.  H_* reads the kernel and image of
 each d_k, H^* those of d_k transposed, and each orientation of each d_k is
 reduced at most once.  An orientation that is a signed graph's incidence
 matrix is read off its graph with no elimination (``exactlin``'s
-``graph_reduction``, the tree-cotree decomposition): d_1 is the
-1-skeleton's, and on a surface d_2 and its transpose are the dual graph's,
-so on a closed orientable surface nothing is eliminated.  Any other
+``graph_reductions``, the tree-cotree decomposition), and one union-find
+pass over d_k's lines gives d_k and d_k^T together: d_1's columns are the
+1-skeleton's edges and on a surface d_2's rows are the dual graph's, so
+on a closed orientable surface nothing is eliminated.  Any other
 orientation is eliminated: the wide one (at least as many columns as rows)
 in full, the tall one on the rank(d_k) of its rows at the wide one's pivot
 columns, which span its row space.  When H_* and H^* are built together,
@@ -59,7 +60,7 @@ from .exactlin import (
     dense_identity,
     dense_mul,
     dense_vec,
-    graph_reduction,
+    graph_reductions,
     rank,
 )
 
@@ -224,7 +225,7 @@ def _select(leaving, entering):
     for (i, j), v in entering.m.entries.items():
         if j in bslot and i in slot:
             ent[(bslot[j], slot[i])] = v
-    selection = graph_reduction(m) or Solver(m)
+    selection = graph_reductions(m)[0] or Solver(m)
     pivot_cols = set(selection.pivot_cols)
     kept = [c for c in range(last, -1, -1) if c not in pivot_cols]
     t_of = {c: t for t, c in enumerate(kept)}
@@ -237,35 +238,37 @@ def _select(leaving, entering):
 class _Differential:
     """d_k's reductions, of d_k itself and of its transpose, each run once.
 
-    Each orientation is first tried as a graph (``graph_reduction``): on a
-    surface, d_1 and d_2^T have at most two entries per column and d_1^T
-    and d_2 at most two per row, so neither needs the other.  An
-    orientation that is not a graph falls back to elimination.  The wide
-    orientation, with at least as many columns as rows, is then reduced
-    in full.  The tall one's RREF is that of its rows at the wide one's
-    pivot columns: those rows are the wide one's independent columns, so
-    they span the tall one's row space (see ``Solver``), and that
-    reduction has rank(d_k) rows.  They go in reverse pivot order: the
+    One ``graph_reductions`` call reads both orientations off d_k's graphs:
+    on a surface d_1's columns and d_2's rows are edges, so one union-find
+    pass per differential gives d_k and d_k^T.  delta^{k-1} is passed only
+    when H^* is built, so that H_* alone builds no coboundary; when a tall
+    d_k that is no graph needs d_k^T's pivots there, d_k^T is tried as a
+    graph on its own.  An orientation that is not a graph falls back to
+    elimination.  The wide orientation, with at least as many columns as
+    rows, is reduced in full.  The tall one's RREF is that of its rows at the
+    wide one's pivot columns: those rows are the wide one's independent
+    columns, so they span the tall one's row space (see ``Solver``), and
+    that reduction has rank(d_k) rows.  They go in reverse pivot order: the
     RREF is the same, but the pivot rule's ties then fall on the later
     rows, which on genus-2 Sd^4's d_2 (44063 rows), when it was still
     eliminated, took 0.55 s instead of 13.2 s in ascending order (Python
     3.11, 2-vCPU VM), where each pivot passed a growing set of rows on to
-    the next column.  A reduction is
-    run only when a graded space asks for it, and lives only as long as
-    this object.
+    the next column.  Every reduction lives only as long as this object.
     """
 
-    def __init__(self, cc, k):
+    def __init__(self, cc, k, cohomology):
         self.cc, self.k = cc, k
         d = cc.boundary(k)
         self.wide = d.cols < d.rows  # True when the transpose is the wide one
-        self._reductions = {}
+        red, red_t = graph_reductions(d, cc.coboundary(k - 1) if cohomology else None)
+        self._reductions = {False: red, True: red_t} if cohomology else {False: red}
 
     def reduction(self, transposed: bool):
         s = self._reductions.get(transposed)
         if s is None:
             m = self.cc.coboundary(self.k - 1) if transposed else self.cc.boundary(self.k)
-            s = graph_reduction(m)
+            if transposed not in self._reductions:
+                s = graph_reductions(m)[0]
             if s is None and transposed == self.wide:
                 s = Solver(m)
             elif s is None:
@@ -285,9 +288,10 @@ def _graded_spaces(cc, kinds):
     """
     reps = {kind: {} for kind in kinds}
     coords = {kind: {} for kind in kinds}
-    below = _Differential(cc, 0)
+    cohomology = COHOMOLOGY in kinds
+    below = _Differential(cc, 0, cohomology)
     for q in range(cc.dim + 1):
-        above = _Differential(cc, q + 1)
+        above = _Differential(cc, q + 1, cohomology)
         for kind in kinds:
             if kind == HOMOLOGY:
                 leaving, entering = below.reduction(False), above.reduction(False)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog
-from .chains import build_chain_complex, subdivision_chain_map
+from .chains import ChainComplex, subdivision_chain_map
 from .complex import validate
 from .duality import duality_operator, transfers
 from .errors import NonOrientable, TopologyError
@@ -91,7 +91,7 @@ def _check(results, name, condition, detail=""):
 def suite_axioms(seed=0):
     out = []
     for name in ALL_COMPLEXES:
-        cc = build_chain_complex(catalog.get_complex(name))
+        cc = ChainComplex(catalog.get_complex(name))
         ok = all(
             (cc.boundary(q - 1) @ cc.boundary(q)).is_zero()
             for q in range(2, cc.dim + 1)

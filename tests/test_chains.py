@@ -6,7 +6,7 @@ import pytest
 
 from simhom import catalog
 from simhom.chains import (
-    build_chain_complex,
+    ChainComplex,
     build_relative,
     induced_chain_map,
     sort_sign,
@@ -23,7 +23,7 @@ F = Fraction
 
 def test_boundary_of_edge():
     x = validate([["a", "b"]], name="edge")
-    cc = build_chain_complex(x)
+    cc = ChainComplex(x)
     d1 = cc.boundary(1)
     # d[a,b] = [b] - [a]
     assert d1.to_dense() == [[F(-1)], [F(1)]]
@@ -31,20 +31,20 @@ def test_boundary_of_edge():
 
 def test_boundary_squared_zero_catalog():
     for name in catalog.COMPLEX_BUILDERS:
-        cc = build_chain_complex(catalog.get_complex(name))
+        cc = ChainComplex(catalog.get_complex(name))
         for q in range(2, cc.dim + 1):
             assert (cc.boundary(q - 1) @ cc.boundary(q)).is_zero(), (name, q)
 
 
 def test_coboundary_squared_zero_catalog():
     for name in ["octahedron", "torus", "genus2"]:
-        cc = build_chain_complex(catalog.get_complex(name))
+        cc = ChainComplex(catalog.get_complex(name))
         for q in range(cc.dim - 1):
             assert (cc.coboundary(q + 1) @ cc.coboundary(q)).is_zero(), (name, q)
 
 
 def test_point_boundaries_trivial():
-    cc = build_chain_complex(catalog.point())
+    cc = ChainComplex(catalog.point())
     assert cc.boundary(0).rows == 0
     assert cc.boundary(1).cols == 0
 
@@ -63,7 +63,7 @@ def test_relative_empty_and_full():
     x = catalog.hexagon()
     empty = validate([], name="empty")
     pair = build_relative(x, empty)
-    cc = build_chain_complex(x)
+    cc = ChainComplex(x)
     for q in range(x.dim + 1):
         assert pair.n(q) == cc.n(q)
         assert pair.boundary(q) == cc.boundary(q)
@@ -83,8 +83,8 @@ def test_relative_short_exact_ranks():
     x = catalog.octahedron()
     a = validate([["n", "e"], ["e", "s"], ["s", "w"], ["n", "w"]], name="equator")
     pair = build_relative(x, a)
-    cca = build_chain_complex(a)
-    ccx = build_chain_complex(x)
+    cca = ChainComplex(a)
+    ccx = ChainComplex(x)
     for q in range(x.dim + 1):
         assert cca.n(q) + pair.n(q) == ccx.n(q)
 
@@ -100,7 +100,7 @@ def test_boundaries_are_built_once_with_int_signs():
     closed = {face, face[:1], face[1:]}
     kept = {q: [s for s in x.basis(q) if s not in closed] for q in range(x.dim + 1)}
     carriers = {
-        "octahedron": build_chain_complex(x),
+        "octahedron": ChainComplex(x),
         "octahedron rel equator": build_relative(
             x, validate([["n", "e"], ["e", "s"], ["s", "w"], ["n", "w"]], name="equator")
         ),
@@ -152,7 +152,7 @@ def test_boundary_matches_textbook_oracle():
         sd, _ = barycentric_subdivide(catalog.get_complex(base))
         complexes += [_shuffled(sd, seed) for seed in (11, 12, 13)]
     for x in complexes:
-        cc = build_chain_complex(x)
+        cc = ChainComplex(x)
         agree(cc, x.basis, x.name)
         assert all(cc.boundary(q) is x.boundary(q) for q in range(-1, x.dim + 2)), x.name
 
@@ -172,7 +172,7 @@ def test_solve_homogeneous_boundary():
     # the fundamental-cycle candidate minus itself solves the homogeneous system
     from simhom.exactlin import solve
 
-    cc = build_chain_complex(catalog.octahedron())
+    cc = ChainComplex(catalog.octahedron())
     d2 = cc.boundary(2)
     zero = tuple(F(0) for _ in range(d2.rows))
     assert solve(d2, zero) == tuple(F(0) for _ in range(d2.cols))
@@ -202,8 +202,8 @@ def test_induced_constant_collapses():
 def test_induced_wrap_is_chain_map():
     f = catalog.hex_wrap2()
     mats = induced_chain_map(f)
-    ccx = build_chain_complex(f.domain)
-    ccy = build_chain_complex(f.codomain)
+    ccx = ChainComplex(f.domain)
+    ccy = ChainComplex(f.codomain)
     # each hexagon edge maps to a codomain edge with sign +-1
     for j in range(6):
         col = [mats[1].get(i, j) for i in range(3)]
@@ -216,8 +216,8 @@ def test_chain_map_identity_on_catalog_maps():
                  "torus_transpose", "torus_shift", "hex_reflect", "dodeca_wrap2"]:
         f = catalog.get_map(name)
         mats = induced_chain_map(f)
-        ccx = build_chain_complex(f.domain)
-        ccy = build_chain_complex(f.codomain)
+        ccx = ChainComplex(f.domain)
+        ccy = ChainComplex(f.codomain)
         for q in range(1, f.domain.dim + 1):
             lhs = mats[q - 1] @ ccx.boundary(q)
             rhs = ccy.boundary(q) @ mats[q]

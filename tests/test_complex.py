@@ -203,6 +203,18 @@ def test_one_walk_analysis_matches_reference():
     for name in ("octahedron", "icosahedron", "torus", "torus7", "genus2"):
         sd, _ = barycentric_subdivide(catalog.get_complex(name))
         complexes += [_shuffled(sd, seed) for seed in (21, 22, 23)]
+    # three triangles on the edge ab: a facet in three top simplices
+    book = validate([["a", "b", "c"], ["a", "b", "d"], ["a", "b", "e"]], name="book")
+    # the incoherent component holds top simplex 0 under the second order only
+    octahedron, rp2 = catalog.octahedron(), catalog.rp2()
+    faces = [x.simplex_names(t) for x in (octahedron, rp2) for t in x.top_simplices()]
+    apart = [
+        validate(faces, name="octahedron and rp2", vertex_order=first.vertices + second.vertices)
+        for first, second in ((octahedron, rp2), (rp2, octahedron))
+    ]
+    assert [cx._analyse(x)[2] for x in apart] == [True, False]
+    sd_sphere3, _ = barycentric_subdivide(sphere3)
+    complexes += [book, *apart] + [_shuffled(sd_sphere3, seed) for seed in (31, 32, 33)]
     for x in complexes:
         assert manifold_check(x) == oracle_manifold_check(x), x.name
         assert _outcome(orient, x) == _outcome(oracle_orient, x), x.name

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from simhom.exactlin import (
     dense_identity,
     dense_inv,
     dense_mul,
-    graph_reduction,
+    graph_reductions,
     image_basis,
     kernel_basis,
     lp_feasible,
@@ -584,14 +585,48 @@ def _random_signed_graph(rng):
     return nverts, edges
 
 
+def _has_graph_form(m):
+    """The rule a graph reduction follows, by counting: at most two
+    entries per column with every cycle balanced, or at most two per row
+    (the entries being +-1)."""
+
+    def at_most_two(axis):
+        return max(Counter(key[axis] for key in m.entries).values(), default=0) <= 2
+
+    return (at_most_two(1) and _is_balanced(m)) or at_most_two(0)
+
+
+def assert_graph_reductions(m, mt, present=None):
+    """``graph_reductions(m, mt)`` gives a reduction of each orientation
+    exactly when ``present`` says so (the rule of ``_has_graph_form`` by
+    default), and each one answers as ``Solver`` does on its matrix.
+    Returns the pair."""
+    pair = graph_reductions(m, mt)
+    if present is None:
+        present = _has_graph_form(m), _has_graph_form(mt)
+    assert tuple(r is not None for r in pair) == tuple(present)
+    for r, a in zip(pair, (m, mt)):
+        if r is not None:
+            assert r.m is a
+            assert_graph_matches_solver(r)
+    return pair
+
+
 def test_graph_reduction_matches_elimination_on_random_signed_graphs():
-    """Seeded signed multigraphs, as columns (``_column_forest``) and as
-    rows (``_row_components``): wherever the graph routine answers, it
-    answers as ``Solver`` does; it falls back (None) exactly when no form
-    applies: an unbalanced cycle in the column form and a row with more
-    than two entries."""
+    """Seeded signed multigraphs, as columns and as rows, each read in both
+    orientations from one call: wherever the graph routine answers, it
+    answers as ``Solver`` does on M and on M^T; it falls back (None)
+    exactly when no form applies: an unbalanced cycle in the column form
+    and a row with more than two entries.  Paths and cycles, with at most
+    two entries in every line, qualify in both line forms."""
     rng = random.Random(1616)
-    counts = {"column": 0, "row": 0, "fallback": 0, "unbalanced row form": 0}
+    counts = {
+        "column": 0,
+        "row": 0,
+        "fallback": 0,
+        "unbalanced row form": 0,
+        "both line forms": 0,
+    }
     for trial in range(1500):
         nverts, edges = _random_signed_graph(rng)
         as_columns = rng.random() < 0.5
@@ -605,32 +640,43 @@ def test_graph_reduction_matches_elimination_on_random_signed_graphs():
         else:
             m = SparseMatrix(*shape)
             m.entries.update(ent)
-        rows_ok = all(
-            sum(i == r for (i, _) in m.entries) <= 2 for r in range(m.rows)
-        )
-        g = graph_reduction(m)
-        if as_columns and not rows_ok:
-            assert (g is None) == (not _is_balanced(m)), trial
-        if g is None:
-            counts["fallback"] += 1
-            continue
-        assert_graph_matches_solver(g)
-        counts["column" if as_columns else "row"] += 1
-        counts["unbalanced row form"] += not as_columns and not _is_balanced(m.transpose())
+        mt = m.transpose()
+        g, gt = assert_graph_reductions(m, mt)
+        graph = m if as_columns else mt  # the graph's vertices as rows
+        row_form = gt if as_columns else g
+        counts["column" if as_columns else "row"] += g is not None
+        counts["fallback"] += g is None or gt is None
+        counts["unbalanced row form"] += row_form is not None and not _is_balanced(graph)
+        degrees = Counter(i for i, _ in graph.entries).values()
+        counts["both line forms"] += max(degrees, default=0) <= 2
     assert min(counts.values()) > 40, counts
 
 
 def test_graph_reduction_falls_back_off_graphs():
     """An entry other than +-1, three entries in a column and in a row, or
     an unbalanced cycle with a row of three entries leave the matrix to
-    ``Solver``."""
-    assert graph_reduction(SparseMatrix.from_dense([[2, 0], [1, 1]])) is None
+    ``Solver``; the transpose of the last is a graph's row form.  Each
+    matrix is read in both orientations."""
     # the triangle 0-1-2 with every edge (1, 1), and vertex 0 in three edges
     odd = [[1, 0, 1, 1], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, -1]]
-    assert graph_reduction(SparseMatrix.from_dense(odd)) is None
-    odd[0][3] = 0  # now each row has two entries
-    assert_graph_matches_solver(graph_reduction(SparseMatrix.from_dense(odd)))
-    d2 = SparseMatrix.from_dense([[1, 1, 1], [1, -1, 0], [1, 0, 0]])
-    assert graph_reduction(d2) is None
-    assert graph_reduction(TRIANGLE_D1) is not None
-    assert_graph_matches_solver(graph_reduction(TRIANGLE_D1))
+    two_per_row = [row[:] for row in odd]
+    two_per_row[0][3] = 0
+    # that triangle, then joined by its vertex 2 to the longer path 3-4-5-6:
+    # the unbalanced component is merged under the balanced one's root
+    lasso = [[0] * 7 for _ in range(7)]
+    edges = [(0, 1, 1, 1), (1, 1, 2, 1), (0, 1, 2, 1)]
+    edges += [(3, 1, 4, -1), (4, 1, 5, -1), (5, 1, 6, -1), (6, 1, 2, -1)]
+    for j, (a, va, b, vb) in enumerate(edges):
+        lasso[a][j], lasso[b][j] = va, vb
+    cases = [
+        ([[2, 0], [1, 1]], (False, False)),
+        (odd, (False, True)),
+        (two_per_row, (True, True)),
+        (lasso, (False, True)),
+        ([[1, 1, 1], [1, -1, 0], [1, 0, 0]], (False, False)),
+        (TRIANGLE_D1.to_dense(), (True, True)),
+    ]
+    for dense, present in cases:
+        m = SparseMatrix.from_dense(dense)
+        assert_graph_reductions(m, m.transpose(), present)
+        assert_graph_reductions(m.transpose(), m, present[::-1])

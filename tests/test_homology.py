@@ -470,19 +470,21 @@ def _recorded_eliminations(monkeypatch):
 
 
 def _recorded_graph_reductions(monkeypatch):
-    """Record (matrix, reduction or None) of every graph reduction the
-    homology layer tries from now on."""
+    """Record (matrix, reduction or None) of every orientation the homology
+    layer tries as a graph from now on: M, and M^T when it is passed."""
     import simhom.homology as homology
 
     seen = []
-    real = homology.graph_reduction
+    real = homology.graph_reductions
 
-    def recording(m):
-        g = real(m)
-        seen.append((m, g))
-        return g
+    def recording(m, mt=None):
+        pair = real(m, mt)
+        seen.append((m, pair[0]))
+        if mt is not None:
+            seen.append((mt, pair[1]))
+        return pair
 
-    monkeypatch.setattr(homology, "graph_reduction", recording)
+    monkeypatch.setattr(homology, "graph_reductions", recording)
     return seen
 
 
@@ -769,7 +771,7 @@ def test_graph_reductions_equal_elimination(monkeypatch):
         for m, g in tried:
             if g is not None:
                 assert_graph_matches_solver(g, m)
-        monkeypatch.setattr(homology, "graph_reduction", lambda m: None)
+        monkeypatch.setattr(homology, "graph_reductions", lambda m, mt=None: (None, None))
         slow = build()
         monkeypatch.undo()
         assert [comparable(r) for r in fast] == [comparable(r) for r in slow], label
