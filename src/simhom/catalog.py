@@ -6,7 +6,6 @@ kept next to each entry so a reported failure can be traced to a concrete
 triangulation.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .complex import (
@@ -318,12 +317,12 @@ def get_map(name: str) -> SimplicialMap:
     return MAP_BUILDERS[name]()
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
-    name: str
-    kind: str  # "complex" | "map"
-    payload: object
-    note: str
+    def __init__(self, name, kind, payload, note):
+        self.name = name
+        self.kind = kind  # "complex" | "map"
+        self.payload = payload
+        self.note = note
 
 
 def entries():

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__, catalog
 from .complex import complex_from_json, map_ends, map_from_json
@@ -89,32 +88,14 @@ class _Resolver:
         return map_from_json(data, dom, cod, name=data.get("name", os.path.basename(ref)))
 
 
-@dataclass
-class RunReport:
-    command: str
-    inputs: list
-    results: dict
-    timing: float | None
-    version: str
-
-    def to_json(self):
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "timing": self.timing,
-            "version": self.version,
-        }
-
-
 def _report(command, inputs, results, elapsed, with_timing):
-    return RunReport(
-        command=command,
-        inputs=inputs,
-        results=results,
-        timing=round(elapsed, 6) if with_timing else None,
-        version=__version__,
-    ).to_json()
+    return {
+        "command": command,
+        "inputs": inputs,
+        "results": results,
+        "timing": round(elapsed, 6) if with_timing else None,
+        "version": __version__,
+    }
 
 
 def _print_report(report, as_json):

@@ -17,7 +17,6 @@ a balanced dual graph also delivers the signs of the fundamental cycle.
 """
 
 import reprlib
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import factorial
@@ -179,30 +178,44 @@ def validate(maximal_simplices, name="", vertices=None, vertex_order=None) -> Si
     return SimplicialComplex(name, order, levels)
 
 
-@dataclass(frozen=True)
 class ManifoldReport:
-    dimension: int
-    pure: bool
-    closed: bool
-    facet_incidences_ok: bool
-    strongly_connected: bool
-    connected: bool
-    boundary_facets: tuple
-    is_closed_pseudo_manifold: bool
-    vertex_links_ok: bool | None = None  # None when dimension > 2 (not decided)
+    """Whether a complex is a closed pseudo-manifold, criterion by criterion.
+
+    ``vertex_links_ok`` is None when dimension > 2 (not decided).  The
+    attributes, in the order ``__init__`` sets them, are the fields of the
+    repr and the keys of the JSON object.
+    """
+
+    def __init__(
+        self, dimension, pure, closed, facet_incidences_ok, strongly_connected,
+        connected, boundary_facets, is_closed_pseudo_manifold, vertex_links_ok=None,
+    ):
+        self.dimension = dimension
+        self.pure = pure
+        self.closed = closed
+        self.facet_incidences_ok = facet_incidences_ok
+        self.strongly_connected = strongly_connected
+        self.connected = connected
+        self.boundary_facets = boundary_facets
+        self.is_closed_pseudo_manifold = is_closed_pseudo_manifold
+        self.vertex_links_ok = vertex_links_ok
+
+    def __eq__(self, other):
+        if type(other) is not ManifoldReport:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        args = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"ManifoldReport({args})"
 
     def to_json(self):
-        return {
-            "dimension": self.dimension,
-            "pure": self.pure,
-            "closed": self.closed,
-            "facet_incidences_ok": self.facet_incidences_ok,
-            "strongly_connected": self.strongly_connected,
-            "connected": self.connected,
-            "boundary_facets": [list(f) for f in self.boundary_facets],
-            "is_closed_pseudo_manifold": self.is_closed_pseudo_manifold,
-            "vertex_links_ok": self.vertex_links_ok,
-        }
+        out = dict(vars(self))
+        out["boundary_facets"] = [list(f) for f in self.boundary_facets]
+        return out
 
 
 def _facet_incidences(x: SimplicialComplex):
@@ -287,7 +300,12 @@ def manifold_check(x: SimplicialComplex) -> ManifoldReport:
 
 
 def _vertex_links_ok(x: SimplicialComplex) -> bool:
-    """Closed-manifold link condition in dimensions 1 and 2.
+    return _bad_vertex_link(x) is None
+
+
+def _bad_vertex_link(x: SimplicialComplex):
+    """The first vertex failing the closed-manifold link condition in
+    dimensions 1 and 2, or None when every vertex passes.
 
     Dimension 1: every vertex lies in exactly two edges.  Dimension 2: the
     link of every vertex is a single closed cycle (distinguishes genuine
@@ -303,17 +321,17 @@ def _vertex_links_ok(x: SimplicialComplex) -> bool:
         for a, b in x.basis(1):
             counts[a] += 1
             counts[b] += 1
-        return all(c == 2 for c in counts)
+        return next((v for v, c in enumerate(counts) if c != 2), None)
     if n != 2:
-        return True
+        return None
     star = [[] for _ in x.vertices]  # vertex -> edges of its link
     for a, b, c in x.basis(2):
         star[a].append((b, c))
         star[b].append((a, c))
         star[c].append((a, b))
-    for link_edges in star:
+    for v, link_edges in enumerate(star):
         if not link_edges:
-            return False
+            return v
         nbrs = {}
         for a, b in link_edges:
             nbrs.setdefault(a, []).append(b)
@@ -323,22 +341,30 @@ def _vertex_links_ok(x: SimplicialComplex) -> bool:
         while cur != start:
             ws = nbrs[cur]
             if len(ws) != 2 or steps == len(nbrs):
-                return False
+                return v
             prev, cur = cur, ws[1] if ws[0] == prev else ws[0]
             steps += 1
         if steps != len(nbrs) or len(nbrs[start]) != 2:
-            return False
-    return True
+            return v
+    return None
 
 
-@dataclass(frozen=True)
 class OrientationData:
     """Signs on top simplices making codimension-1 incidences cancel, and
     the manifold report that was checked before they were propagated."""
 
-    signs: tuple
-    coherent: bool
-    report: ManifoldReport
+    def __init__(self, signs, coherent, report):
+        self.signs = signs
+        self.coherent = coherent
+        self.report = report
+
+    def __eq__(self, other):
+        if type(other) is not OrientationData:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
 
 def orient(x: SimplicialComplex) -> OrientationData:
@@ -347,12 +373,19 @@ def orient(x: SimplicialComplex) -> OrientationData:
     The first top simplex in canonical order is assigned +1; signs spread
     by the breadth-first walk that also decides strong connectivity, over
     the facet table the manifold report is read from.  Raises NotClosed
-    for non-pseudo-manifolds and NonOrientable when propagation meets a
-    contradiction.
+    for non-pseudo-manifolds and for pseudo-manifolds with a vertex whose
+    link is not one circle (decided in dimension <= 2), and NonOrientable
+    when propagation meets a contradiction.
     """
     report, signs, coherent = _analyse(x)
     if not report.is_closed_pseudo_manifold:
         raise NotClosed(f"{x.name!r} is not a closed pseudo-manifold: {report}")
+    if report.vertex_links_ok is False:
+        v = x.vertices[_bad_vertex_link(x)]
+        raise NotClosed(
+            f"{x.name!r} is not a closed manifold: "
+            f"the link of vertex {v!r} is not one circle"
+        )
     if not coherent:
         raise NonOrientable(f"{x.name!r} admits no coherent orientation")
     return OrientationData(signs=tuple(signs), coherent=True, report=report)
@@ -485,21 +518,19 @@ def barycentric_subdivide(x: SimplicialComplex):
     return sd, provenance
 
 
-@dataclass(frozen=True)
 class GeometricPoint:
     """Exact point of the realization: carrier simplex plus barycentric coords."""
 
-    carrier: tuple  # vertex names of the carrier simplex
-    coords: tuple  # Fractions, nonnegative, summing to 1
-
-    def __post_init__(self):
-        if len(self.carrier) != len(self.coords):
+    def __init__(self, carrier, coords):
+        if len(carrier) != len(coords):
             raise ValueError("coordinate count must equal carrier dimension + 1")
-        total = sum(self.coords, Fraction(0))
+        total = sum(coords, Fraction(0))
         if total != 1:
             raise ValueError("barycentric coordinates must sum to 1")
-        if any(c < 0 for c in self.coords):
+        if any(c < 0 for c in coords):
             raise ValueError("barycentric coordinates must be nonnegative")
+        self.carrier = carrier  # vertex names of the carrier simplex
+        self.coords = coords  # Fractions, nonnegative, summing to 1
 
     def to_json(self):
         return {

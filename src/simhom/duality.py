@@ -23,7 +23,6 @@ integral, so the capped chains are too.  Every matrix of D and of its
 inverse, dual basis, transfer and degree is Betti-sized and a Fraction.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .complex import SimplicialMap, orient
@@ -56,7 +55,6 @@ from .products import (
 )
 
 
-@dataclass
 class FundamentalClass:
     """The coherently signed top cycle and its homology class.
 
@@ -64,10 +62,11 @@ class FundamentalClass:
     simplices; ``cls`` holds Fraction coefficients, as every class does.
     """
 
-    space: Space
-    orientation: object
-    chain: tuple  # int +-1 per top simplex
-    cls: HClass  # its class in H_n
+    def __init__(self, space, orientation, chain, cls):
+        self.space = space
+        self.orientation = orientation
+        self.chain = chain  # int +-1 per top simplex
+        self.cls = cls  # its class in H_n
 
     @property
     def degree(self):
@@ -201,19 +200,19 @@ def duality_operator(space: Space) -> DualityOperator:
     return DualityOperator(space, fundamental_class(space))
 
 
-@dataclass
 class Transfer:
     """Per-degree matrices of f^! and f_!, with the dimension shift, and the
     induced maps f_* and f^* they conjugate."""
 
-    f: SimplicialMap
-    dx: DualityOperator
-    dy: DualityOperator
-    shift: int
-    up: dict  # q -> matrix of f^! : H^q(X) -> H^{q+shift}(Y)
-    down: dict  # q -> matrix of f_! : H_q(Y) -> H_{q-shift}(X)
-    push: GradedMap  # f_* : H_*(X) -> H_*(Y)
-    pull: GradedMap  # f^* : H^*(Y) -> H^*(X)
+    def __init__(self, f, dx, dy, shift, up, down, push, pull):
+        self.f = f
+        self.dx = dx
+        self.dy = dy
+        self.shift = shift
+        self.up = up  # q -> matrix of f^! : H^q(X) -> H^{q+shift}(Y)
+        self.down = down  # q -> matrix of f_! : H_q(Y) -> H_{q-shift}(X)
+        self.push = push  # f_* : H_*(X) -> H_*(Y)
+        self.pull = pull  # f^* : H^*(Y) -> H^*(X)
 
     def up_matrix(self, q):
         return self.up.get(q, ())

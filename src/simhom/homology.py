@@ -45,7 +45,6 @@ are all built this way, never by transposition shortcuts.
 """
 
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -150,13 +149,21 @@ class GradedSpace:
         return tuple(out)
 
 
-@dataclass(frozen=True)
 class HClass:
     """A (co)homology class: degree plus coefficients over the basis."""
 
-    space: GradedSpace
-    degree: int
-    coeffs: tuple
+    def __init__(self, space, degree, coeffs):
+        self.space = space
+        self.degree = degree
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if type(other) is not HClass:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
     def chain(self):
         return self.space.chain_of(self.degree, self.coeffs)
@@ -368,7 +375,6 @@ class Space:
         return f"Space({self.complex.name!r})"
 
 
-@dataclass
 class GradedMap:
     """Per-degree matrices between graded spaces.
 
@@ -378,9 +384,10 @@ class GradedMap:
     direction is read off the spaces, never stored.
     """
 
-    source: GradedSpace
-    target: GradedSpace
-    matrices: dict  # degree -> dense tuple-of-tuples (target dim x source dim)
+    def __init__(self, source, target, matrices):
+        self.source = source
+        self.target = target
+        self.matrices = matrices  # degree -> dense tuple-of-tuples (target x source)
 
     @classmethod
     def identity(cls, space: GradedSpace) -> "GradedMap":
@@ -503,18 +510,18 @@ def augmentation(sigma: HClass) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PairSequence:
     """The long exact homology sequence of a subcomplex pair."""
 
-    ambient: Space
-    sub: Space
-    pair: GradedSpace
-    i_star: GradedMap
-    j_star: dict  # degree -> matrix H_q(X) -> H_q(X, A)
-    connecting: dict  # degree -> matrix H_q(X, A) -> H_{q-1}(A)
-    exact: bool
-    details: list
+    def __init__(self, ambient, sub, pair, i_star, j_star, connecting, exact, details):
+        self.ambient = ambient
+        self.sub = sub
+        self.pair = pair
+        self.i_star = i_star
+        self.j_star = j_star  # degree -> matrix H_q(X) -> H_q(X, A)
+        self.connecting = connecting  # degree -> matrix H_q(X, A) -> H_{q-1}(A)
+        self.exact = exact
+        self.details = details
 
 
 def _rebase(vec, basis, index) -> tuple:
@@ -601,12 +608,17 @@ def _check_exactness(ha, hx, hp, i_mats, j_mats, d_mats, dim):
     return all(ok for _, _, ok in details), details
 
 
-@dataclass
 class ExcisionReport:
-    isomorphism: bool
-    dims_excised: tuple
-    dims_pair: tuple
-    details: list
+    def __init__(self, isomorphism, dims_excised, dims_pair, details):
+        self.isomorphism = isomorphism
+        self.dims_excised = dims_excised
+        self.dims_pair = dims_pair
+        self.details = details
+
+    def __eq__(self, other):
+        if type(other) is not ExcisionReport:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def excision_check(x: SimplicialComplex, a: SimplicialComplex, u) -> ExcisionReport:

@@ -31,7 +31,6 @@ the finder locates one and verifies |f|(x) = |g|(x) in rational arithmetic
 before returning it.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .complex import GeometricPoint, SimplicialComplex, SimplicialMap
@@ -46,7 +45,6 @@ from .exactlin import ONE, ZERO, dense_mul, dense_trace, lp_feasible, qstr
 from .homology import (
     COHOMOLOGY,
     GradedMap,
-    HClass,
     Space,
     basis_class,
     kronecker,
@@ -66,21 +64,21 @@ from .products import (
 )
 
 
-@dataclass
 class LefschetzClass:
     """Lambda_X with its dual-basis expansion."""
 
-    space: Space
-    product: ProductSpace  # X x X
-    tensor: TensorClass
-    expansion: list  # (degree, index, sign) summands
+    def __init__(self, space, product, tensor, expansion):
+        self.space = space
+        self.product = product  # X x X
+        self.tensor = tensor
+        self.expansion = expansion  # (degree, index, sign) summands
 
 
-@dataclass
 class EulerData:
-    euler_class: HClass
-    euler_number: Fraction
-    combinatorial: int
+    def __init__(self, euler_class, euler_number, combinatorial):
+        self.euler_class = euler_class
+        self.euler_number = euler_number
+        self.combinatorial = combinatorial
 
 
 def lefschetz_class(d: DualityOperator) -> LefschetzClass:
@@ -199,17 +197,20 @@ def lefschetz_iso_and_trace(d: DualityOperator, prod: ProductSpace, sigma: Grade
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CoincidenceReport:
-    f_name: str
-    g_name: str
-    dimension: int
-    lambdas: dict  # formula label -> Fraction
-    consistent: bool
-    value: Fraction
-    witness: GeometricPoint | None = None
-    witness_status: str | None = None
-    subdivision_level: int | None = None
+    def __init__(
+        self, f_name, g_name, dimension, lambdas, consistent, value,
+        witness=None, witness_status=None, subdivision_level=None,
+    ):
+        self.f_name = f_name
+        self.g_name = g_name
+        self.dimension = dimension
+        self.lambdas = lambdas  # formula label -> Fraction
+        self.consistent = consistent
+        self.value = value
+        self.witness = witness  # GeometricPoint or None
+        self.witness_status = witness_status
+        self.subdivision_level = subdivision_level
 
     def agreement(self):
         return {k: v == self.value for k, v in self.lambdas.items()}

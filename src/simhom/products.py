@@ -25,7 +25,6 @@ Chain-level cochains keep the values of their inputs: the cup and cap of
 coefficients, so they, and every tensor coefficient, are Fractions.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeMismatch
@@ -177,14 +176,14 @@ class ProductSpace:
         return f"ProductSpace({self.x.complex.name} x {self.y.complex.name})"
 
 
-@dataclass
 class TensorClass:
     """Formal sum of basis tensors b_i x c_j of one total degree."""
 
-    product: ProductSpace
-    kind: str
-    degree: int
-    terms: dict  # (p, i, j) -> Fraction, p the X-degree, q = degree - p
+    def __init__(self, product, kind, degree, terms):
+        self.product = product
+        self.kind = kind
+        self.degree = degree
+        self.terms = terms  # (p, i, j) -> Fraction, p the X-degree, q = degree - p
 
     def _clean(self):
         self.terms = {k: v for k, v in self.terms.items() if v != 0}

@@ -7,7 +7,6 @@ byte.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog
@@ -51,11 +50,11 @@ _SPACES = {}
 _OPS = {}
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+    def __init__(self, name, passed, detail=""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
     def to_json(self):
         return {"name": self.name, "passed": self.passed, "detail": self.detail}

@@ -141,29 +141,30 @@ def oracle_vertex_links_ok(x):
     opposite edges must form one closed cycle.  Reads only ``x.dim``,
     ``x.vertices`` and ``x.basis``; other dimensions give True.
     """
-    verts = range(len(x.vertices))
+    return all(_oracle_link_ok(x, v) for v in range(len(x.vertices)))
+
+
+def _oracle_link_ok(x, v):
+    """The link condition of ``oracle_vertex_links_ok`` at vertex ``v``."""
     if x.dim == 1:
-        return all(sum(v in e for e in x.basis(1)) == 2 for v in verts)
+        return sum(v in e for e in x.basis(1)) == 2
     if x.dim != 2:
         return True
-    for v in verts:
-        link = [tuple(w for w in t if w != v) for t in x.basis(2) if v in t]
-        nbrs = {}
-        for a, b in link:
-            nbrs.setdefault(a, []).append(b)
-            nbrs.setdefault(b, []).append(a)
-        if not link or any(len(ws) != 2 for ws in nbrs.values()):
-            return False
-        start = next(iter(nbrs))
-        seen, todo = {start}, [start]
-        while todo:
-            for w in nbrs[todo.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        if len(seen) != len(nbrs):
-            return False
-    return True
+    link = [tuple(w for w in t if w != v) for t in x.basis(2) if v in t]
+    nbrs = {}
+    for a, b in link:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    if not link or any(len(ws) != 2 for ws in nbrs.values()):
+        return False
+    start = next(iter(nbrs))
+    seen, todo = {start}, [start]
+    while todo:
+        for w in nbrs[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == len(nbrs)
 
 
 def _oracle_facet_incidences(x):
@@ -257,6 +258,13 @@ def oracle_orient(x):
     report = oracle_manifold_check(x)
     if not report.is_closed_pseudo_manifold:
         raise NotClosed(f"{x.name!r} is not a closed pseudo-manifold: {report}")
+    if x.dim <= 2:
+        for v, name in enumerate(x.vertices):
+            if not _oracle_link_ok(x, v):
+                raise NotClosed(
+                    f"{x.name!r} is not a closed manifold: "
+                    f"the link of vertex {name!r} is not one circle"
+                )
     n = x.dim
     tops = x.top_simplices()
     if n == 0:

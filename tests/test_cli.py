@@ -110,6 +110,46 @@ def test_duality_rejects_interval(capsys):
     assert code == 2
 
 
+def test_duality_rejects_disk_with_its_manifold_report(capsys):
+    code, out, err = run(capsys, "duality", "disk")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: 'disk' is not a closed pseudo-manifold: ManifoldReport(dimension=2, "
+        "pure=True, closed=False, facet_incidences_ok=True, strongly_connected=True, "
+        "connected=True, boundary_facets=(('a', 'b'), ('a', 'c'), ('b', 'c')), "
+        "is_closed_pseudo_manifold=False, vertex_links_ok=False)\n"
+    )
+
+
+def test_duality_rejects_a_pinched_sphere_naming_the_vertex(tmp_path, capsys):
+    """Sd of the octahedron with the antipodal vertices d and u glued is a
+    pure, closed, strongly connected pseudo-manifold with Betti (1, 1, 1),
+    but the link of the glued vertex is two circles: it is no surface, and
+    duality refuses it before the cap product is singular."""
+    from simhom.complex import orient
+    from simhom.errors import NotClosed
+
+    sd, _ = barycentric_subdivide(catalog.octahedron())
+    data = complex_to_json(sd)
+    data["name"] = "pinched sphere"
+    data["maximal_simplices"] = [
+        ["d" if v == "u" else v for v in s] for s in data["maximal_simplices"]
+    ]
+    data["vertices"] = data["vertex_order"] = [v for v in data["vertices"] if v != "u"]
+    x = complex_from_json(data)
+    report = manifold_check(x)
+    assert report.is_closed_pseudo_manifold and report.vertex_links_ok is False
+    assert Space(x).homology.betti_vector() == (1, 1, 1)
+    message = "'pinched sphere' is not a closed manifold: the link of vertex 'd' is not one circle"
+    with pytest.raises(NotClosed) as err:
+        orient(x)
+    assert str(err.value) == message
+    path = tmp_path / "pinched.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "duality", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_parse_error_exit_1(capsys):
     code, out, err = run(capsys, "homology", "no-such-complex")
     assert code == 1

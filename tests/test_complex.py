@@ -402,13 +402,16 @@ def test_catalog_composites_build():
 
 
 def test_geometric_point_invariants():
-    GeometricPoint(("a", "b"), (Fraction(1, 2), Fraction(1, 2)))
-    with pytest.raises(ValueError):
+    p = GeometricPoint(("a", "b"), (Fraction(1, 2), Fraction(1, 2)))
+    assert p.to_json() == {"carrier": ["a", "b"], "coords": ["1/2", "1/2"]}
+    with pytest.raises(ValueError, match="^barycentric coordinates must sum to 1$"):
         GeometricPoint(("a", "b"), (Fraction(1, 2), Fraction(1, 4)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^coordinate count must equal carrier dimension \+ 1$"):
         GeometricPoint(("a",), (Fraction(1), Fraction(0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^barycentric coordinates must be nonnegative$"):
         GeometricPoint(("a", "b"), (Fraction(3, 2), Fraction(-1, 2)))
+    with pytest.raises(ValueError, match="^coordinate count"):
+        GeometricPoint(carrier=("a", "b"), coords=(Fraction(1),))
 
 
 def test_json_roundtrip():

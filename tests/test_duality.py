@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -73,13 +72,14 @@ def test_fundamental_class_interval_refused():
 
 def test_fundamental_class_refuses_signs_that_are_no_cycle(monkeypatch):
     import simhom.duality as duality
-    from simhom.complex import orient
+    from simhom.complex import OrientationData, orient
 
     x = catalog.octahedron()
     data = orient(x)
     assert data.report.is_closed_pseudo_manifold
     flipped = (-data.signs[0],) + data.signs[1:]
-    monkeypatch.setattr(duality, "orient", lambda _: replace(data, signs=flipped))
+    flip = OrientationData(signs=flipped, coherent=data.coherent, report=data.report)
+    monkeypatch.setattr(duality, "orient", lambda _: flip)
     with pytest.raises(NotClosed, match="oriented top chain of 'octahedron' is not a cycle"):
         fundamental_class(Space(x))
 

@@ -811,3 +811,23 @@ def test_graph_reductions_equal_elimination(monkeypatch):
 
 
 
+
+
+def test_class_arithmetic_and_equality():
+    """Classes add, subtract and scale coefficientwise with Fraction
+    coefficients, compare and hash by space, degree and coefficients, and
+    refuse to add across spaces or degrees."""
+    h = Space(catalog.torus()).homology
+    a, b = basis_class(h, 1, 0), basis_class(h, 1, 1)
+    assert a + b == HClass(h, 1, (ONE, ONE))
+    assert a - b == HClass(space=h, degree=1, coeffs=(ONE, -ONE))
+    assert a.scale(Fraction(3, 2)) == HClass(h, 1, (Fraction(3, 2), ZERO))
+    assert all(type(c) is Fraction for c in (a - b.scale(2)).coeffs)
+    assert a == basis_class(h, 1, 0) and hash(a) == hash(basis_class(h, 1, 0))
+    assert a != b and a != a.coeffs
+    assert a != basis_class(Space(catalog.torus()).homology, 1, 0)  # another space
+    assert len({a, basis_class(h, 1, 0), b}) == 2
+    with pytest.raises(DegreeMismatch):
+        a + basis_class(h, 0, 0)
+    with pytest.raises(DegreeMismatch):
+        a + basis_class(Space(catalog.torus()).homology, 1, 0)

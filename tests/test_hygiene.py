@@ -1,7 +1,9 @@
 """Source hygiene: the package imports only the standard library and itself,
-and every name a package module imports is used there."""
+every name a package module imports is used there, and importing the CLI
+loads no module that generates code at import time."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,6 +23,17 @@ def unused_imports(path):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def imported_modules(path):
+    """Top-level names of the modules ``path`` imports absolutely."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
 def test_no_unused_imports():
     # __init__.py re-exports what it imports, so it is not scanned
     modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
@@ -32,14 +45,31 @@ def test_no_unused_imports():
 def test_package_imports_only_stdlib():
     # the package has no dependencies: no numpy, no flint, no gmpy
     allowed = set(sys.stdlib_module_names) | {"simhom"}
-    foreign = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            foreign += [(path.name, n) for n in names if n.split(".")[0] not in allowed]
+    foreign = [
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in sorted(imported_modules(path))
+        if name not in allowed
+    ]
     assert foreign == []
+
+
+def test_package_does_not_import_dataclasses():
+    # each @dataclass execs its generated methods at import, and the module
+    # pulls in inspect, ast, dis and tokenize: every CLI call paid for both
+    modules = sorted(SRC.glob("*.py"))
+    assert [p.name for p in modules if "dataclasses" in imported_modules(p)] == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S: no site hooks, so only the package's own imports are counted
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import simhom.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC.parent)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

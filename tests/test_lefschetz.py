@@ -517,3 +517,38 @@ def test_betti_level_values_are_fractions(monkeypatch):
         for m in list(t.up.values()) + list(t.down.values()):
             fractions_only(entries(m), ("transfer", f.name))
     assert len(checked) > 1000
+
+
+def test_coincidence_report_json_and_agreement():
+    """Constructor defaults, ``agreement`` and ``to_json``: keys in order,
+    values as exact strings, and the witness as its carrier and coords."""
+    from simhom.complex import GeometricPoint
+    from simhom.lefschetz import CoincidenceReport
+
+    lambdas = {"trace": Fraction(-1), "transfer": Fraction(1, 2)}
+    rep = CoincidenceReport("f", "g", 2, lambdas, False, Fraction(-1))
+    assert rep.agreement() == {"trace": True, "transfer": False}
+    data = rep.to_json()
+    assert list(data) == [
+        "f", "g", "dimension", "lambda", "agreement", "consistent", "value",
+        "witness", "witness_status", "subdivision_level",
+    ]
+    assert data == {
+        "f": "f",
+        "g": "g",
+        "dimension": 2,
+        "lambda": {"trace": "-1", "transfer": "1/2"},
+        "agreement": {"trace": True, "transfer": False},
+        "consistent": False,
+        "value": "-1",
+        "witness": None,
+        "witness_status": None,
+        "subdivision_level": None,
+    }
+    point = GeometricPoint(("a", "b"), (Fraction(1, 3), Fraction(2, 3)))
+    rep = CoincidenceReport(
+        f_name="f", g_name="g", dimension=1, lambdas={"trace": ONE}, consistent=True,
+        value=ONE, witness=point, witness_status="found", subdivision_level=1,
+    )
+    assert rep.to_json()["witness"] == {"carrier": ["a", "b"], "coords": ["1/3", "2/3"]}
+    assert [rep.to_json()[k] for k in ("witness_status", "subdivision_level")] == ["found", 1]
