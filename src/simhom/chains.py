@@ -4,17 +4,18 @@ Boundary matrices use the classical alternating-sign face maps over the
 global vertex order.  On the full complex d_q is the complex's own signed
 facet table (``SimplicialComplex.boundary``), so every chain complex of it
 shares one; a quotient view keeps the entries between its kept simplices.
-The +-1 signs stay ``int``: elimination takes them as they are, and every
-product with a ``Fraction`` chain is a ``Fraction``.  Each delta^q is the
-transpose of d_{q+1}, built once per chain complex.  Induced
-chain maps send a generator to its image simplex with the sign of the
-sorting permutation, or to zero when the image is degenerate.  The
+Each delta^q is the transpose of d_{q+1}, built once per chain complex.
+Induced chain maps send a generator to its image simplex with the sign of
+the sorting permutation, or to zero when the image is degenerate.  The
 barycentric subdivision chain map sends a q-simplex to the signed sum of
 its (q+1)! flags, the same flags ``complex.barycentric_subdivide`` builds
 Sd X from; the sign of a flag is that of its vertex ordering.
-"""
 
-from fractions import Fraction
+Every one of these matrices, the transposes included, holds its +-1 signs
+as ``int``: elimination takes them as they are, an ``int`` chain pushed
+through one stays ``int``, and every product with a ``Fraction`` chain is
+a ``Fraction``.
+"""
 
 from .complex import SimplicialComplex, SimplicialMap, _bary_name, barycentric_subdivide, flags
 from .errors import NotSubcomplex
@@ -85,10 +86,7 @@ class ChainComplex:
         """
         m = self._coboundary.get(q)
         if m is None:
-            d = self.boundary(q + 1)
-            m = SparseMatrix(d.cols, d.rows)
-            m.entries = {(j, i): v for (i, j), v in d.entries.items()}
-            self._coboundary[q] = m
+            m = self._coboundary[q] = self.boundary(q + 1).transpose()
         return m
 
 
@@ -133,21 +131,16 @@ def sort_sign(seq) -> int:
 
 
 def induced_chain_map(f: SimplicialMap) -> dict:
-    """Per-degree matrices of f_#, degenerate images mapped to zero."""
+    """Per-degree matrices of f_#, int +-1 entries, degenerate images mapped to zero."""
     out = {}
     dom, cod = f.domain, f.codomain
     for q in range(dom.dim + 1):
-        rows = cod.n_simplices(q)
-        cols = dom.n_simplices(q)
-        ent = {}
+        m = out[q] = SparseMatrix(cod.n_simplices(q), dom.n_simplices(q))
         for j, s in enumerate(dom.basis(q)):
             image = [f.mapping[v] for v in s]
             sign = sort_sign(image)
-            if sign == 0:
-                continue
-            target = tuple(sorted(image))
-            ent[(cod.simplex_id(q, target), j)] = Fraction(sign)
-        out[q] = SparseMatrix(rows, cols, ent)
+            if sign:
+                m.entries[(cod.simplex_id(q, tuple(sorted(image))), j)] = sign
     return out
 
 
@@ -162,7 +155,7 @@ class SubdivisionMap:
         self._matrices = {}
 
     def matrix(self, q: int) -> SparseMatrix:
-        """Sd_# on C_q: a q-simplex goes to its flags, each with sign sgn(pi).
+        """Sd_# on C_q: a q-simplex goes to its flags, each with the int sign sgn(pi).
 
         This is the recursion Sd(s) = b_s . Sd(ds) unrolled.  b_s sorts last
         in Sd X, so coning a (k-1)-chain over it gives (-1)^k, and dropping
@@ -175,12 +168,10 @@ class SubdivisionMap:
             bary = {
                 s: sd.vertex_index[_bary_name(x, s)] for p in range(q + 1) for s in x.basis(p)
             }
-            ent = {}
+            m = self._matrices[q] = SparseMatrix(self.target_cc.n(q), self.source_cc.n(q))
             for j, s in enumerate(x.basis(q)):
                 for sign, flag in flags(s):
-                    ent[(sd.simplex_id(q, tuple(bary[f] for f in flag)), j)] = sign
-            m = SparseMatrix(self.target_cc.n(q), self.source_cc.n(q), ent)
-            self._matrices[q] = m
+                    m.entries[(sd.simplex_id(q, tuple(bary[f] for f in flag)), j)] = sign
         return m
 
 

@@ -65,9 +65,14 @@ class _Resolver:
         self._complexes = {}
 
     def complex(self, ref, base_dir="."):
+        """A catalog complex, or the file ``ref`` or ``ref.json`` under ``base_dir``.
+
+        A map file passes its own directory, so its ends resolve relative
+        to it whatever the working directory is.
+        """
         if ref in catalog.COMPLEX_BUILDERS:
             return catalog.get_complex(ref)
-        for candidate in (ref, os.path.join(base_dir, ref), os.path.join(base_dir, ref + ".json")):
+        for candidate in (os.path.join(base_dir, ref), os.path.join(base_dir, ref + ".json")):
             if os.path.isfile(candidate):
                 path = os.path.abspath(candidate)
                 if path not in self._complexes:

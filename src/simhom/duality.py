@@ -33,7 +33,7 @@ from .errors import (
     SingularDuality,
     SingularPairing,
 )
-from .exactlin import ONE, ZERO, dense_inv, dense_mul, dense_vec
+from .exactlin import ZERO, dense_inv, dense_mul, dense_vec
 from .homology import (
     COHOMOLOGY,
     HOMOLOGY,
@@ -332,7 +332,7 @@ class ProductDuality:
         for (pp, k, l), v in t.terms.items():
             qq = t.degree - pp
             p, q = self.n - pp, self.m - qq
-            sign = (-ONE) ** (q * self.n)
+            sign = (-1) ** (q * self.n)
             ix = self.dx.inverse_matrix(p)
             iy = self.dy.inverse_matrix(q)
             for i in range(len(ix)):

@@ -5,9 +5,13 @@ the witness search) reduces to the routines in this module.  All arithmetic
 is exact, with no floating point anywhere: elimination works on ``int``
 while entries are integral and makes a ``Fraction`` only when dividing by a
 pivot leaves a remainder.  Every entry of a vector or dense matrix the
-module returns (kernel, image, solve, dense_inv) is a
-``fractions.Fraction``; only ``Solver.rref_kernel``, which the homology
-layer reads its representatives from, hands out the RREF's own values.
+module returns (kernel, image, solve, dense_inv, dense_mul, dense_vec) is a
+``fractions.Fraction``.  ``Solver.rref_kernel``, which the homology layer
+reads its representatives from, hands out the RREF's own values, and
+``SparseMatrix.transpose`` and ``SparseMatrix.apply`` keep their operands'
+values, so ``int`` chain maps push ``int`` chains.  The dense products
+multiply in ``int`` after scaling each operand by the lcm of its
+denominators, and make one Fraction per result entry.
 
 One elimination, ``_rref``, run by one object, ``Solver``: rank, pivot
 columns, kernel and image are read off a single reduction, and the
@@ -54,6 +58,8 @@ feasibility is an explicit rational point.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 Rational = Fraction
 
@@ -78,10 +84,12 @@ class SparseMatrix:
     """Immutable-by-convention sparse matrix over Q.
 
     Entries are held in a dict keyed by (row, col); zeros are never stored.
-    Each entry is an ``int`` or a ``Fraction``: the constructor and every
-    operation here store ``Fraction``, while a builder that fills
-    ``entries`` itself, such as the boundary matrices' with their int
-    signs, may store ``int``.  ``_rref`` takes int entries as they are.
+    Each entry is an ``int`` or a ``Fraction``.  The constructor, the
+    products, sums and scalings store ``Fraction``; a builder that fills
+    ``entries`` itself, such as the boundary matrices and the chain maps
+    with their int signs, may store ``int``, and ``transpose`` and
+    ``apply`` keep the values they are given.  ``_rref`` takes int entries
+    as they are.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -123,15 +131,20 @@ class SparseMatrix:
         return self.entries.get((i, j), ZERO)
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
+        """The transpose, each entry keeping its own value."""
+        m = SparseMatrix(self.cols, self.rows)
+        m.entries = {(j, i): v for (i, j), v in self.entries.items()}
+        return m
 
     def apply(self, vec):
-        """Matrix-vector product, vec indexed by columns."""
+        """Matrix-vector product, vec indexed by columns.
+
+        Accumulated from ``0`` in the operands' own values: ``int`` entries
+        on an ``int`` vector give an ``int`` vector.
+        """
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        out = [ZERO] * self.rows
+        out = [0] * self.rows
         for (i, j), v in self.entries.items():
             c = vec[j]
             if c:
@@ -725,25 +738,33 @@ def dense_identity(n):
     )
 
 
+def _integral(rows):
+    """``rows`` scaled to ``int`` by the lcm s of their denominators, and s."""
+    s = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (s // v.denominator) for v in row] for row in rows], s
+
+
 def dense_mul(a, b):
-    rows = len(a)
+    """A B of two dense matrices, every entry a Fraction.
+
+    Each operand is scaled to ``int`` by the lcm of its denominators, the
+    product is taken in ``int``, and each entry is divided by the two
+    scales as it becomes a Fraction.
+    """
     inner = len(b)
-    cols = len(b[0]) if inner else 0
     if a and len(a[0]) != inner:
         raise ValueError("shape mismatch in dense product")
+    (ia, sa), (ib, sb) = _integral(a), _integral(b)
+    columns = list(zip(*ib))
     return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(inner)), ZERO)
-            for j in range(cols)
-        )
-        for i in range(rows)
+        tuple(Fraction(sum(map(mul, row, col)), sa * sb) for col in columns) for row in ia
     )
 
 
 def dense_vec(a, v):
-    return tuple(
-        sum((a[i][k] * v[k] for k in range(len(v))), ZERO) for i in range(len(a))
-    )
+    """A v of a dense matrix and a vector, every entry a Fraction, as ``dense_mul``."""
+    (ia, sa), ((iv,), sv) = _integral(a), _integral((v,))
+    return tuple(Fraction(sum(map(mul, row, iv)), sa * sv) for row in ia)
 
 
 def dense_trace(a):

@@ -33,9 +33,10 @@ evaluation, ``RingStructure.kron`` included, reads that matrix.
 Chain-level vectors hold the RREF's own values: a representative is read
 off the reduction as it stands, ``int`` while the elimination stayed
 integral, and so is a chain built from representatives by ``int`` maps and
-signs.  Betti-sized values become Fractions once, as they leave the chain
-layer: class coefficients, Kronecker values and so every matrix on
-(co)homology.
+signs: f_#, its transpose and Sd_# hold ``int`` +-1, and
+``SparseMatrix.apply`` and ``chain_of`` accumulate from ``0``.
+Betti-sized values become Fractions once, as they leave the chain layer:
+class coefficients, Kronecker values and so every matrix on (co)homology.
 
 Every matrix on (co)homology comes from one builder, ``class_matrix``: it
 applies a chain map to each representative and extracts the class of the
@@ -137,13 +138,19 @@ class GradedSpace:
         return tuple(Fraction(v) for v in out)
 
     def chain_of(self, q: int, coeffs) -> tuple:
-        """A representative chain of the class with the given coefficients."""
+        """A representative chain of the class with the given coefficients.
+
+        Accumulated from ``0``, an integral coefficient as its ``int``
+        numerator, so integral coefficients give an ``int`` chain.
+        """
         supports = self._supports.get(q, [])
         if len(coeffs) != len(supports):
             raise DegreeMismatch(f"expected {len(supports)} coefficients in degree {q}")
-        out = [ZERO] * self.cc.n(q)
+        out = [0] * self.cc.n(q)
         for c, support in zip(coeffs, supports):
             if c:
+                if c.denominator == 1:
+                    c = c.numerator
                 for i, v in support:
                     out[i] += c * v
         return tuple(out)
@@ -532,7 +539,7 @@ def _rebase(vec, basis, index) -> tuple:
     simplices outside ``index`` are dropped), the lift X/A -> X, and the
     excised pair's chains into the pair's.
     """
-    out = [ZERO] * len(index)
+    out = [0] * len(index)
     for s, v in zip(basis, vec):
         if v and s in index:
             out[index[s]] = v

@@ -94,7 +94,7 @@ def lefschetz_class(d: DualityOperator) -> LefschetzClass:
     prod = product_space(space, space)
     tensor = lefschetz_iso(d, prod, GradedMap.identity(space.cohomology))
     expansion = [
-        (q, i, (-ONE) ** q)
+        (q, i, (-1) ** q)
         for q in range(d.n + 1)
         for i in range(space.cohomology.betti(q))
     ]
@@ -127,9 +127,7 @@ def coefficient_extraction_table(lef: LefschetzClass, d: DualityOperator):
             for j in range(b):
                 probe = cross(basis_class(space.cohomology, q, i), duals[j], prod)
                 value = kronecker_product(cup_on_product(probe, lef.tensor), zz)
-                expected = (
-                    (-ONE) ** (n * q) * (-ONE) ** q if i == j else ZERO
-                )
+                expected = (-1) ** (n * q) * (-1) ** q if i == j else 0
                 rows.append((q, i, j, value, expected))
     return rows
 
@@ -160,7 +158,7 @@ def lefschetz_iso(d: DualityOperator, prod: ProductSpace, sigma: GradedMap) -> T
         if not m:
             continue
         duals = d.dual_basis(q)
-        sign = (-ONE) ** q
+        sign = (-1) ** q
         for i in range(len(m)):
             for j in range(len(m[0])):
                 v = m[i][j]
@@ -176,7 +174,7 @@ def graded_trace(matrix_of_degree, n) -> Fraction:
     """Tr = sum_q (-1)^q tr M_q over degrees 0..n, M_q = matrix_of_degree(q)."""
     total = ZERO
     for q in range(n + 1):
-        total += (-ONE) ** q * dense_trace(matrix_of_degree(q))
+        total += (-1) ** q * dense_trace(matrix_of_degree(q))
     return total
 
 

@@ -273,7 +273,7 @@ def kronecker_product(alpha: TensorClass, sigma: TensorClass) -> Fraction:
             qq = sigma.degree - pp
             if p != pp or q != qq:
                 continue
-            sign = (-ONE) ** (q * p)
+            sign = (-1) ** (q * p)
             total += sign * va * vs * kx(p)[i][k] * ky(q)[j][l]
     return total
 
@@ -288,7 +288,7 @@ def cup_on_product(a: TensorClass, b: TensorClass) -> TensorClass:
         q1 = a.degree - p1
         for (p2, i2, j2), v2 in b.terms.items():
             q2 = b.degree - p2
-            sign = (-ONE) ** (q1 * p2)
+            sign = (-1) ** (q1 * p2)
             cx = prod.rx.cup_basis(p1, i1, p2, i2)
             cy = prod.ry.cup_basis(q1, j1, q2, j2)
             coeff = sign * v1 * v2
@@ -314,7 +314,7 @@ def cap_on_product(a: TensorClass, sigma: TensorClass) -> TensorClass:
             q2 = sigma.degree - p2
             if p1 > p2 or q1 > q2:
                 continue
-            sign = (-ONE) ** (q1 * p2)
+            sign = (-1) ** (q1 * p2)
             cx = prod.rx.cap_basis(p1, i1, p2, k)
             cy = prod.ry.cap_basis(q1, j1, q2, l)
             coeff = sign * v1 * v2
@@ -366,7 +366,7 @@ def swap_pushforward(t: TensorClass, target: ProductSpace) -> TensorClass:
     out = {}
     for (p, i, j), v in t.terms.items():
         q = t.degree - p
-        sign = (-ONE) ** (p * q)
+        sign = (-1) ** (p * q)
         out[(q, j, i)] = out.get((q, j, i), ZERO) + sign * v
     return TensorClass(target, t.kind, t.degree, out)._clean()
 

@@ -217,7 +217,7 @@ def suite_products(seed=0):
         b = _rand_class(rng, hexa.homology, q)
         nat_ok = nat_ok and fxg(cross_h(a, b, px)) == cross_h(fh.apply(a), gh.apply(b), py)
         swapped = swap_pushforward(cross_h(a, b, px), px)
-        swap_ok = swap_ok and swapped == cross_h(b, a, px).scale((-ONE) ** (p * q))
+        swap_ok = swap_ok and swapped == cross_h(b, a, px).scale((-1) ** (p * q))
     _check(out, "cross-naturality[wrap maps]", nat_ok)
     _check(out, "cross-swap-sign[hexagon]", swap_ok)
     return out
@@ -354,7 +354,7 @@ def suite_coincidence(seed=0):
         _check(
             out,
             f"symmetry[{fname},{gname}]",
-            a.value == (-ONE) ** a.dimension * b.value,
+            a.value == (-1) ** a.dimension * b.value,
             f"{qstr(a.value)} vs {qstr(b.value)}",
         )
     # composition scaling by deg h = 2

@@ -4,9 +4,10 @@ The oracles recompute from first principles with plain dense row
 reduction over Fraction, sharing no code path with the package's sparse
 elimination or basis bookkeeping.  The ``oracle_manifold_check``,
 ``oracle_orient``, ``oracle_gauss_jordan_rref``, ``oracle_select``,
-``oracle_subdivision_matrix`` and ``oracle_lp_feasible`` references are
-earlier versions of package routines, kept so that their replacements can
-be checked value for value.
+``oracle_subdivision_matrix``, ``oracle_induced_chain_map``,
+``oracle_transpose``, ``oracle_apply`` and ``oracle_lp_feasible``
+references are earlier versions of package routines, kept so that their
+replacements can be checked value for value.
 """
 
 from collections import deque
@@ -450,6 +451,40 @@ def oracle_subdivision_matrix(x, sd, q):
         for j, s in enumerate(x.basis(q))
         for t, c in subdivide(s).items()
     }
+
+
+def oracle_induced_chain_map(f):
+    """f_# as it was built while chain maps held Fractions: per degree, the
+    entries {(row, col): Fraction(+-1)} sending a simplex to its sorted
+    image with the sign of the sorting permutation, degenerate images to
+    zero."""
+    dom, cod = f.domain, f.codomain
+    out = {}
+    for q in range(dom.dim + 1):
+        ent = {}
+        for j, s in enumerate(dom.basis(q)):
+            image = [f.mapping[v] for v in s]
+            if len(set(image)) < len(image):
+                continue
+            inversions = sum(a > b for k, b in enumerate(image) for a in image[:k])
+            ent[(cod.simplex_id(q, tuple(sorted(image))), j)] = Fraction((-1) ** inversions)
+        out[q] = ent
+    return out
+
+
+def oracle_transpose(entries):
+    """The transpose of {(row, col): value}, every entry made a Fraction."""
+    return {(j, i): Fraction(v) for (i, j), v in entries.items()}
+
+
+def oracle_apply(entries, nrows, vec):
+    """The product of {(row, col): value} with ``vec``, accumulated in
+    Fractions from a Fraction zero."""
+    out = [Fraction(0)] * nrows
+    for (i, j), v in entries.items():
+        if vec[j]:
+            out[i] += Fraction(v) * vec[j]
+    return tuple(out)
 
 
 def oracle_lp_feasible(constraints, nvars):

@@ -16,7 +16,13 @@ from simhom.complex import barycentric_subdivide, identity_map, validate
 from simhom.errors import NotSubcomplex
 from simhom.exactlin import SparseMatrix
 
-from oracles import oracle_boundary, oracle_subdivision_matrix
+from oracles import (
+    oracle_apply,
+    oracle_boundary,
+    oracle_induced_chain_map,
+    oracle_subdivision_matrix,
+    oracle_transpose,
+)
 
 F = Fraction
 
@@ -284,4 +290,63 @@ def test_subdivision_matrix_matches_coning_oracle():
             assert (m.rows, m.cols) == (sd_map.subdivided.n_simplices(q), x.n_simplices(q))
             expected = oracle_subdivision_matrix(x, sd_map.subdivided, q)
             assert m.entries == expected, (x.name, q)
-            assert all(type(v) is Fraction for v in m.entries.values())
+            assert all(type(v) is int for v in m.entries.values())
+
+
+def _oracle_class_matrix(source, q, target, entries):
+    """``class_matrix`` of the chain map {(row, col): value} pushed by the
+    Fraction ``oracle_apply``."""
+    from simhom.homology import class_matrix
+
+    return class_matrix(
+        source, q, target, q, lambda r: oracle_apply(entries, target.cc.n(q), r)
+    )
+
+
+def test_int_chain_maps_match_fraction_oracle():
+    """f_#, its transpose and Sd_# hold int +-1 entries equal to the
+    Fraction chain maps of ``oracles``; pushed through ``apply`` they give
+    the Fraction path's chains, and induced_map's f_* and f^* its
+    matrices, on every catalog map and on Sd_# of every catalog complex."""
+    from simhom.homology import Space, class_matrix, induced_map
+
+    spaces = {}
+
+    def space(x):
+        if x.name not in spaces:
+            spaces[x.name] = Space(x)
+        return spaces[x.name]
+
+    pushed = 0
+    for name in catalog.MAP_BUILDERS:
+        f = catalog.get_map(name)
+        mats, oracle = induced_chain_map(f), oracle_induced_chain_map(f)
+        assert sorted(mats) == sorted(oracle), name
+        for q, m in mats.items():
+            for got, want in ((m, oracle[q]), (m.transpose(), oracle_transpose(oracle[q]))):
+                assert got.entries == want, (name, q)
+                assert all(type(v) is int for v in got.entries.values()), (name, q)
+        sx, sy = space(f.domain), space(f.codomain)
+        for source, target, chain in (
+            (sx.homology, sy.homology, oracle),
+            (sy.cohomology, sx.cohomology, {q: oracle_transpose(e) for q, e in oracle.items()}),
+        ):
+            got = induced_map(f, source, target)
+            for q in range(max(source.dim, 0) + 1):
+                want = _oracle_class_matrix(source, q, target, chain.get(q, {}))
+                assert got.matrix(q) == want, (name, source.kind, q)
+                pushed += source.betti(q)
+    for name in catalog.COMPLEX_BUILDERS:
+        x = catalog.get_complex(name)
+        sd_map = subdivision_chain_map(x)
+        h, sd_h = space(x).homology, space(sd_map.subdivided).homology
+        for q in range(x.dim + 1):
+            m, oracle = sd_map.matrix(q), oracle_subdivision_matrix(x, sd_map.subdivided, q)
+            assert m.entries == oracle, (name, q)
+            assert all(type(v) is int for v in m.entries.values()), (name, q)
+            for r in h.representatives(q):
+                assert m.apply(r) == oracle_apply(oracle, m.rows, r), (name, q)
+            want = _oracle_class_matrix(h, q, sd_h, oracle)
+            assert class_matrix(h, q, sd_h, q, m.apply) == want, (name, q)
+            pushed += h.betti(q)
+    assert pushed > 100

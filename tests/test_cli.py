@@ -325,6 +325,27 @@ def test_file_map_coincidence(tmp_path, capsys):
     assert data["results"]["value"] in ("-1", "1")
 
 
+def test_map_file_ends_resolve_relative_to_the_map_file(tmp_path, capsys, monkeypatch):
+    """A map file's complex paths are read from the map file's directory,
+    even when the working directory holds a file of the same name."""
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    torus, octahedron = catalog.get_complex("torus"), catalog.get_complex("octahedron")
+    (sub / "surf.json").write_text(json.dumps(complex_to_json(torus)))
+    (tmp_path / "surf.json").write_text(json.dumps(complex_to_json(octahedron)))
+    vertex_map = {v: v for v in torus.vertices}
+    identity = {"domain": "surf.json", "codomain": "surf", "vertex_map": vertex_map}
+    (sub / "id.json").write_text(json.dumps(identity))
+    answers = []
+    for cwd, path in ((tmp_path, os.path.join("sub", "id.json")), (sub, "id.json")):
+        monkeypatch.chdir(cwd)
+        code, data, err = run_json(capsys, "degree", path)
+        assert (code, err) == (0, ""), (cwd, err)
+        answers.append(data["results"])
+    assert answers[0] == answers[1]
+    assert (answers[0]["domain"], answers[0]["degree"]) == ("torus", "1")
+
+
 def test_bad_map_file_exit_1(tmp_path, capsys):
     bad = {
         "domain": "hexagon",

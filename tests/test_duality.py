@@ -468,11 +468,16 @@ def _int_or_proper_fraction(values):
 def test_chain_level_vectors_stay_int(monkeypatch):
     """Representatives of H_* and H^*, the fundamental cycle and every
     cochain ``cup_basis`` builds hold ``int`` where integral, never an
-    integral Fraction, on every catalog space and the golden Sd inputs."""
+    integral Fraction, on every catalog space and the golden Sd inputs.
+    ``chain_of`` with integral coefficients over ``int`` representatives
+    gives an ``int`` chain.  Every entry of f_# of a catalog map, of its
+    transpose and of Sd_# of a catalog complex is an ``int`` +-1, and
+    ``apply`` takes an ``int`` representative to an ``int`` chain."""
     import json
     import os
 
     import simhom.products as products
+    from simhom.chains import induced_chain_map, subdivision_chain_map
     from simhom.complex import complex_from_json
     from simhom.verify import ORIENTABLE as CLOSED_ORIENTABLE
 
@@ -490,15 +495,28 @@ def test_chain_level_vectors_stay_int(monkeypatch):
         cochains.append(out)
         return out
 
+    def all_int(values):
+        return all(type(v) is int for v in values)
+
+    def signs(m):
+        return all(type(v) is int and v in (1, -1) for v in m.entries.values())
+
     monkeypatch.setattr(products, "cup_cochain", recording_cup)
     fundamentals = 0
+    int_chains = 0
+    spaces = {}
     for x in complexes:
-        s = Space(x)
+        s = spaces[x.name] = Space(x)
         h, c = s.homology_and_cohomology()
         for graded in (h, c):
             for q in range(s.dim + 1):
-                for rep in graded.representatives(q):
+                reps = graded.representatives(q)
+                for rep in reps:
                     assert _int_or_proper_fraction(rep), (x.name, graded.kind, q)
+                if reps and all(map(all_int, reps)):
+                    coeffs = tuple(F(k - 1) for k in range(len(reps)))
+                    assert all_int(graded.chain_of(q, coeffs)), (x.name, graded.kind, q)
+                    int_chains += 1
         if x.name in closed:
             assert _int_or_proper_fraction(fundamental_class(s).chain), x.name
             fundamentals += 1
@@ -510,6 +528,31 @@ def test_chain_level_vectors_stay_int(monkeypatch):
     assert fundamentals == len(CLOSED_ORIENTABLE) + 3
     assert len(cochains) > 50
     assert all(_int_or_proper_fraction(v) for v in cochains)
+    assert int_chains > 30
+
+    pushed = 0
+
+    def push(m, reps, where):
+        nonlocal pushed
+        for rep in filter(all_int, reps):
+            assert all_int(m.apply(rep)), where
+            pushed += 1
+
+    for name in catalog.MAP_BUILDERS:
+        f = catalog.get_map(name)
+        sx, sy = spaces[f.domain.name], spaces[f.codomain.name]
+        for q, m in induced_chain_map(f).items():
+            mt = m.transpose()
+            assert signs(m) and signs(mt), (name, q)
+            push(m, sx.homology.representatives(q), (name, q))
+            push(mt, sy.cohomology.representatives(q), (name, q))
+    for name in catalog.COMPLEX_BUILDERS:
+        sd_map = subdivision_chain_map(spaces[name].complex)
+        for q in range(sd_map.source.dim + 1):
+            m = sd_map.matrix(q)
+            assert signs(m), (name, q)
+            push(m, spaces[name].homology.representatives(q), (name, q))
+    assert pushed > 100
 
 
 def test_mixed_int_and_fraction_vectors_match_all_fraction_inputs():

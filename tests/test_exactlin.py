@@ -16,6 +16,7 @@ from simhom.exactlin import (
     dense_identity,
     dense_inv,
     dense_mul,
+    dense_vec,
     graph_reductions,
     image_basis,
     kernel_basis,
@@ -163,6 +164,36 @@ def test_dense_inverse():
             a[j] = a[i]
             assert dense_inv(tuple(a)) is None
     assert invertible >= 30
+
+
+def test_dense_products_match_fraction_sums():
+    """``dense_mul`` and ``dense_vec``, which multiply in int after scaling
+    by the lcm of the denominators, give the plain Fraction sums of
+    products, every entry a Fraction, on int and rational entries of every
+    shape, empty ones included."""
+    rng = random.Random(2020)
+
+    def entry():
+        v = rng.randint(-4, 4)
+        return rng.choice((v, F(v), F(v, rng.randint(1, 6))))
+
+    def matrix(rows, cols):
+        return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+
+    def fraction_sum(terms):
+        return sum(terms, F(0))
+
+    for _ in range(60):
+        rows, inner, cols = (rng.randint(0, 4) for _ in range(3))
+        a, b, v = matrix(rows, inner), matrix(inner, cols), matrix(1, inner)[0]
+        prod, image = dense_mul(a, b), dense_vec(a, v)
+        width = cols if inner else 0  # b has no row to tell its width
+        assert prod == tuple(
+            tuple(fraction_sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(width))
+            for i in range(rows)
+        )
+        assert image == tuple(fraction_sum(a[i][k] * v[k] for k in range(inner)) for i in range(rows))
+        assert all(type(x) is F for x in image + sum(prod, ()))
 
 
 def test_qstr():

@@ -552,3 +552,30 @@ def test_coincidence_report_json_and_agreement():
     )
     assert rep.to_json()["witness"] == {"carrier": ["a", "b"], "coords": ["1/3", "2/3"]}
     assert [rep.to_json()[k] for k in ("witness_status", "subdivision_level")] == ["found", 1]
+
+
+def test_vertex_permutations_of_s3():
+    """On S^3 = the boundary of a 4-simplex, every vertex permutation s is
+    an automorphism of degree sgn s with lambda(s, id) = 1 - sgn s, the
+    Lefschetz number of s, and lambda(id, s) = (-1)^3 lambda(s, id); all
+    six formulas agree.  In odd dimension the pullbacks carry (-1)^n = -1."""
+    from itertools import permutations
+
+    from simhom.complex import SimplicialMap, identity_map
+
+    from test_homology import _boundary_of_4_simplex
+
+    x = _boundary_of_4_simplex()
+    d = duality_operator(Space(x))
+    ident = identity_map(x)
+    seen = set()
+    for perm in permutations(range(5)):
+        s = SimplicialMap(x, x, perm, name=f"s{perm}")
+        sign = (-1) ** sum(a > b for k, b in enumerate(perm) for a in perm[:k])
+        assert degree(s, d, d) == sign
+        fixed = coincidence_number(s, ident, dx=d, dy=d)
+        swapped = coincidence_number(ident, s, dx=d, dy=d)
+        assert fixed.consistent and swapped.consistent, perm
+        assert fixed.value == 1 - sign and swapped.value == -fixed.value, perm
+        seen.add((sign, fixed.value))
+    assert seen == {(1, 0), (-1, 2)}
