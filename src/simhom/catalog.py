@@ -311,7 +311,10 @@ MAP_NOTES = {
 }
 
 
+@lru_cache(maxsize=None)
 def get_map(name: str) -> SimplicialMap:
+    """The catalog map ``name``, one object per name, so its chain map is
+    built once."""
     if name not in MAP_BUILDERS:
         raise KeyError(f"unknown catalog map {name!r}")
     return MAP_BUILDERS[name]()

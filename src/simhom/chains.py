@@ -6,12 +6,15 @@ facet table (``SimplicialComplex.boundary``), so every chain complex of it
 shares one; a quotient view keeps the entries between its kept simplices.
 Each delta^q is the transpose of d_{q+1}, built once per chain complex.
 Induced chain maps send a generator to its image simplex with the sign of
-the sorting permutation, or to zero when the image is degenerate.  The
-barycentric subdivision chain map sends a q-simplex to the signed sum of
-its (q+1)! flags, the same flags ``complex.barycentric_subdivide`` builds
-Sd X from; the sign of a flag is that of its vertex ordering.
+the sorting permutation, or to zero when the image is degenerate.  Each
+map builds its f_# once (``SimplicialMap.chain_map``), a ``ColumnMatrix``
+per degree, and f^# pulls a cochain back through its columns, one entry
+each.  The barycentric subdivision chain map sends a q-simplex to the
+signed sum of its (q+1)! flags, the same flags
+``complex.barycentric_subdivide`` builds Sd X from; the sign of a flag is
+that of its vertex ordering.
 
-Every one of these matrices, the transposes included, holds its +-1 signs
+Every one of these matrices, the coboundaries included, holds its +-1 signs
 as ``int``: elimination takes them as they are, an ``int`` chain pushed
 through one stays ``int``, and every product with a ``Fraction`` chain is
 a ``Fraction``.
@@ -117,31 +120,11 @@ def build_relative(ambient: SimplicialComplex, sub: SimplicialComplex) -> ChainC
     return ChainComplex(ambient, kept)
 
 
-def sort_sign(seq) -> int:
-    """Sign of the permutation sorting ``seq``; 0 if entries repeat."""
-    seq = list(seq)
-    if len(set(seq)) != len(seq):
-        return 0
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
-
-
 def induced_chain_map(f: SimplicialMap) -> dict:
-    """Per-degree matrices of f_#, int +-1 entries, degenerate images mapped to zero."""
-    out = {}
-    dom, cod = f.domain, f.codomain
-    for q in range(dom.dim + 1):
-        m = out[q] = SparseMatrix(cod.n_simplices(q), dom.n_simplices(q))
-        for j, s in enumerate(dom.basis(q)):
-            image = [f.mapping[v] for v in s]
-            sign = sort_sign(image)
-            if sign:
-                m.entries[(cod.simplex_id(q, tuple(sorted(image))), j)] = sign
-    return out
+    """f_#, degree -> ``ColumnMatrix`` with int +-1 entries, degenerate
+    images mapped to zero: the map's own, built once by the walk that
+    checks it."""
+    return f.chain_map()
 
 
 class SubdivisionMap:

@@ -59,10 +59,15 @@ MANIFOLD_ERRORS = (
 
 
 class _Resolver:
-    """Resolve complex/map arguments against the catalog and the filesystem."""
+    """Resolve complex/map arguments against the catalog and the filesystem.
+
+    A file is read and checked once per query, keyed by its absolute path,
+    so a map named twice is one object with one chain map.
+    """
 
     def __init__(self):
         self._complexes = {}
+        self._maps = {}
 
     def complex(self, ref, base_dir="."):
         """A catalog complex, or the file ``ref`` or ``ref.json`` under ``base_dir``.
@@ -86,11 +91,14 @@ class _Resolver:
             return catalog.get_map(ref)
         if not os.path.isfile(ref):
             raise KeyError(f"unknown map {ref!r} (not a catalog name or file)")
-        with open(ref) as fh:
-            data = json.load(fh)
-        base = os.path.dirname(os.path.abspath(ref))
-        dom, cod = (self.complex(end, base) for end in map_ends(data))
-        return map_from_json(data, dom, cod, name=data.get("name", os.path.basename(ref)))
+        path = os.path.abspath(ref)
+        if path not in self._maps:
+            with open(path) as fh:
+                data = json.load(fh)
+            dom, cod = (self.complex(end, os.path.dirname(path)) for end in map_ends(data))
+            name = data.get("name", os.path.basename(path))
+            self._maps[path] = map_from_json(data, dom, cod, name=name)
+        return self._maps[path]
 
 
 def _report(command, inputs, results, elapsed, with_timing):

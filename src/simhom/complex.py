@@ -17,6 +17,7 @@ a balanced dual graph also delivers the signs of the fundamental cycle.
 """
 
 import reprlib
+from array import array
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import factorial
@@ -30,7 +31,7 @@ from .errors import (
     TooManyFaces,
     UnknownVertex,
 )
-from .exactlin import SignedForest, SparseMatrix, qstr
+from .exactlin import ColumnMatrix, SignedForest, SparseMatrix, qstr
 
 Simplex = tuple  # strictly increasing tuple of vertex indices
 
@@ -239,11 +240,13 @@ def _analyse(x: SimplicialComplex):
     facet; the link balances when the facet's two induced orientations
     cancel.  A ``SignedForest`` over the links gives each top simplex t in
     top simplex 0's component the sign s_t s_0, and every other one 0.
-    Returns (report, signs, coherent): ``coherent`` is the balance of top
-    simplex 0's component, and the complex is strongly connected when that
-    component holds every top simplex.  A pure, strongly connected complex
-    is connected: every vertex lies in a top simplex.  Only other complexes
-    join the vertices along the edges, with the same routine.
+    Returns (report, signs, coherent, bad): ``coherent`` is the balance of
+    top simplex 0's component, and the complex is strongly connected when
+    that component holds every top simplex; ``bad`` is the first vertex
+    whose link fails in dimension <= 2, or None.  A pure, strongly
+    connected complex is connected: every vertex lies in a top simplex.
+    Only other complexes join the vertices along the edges, with the same
+    routine.
     """
     n = x.dim
     tops = x.top_simplices()
@@ -260,7 +263,7 @@ def _analyse(x: SimplicialComplex):
             is_closed_pseudo_manifold=connected,
             vertex_links_ok=True,
         )
-        return report, [1] * len(tops), True
+        return report, [1] * len(tops), True, None
     inc = _facet_incidences(x)
     pure = all(len(s) == n + 1 for s in x.maximal_simplices())
     boundary = tuple(x.basis(n - 1)[f] for f, ts in enumerate(inc) if len(ts) == 1)
@@ -280,6 +283,7 @@ def _analyse(x: SimplicialComplex):
     connected = pure and strongly
     if not connected:  # d_1's columns are the edges
         connected = len(SignedForest.of(x.boundary(1), True).joins) == len(x.vertices) - 1
+    bad = _bad_vertex_link(x)
     report = ManifoldReport(
         dimension=n,
         pure=pure,
@@ -289,18 +293,14 @@ def _analyse(x: SimplicialComplex):
         connected=connected,
         boundary_facets=tuple(x.simplex_names(f) for f in boundary),
         is_closed_pseudo_manifold=pure and closed and strongly,
-        vertex_links_ok=_vertex_links_ok(x) if n <= 2 else None,
+        vertex_links_ok=bad is None if n <= 2 else None,
     )
-    return report, signs, coherent
+    return report, signs, coherent, bad
 
 
 def manifold_check(x: SimplicialComplex) -> ManifoldReport:
     """Report whether the complex is a closed pseudo-manifold."""
     return _analyse(x)[0]
-
-
-def _vertex_links_ok(x: SimplicialComplex) -> bool:
-    return _bad_vertex_link(x) is None
 
 
 def _bad_vertex_link(x: SimplicialComplex):
@@ -368,20 +368,21 @@ class OrientationData:
 
 
 def orient(x: SimplicialComplex) -> OrientationData:
-    """Coherent orientation by sign propagation over the dual graph.
+    """Coherent orientation read off the dual graph of top simplices.
 
-    The first top simplex in canonical order is assigned +1; signs spread
-    by the breadth-first walk that also decides strong connectivity, over
-    the facet table the manifold report is read from.  Raises NotClosed
-    for non-pseudo-manifolds and for pseudo-manifolds with a vertex whose
-    link is not one circle (decided in dimension <= 2), and NonOrientable
-    when propagation meets a contradiction.
+    The first top simplex in canonical order is assigned +1.  The one
+    ``SignedForest`` pass of ``_analyse`` over the dual graph's links gives
+    every top simplex of that simplex's component its sign, and decides
+    strong connectivity too.  Raises NotClosed for non-pseudo-manifolds and
+    for pseudo-manifolds with a vertex whose link is not one circle
+    (decided in dimension <= 2, the vertex named by the same analysis), and
+    NonOrientable when that component is not balanced.
     """
-    report, signs, coherent = _analyse(x)
+    report, signs, coherent, bad = _analyse(x)
     if not report.is_closed_pseudo_manifold:
         raise NotClosed(f"{x.name!r} is not a closed pseudo-manifold: {report}")
-    if report.vertex_links_ok is False:
-        v = x.vertices[_bad_vertex_link(x)]
+    if bad is not None:
+        v = x.vertices[bad]
         raise NotClosed(
             f"{x.name!r} is not a closed manifold: "
             f"the link of vertex {v!r} is not one circle"
@@ -391,23 +392,75 @@ def orient(x: SimplicialComplex) -> OrientationData:
     return OrientationData(signs=tuple(signs), coherent=True, report=report)
 
 
+def sort_sign(seq) -> int:
+    """Sign of the permutation sorting ``seq``; 0 if entries repeat."""
+    seq = list(seq)
+    if len(set(seq)) != len(seq):
+        return 0
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
+
+
 class SimplicialMap:
-    """Total vertex assignment whose simplex images span codomain simplices."""
+    """Total vertex assignment whose simplex images span codomain simplices.
+
+    The map holds its chain map f_#, built on first use by the walk that
+    checks it (``chain_map``), as a complex holds its facet tables.
+    """
 
     def __init__(self, domain, codomain, mapping, name=""):
         self.domain = domain
         self.codomain = codomain
         self.mapping = tuple(mapping)  # domain vertex index -> codomain vertex index
         self.name = name
-
-    def image_set(self, simplex):
-        return tuple(sorted({self.mapping[v] for v in simplex}))
+        self._chain = None
 
     def vertex_map_names(self):
         return {
             self.domain.vertices[i]: self.codomain.vertices[j]
             for i, j in enumerate(self.mapping)
         }
+
+    def chain_map(self) -> dict:
+        """f_#, degree -> ColumnMatrix: a q-simplex goes to its image simplex
+        with the sign of the sorting permutation, or to zero when a vertex
+        repeats in its image.
+
+        Built once, by one walk over the domain's simplices in degree and
+        basis order; the first simplex whose image spans no codomain simplex
+        raises NotSimplicial naming it.  A strictly increasing image is a key
+        of the codomain's index as it stands, with sign +1; a repeated vertex
+        never is, so only the other images are sorted.
+        """
+        if self._chain is None:
+            dom, cod, fv = self.domain, self.codomain, self.mapping
+            out = {}
+            for q in range(dom.dim + 1):
+                index = cod.index[q] if q <= cod.dim else {}
+                row, sign = array("i"), array("b")
+                for s in dom.basis(q):
+                    image = tuple([fv[v] for v in s])
+                    i = index.get(image)
+                    if i is not None:
+                        row.append(i)
+                        sign.append(1)
+                        continue
+                    face = tuple(sorted(set(image)))
+                    if not cod.has_simplex(face):
+                        raise NotSimplicial(
+                            f"image of {dom.simplex_names(s)} spans no simplex of {cod.name!r}",
+                            simplex=dom.simplex_names(s),
+                        )
+                    # a repeated vertex leaves a smaller face: row 0, sign 0
+                    row.append(index.get(face, 0))
+                    sign.append(sort_sign(image))
+                out[q] = ColumnMatrix(cod.n_simplices(q), row, sign)
+            self._chain = out
+        return self._chain
 
     def __repr__(self):
         return f"SimplicialMap({self.name or '?'}: {self.domain.name} -> {self.codomain.name})"
@@ -418,6 +471,7 @@ def check_simplicial(vertex_map, domain, codomain, name="") -> SimplicialMap:
 
     ``vertex_map`` maps domain vertex identifiers to codomain identifiers;
     every domain simplex must land, as a vertex set, on a codomain simplex.
+    The walk that builds the map's chain map checks this.
     """
     mapping = []
     for v in domain.vertices:
@@ -428,14 +482,7 @@ def check_simplicial(vertex_map, domain, codomain, name="") -> SimplicialMap:
             raise UnknownVertex(f"image vertex {w!r} not in codomain")
         mapping.append(codomain.vertex_index[w])
     f = SimplicialMap(domain, codomain, mapping, name=name)
-    for q in range(domain.dim + 1):
-        for s in domain.basis(q):
-            img = f.image_set(s)
-            if not codomain.has_simplex(img):
-                raise NotSimplicial(
-                    f"image of {domain.simplex_names(s)} spans no simplex of {codomain.name!r}",
-                    simplex=domain.simplex_names(s),
-                )
+    f.chain_map()
     return f
 
 

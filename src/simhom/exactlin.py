@@ -209,6 +209,47 @@ class SparseMatrix:
         return out
 
 
+class ColumnMatrix:
+    """A matrix with at most one entry, an int +-1, per column, kept by
+    column: column j holds ``sign[j]`` in row ``row[j]``, or sign 0.
+
+    A simplicial map's chain map is one: a simplex has one image or none.
+    ``apply`` pushes a vector forward and ``pull`` pulls one back,
+    (M^T c)_j = sign[j] c[row[j]], one product per column and no transposed
+    copy, each accumulating in the operands' own values as
+    ``SparseMatrix.apply`` does.  ``row`` and ``sign`` are flat arrays, a
+    few bytes per column where a SparseMatrix keeps a keyed entry.
+    """
+
+    __slots__ = ("rows", "cols", "row", "sign")
+
+    def __init__(self, rows: int, row=(), sign=()):
+        self.rows = rows
+        self.cols = len(row)
+        self.row = row
+        self.sign = sign
+
+    def apply(self, vec):
+        """M vec; vec is indexed by columns."""
+        if len(vec) != self.cols:
+            raise ValueError("vector length does not match column count")
+        out = [0] * self.rows
+        for i, s, c in zip(self.row, self.sign, vec):
+            if s and c:
+                out[i] += s * c
+        return tuple(out)
+
+    def pull(self, vec):
+        """M^T vec, read off the columns; vec is indexed by rows."""
+        if len(vec) != self.rows:
+            raise ValueError("vector length does not match row count")
+        out = [0] * self.cols
+        for j, (i, s) in enumerate(zip(self.row, self.sign)):
+            if s and vec[i]:  # an empty column's row may not exist
+                out[j] = s * vec[i]
+        return tuple(out)
+
+
 def _row_dicts(m: SparseMatrix):
     rows = [dict() for _ in range(m.rows)]
     for (i, j), v in m.entries.items():

@@ -33,8 +33,8 @@ evaluation, ``RingStructure.kron`` included, reads that matrix.
 Chain-level vectors hold the RREF's own values: a representative is read
 off the reduction as it stands, ``int`` while the elimination stayed
 integral, and so is a chain built from representatives by ``int`` maps and
-signs: f_#, its transpose and Sd_# hold ``int`` +-1, and
-``SparseMatrix.apply`` and ``chain_of`` accumulate from ``0``.
+signs: f_# and Sd_# hold ``int`` +-1, and the matrices' ``apply`` and
+``pull`` and ``chain_of`` accumulate from ``0``.
 Betti-sized values become Fractions once, as they leave the chain layer:
 class coefficients, Kronecker values and so every matrix on (co)homology.
 
@@ -55,6 +55,7 @@ from .errors import DegreeMismatch, HypothesisViolated
 from .exactlin import (
     ONE,
     ZERO,
+    ColumnMatrix,
     Solver,
     SparseMatrix,
     dense_identity,
@@ -443,18 +444,18 @@ def induced_map(f: SimplicialMap, source: GradedSpace, target: GradedSpace) -> G
 
     For homology, source/target are the graded spaces of f's domain and
     codomain; for cohomology they are the codomain's and domain's, and
-    cochains are pulled back along the transposed chain map.  Spaces of
-    different kinds raise DegreeMismatch.
+    cochains are pulled back through f_#'s columns.  Both read the map's
+    one f_#.  Spaces of different kinds raise DegreeMismatch.
     """
     if source.kind != target.kind:
         raise DegreeMismatch(f"induced map from {source.kind} to {target.kind}")
     chain = induced_chain_map(f)
-    if source.kind == COHOMOLOGY:
-        chain = {q: m.transpose() for q, m in chain.items()}
+    pull = source.kind == COHOMOLOGY
     mats = {}
     for q in range(max(source.dim, 0) + 1):
-        m = chain.get(q, SparseMatrix(target.cc.n(q), source.cc.n(q), {}))
-        mats[q] = class_matrix(source, q, target, q, m.apply)
+        # above the domain's dimension f_# has no columns
+        m = chain[q] if q in chain else ColumnMatrix(f.codomain.n_simplices(q))
+        mats[q] = class_matrix(source, q, target, q, m.pull if pull else m.apply)
     return GradedMap(source, target, mats)
 
 

@@ -251,7 +251,7 @@ def coincidence_number(
         )
 
     tf = transfers(f, dx, dy)
-    tg = transfers(g, dx, dy)
+    tg = tf if g is f else transfers(g, dx, dy)
     f_low, f_up = tf.push, tf.pull
     g_low, g_up = tg.push, tg.pull
 

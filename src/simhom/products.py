@@ -284,11 +284,14 @@ def cup_on_product(a: TensorClass, b: TensorClass) -> TensorClass:
     if b.product is not prod or a.kind != COHOMOLOGY or b.kind != COHOMOLOGY:
         raise DegreeMismatch("cup_on_product expects cohomology tensor classes")
     out = {}
+    nx, ny = prod.x.dim, prod.y.dim
     for (p1, i1, j1), v1 in a.terms.items():
         q1 = a.degree - p1
         for (p2, i2, j2), v2 in b.terms.items():
             q2 = b.degree - p2
-            sign = (-1) ** (q1 * p2)
+            if p1 + p2 > nx or q1 + q2 > ny:  # a cup above a factor's dimension is zero
+                continue
+            sign = -1 if q1 * p2 & 1 else 1
             cx = prod.rx.cup_basis(p1, i1, p2, i2)
             cy = prod.ry.cup_basis(q1, j1, q2, j2)
             coeff = sign * v1 * v2

@@ -142,7 +142,12 @@ def oracle_vertex_links_ok(x):
     opposite edges must form one closed cycle.  Reads only ``x.dim``,
     ``x.vertices`` and ``x.basis``; other dimensions give True.
     """
-    return all(_oracle_link_ok(x, v) for v in range(len(x.vertices)))
+    return oracle_bad_vertex_link(x) is None
+
+
+def oracle_bad_vertex_link(x):
+    """The first vertex failing ``oracle_vertex_links_ok``'s scan, or None."""
+    return next((v for v in range(len(x.vertices)) if not _oracle_link_ok(x, v)), None)
 
 
 def _oracle_link_ok(x, v):
@@ -469,6 +474,16 @@ def oracle_induced_chain_map(f):
             inversions = sum(a > b for k, b in enumerate(image) for a in image[:k])
             ent[(cod.simplex_id(q, tuple(sorted(image))), j)] = Fraction((-1) ** inversions)
         out[q] = ent
+    return out
+
+
+def sparse_of(m):
+    """A ``ColumnMatrix`` as the SparseMatrix of the same int entries, to
+    compare with the references kept as SparseMatrix entries."""
+    from simhom.exactlin import SparseMatrix
+
+    out = SparseMatrix(m.rows, m.cols)
+    out.entries = {(i, j): s for j, (i, s) in enumerate(zip(m.row, m.sign)) if s}
     return out
 
 

@@ -9,10 +9,9 @@ from simhom.chains import (
     ChainComplex,
     build_relative,
     induced_chain_map,
-    sort_sign,
     subdivision_chain_map,
 )
-from simhom.complex import barycentric_subdivide, identity_map, validate
+from simhom.complex import barycentric_subdivide, constant_map, identity_map, sort_sign, validate
 from simhom.errors import NotSubcomplex
 from simhom.exactlin import SparseMatrix
 
@@ -22,6 +21,7 @@ from oracles import (
     oracle_induced_chain_map,
     oracle_subdivision_matrix,
     oracle_transpose,
+    sparse_of,
 )
 
 F = Fraction
@@ -195,19 +195,60 @@ def test_induced_identity_matrices():
     f = identity_map(x)
     mats = induced_chain_map(f)
     for q in range(x.dim + 1):
-        assert mats[q] == SparseMatrix.identity(x.n_simplices(q))
+        assert sparse_of(mats[q]) == SparseMatrix.identity(x.n_simplices(q))
 
 
 def test_induced_constant_collapses():
     x = catalog.hexagon()
     f = catalog.MAP_BUILDERS["hex_const_v0"]()
     mats = induced_chain_map(f)
-    assert mats[1].is_zero()
+    assert sparse_of(mats[1]).is_zero()
+
+
+def _boundary_of_4_simplex():
+    return validate([[v for v in "abcde" if v != w] for w in "abcde"], name="S3")
+
+
+def test_identity_chain_map_is_the_int_diagonal():
+    """Every image of the identity is a key of the codomain's index as it
+    stands, so f_# is the +1 diagonal, in int, in every degree, and the
+    map hands out the one f_# it built."""
+    for x in (catalog.torus(), _boundary_of_4_simplex()):
+        f = identity_map(x)
+        mats = induced_chain_map(f)
+        assert induced_chain_map(f) is mats
+        assert sorted(mats) == list(range(x.dim + 1))
+        for q, m in mats.items():
+            n = x.n_simplices(q)
+            assert (m.rows, m.cols) == (n, n)
+            assert sparse_of(m).entries == {(j, j): 1 for j in range(n)}
+            assert all(type(v) is int for v in sparse_of(m).entries.values())
+
+
+def test_constant_chain_map_is_zero_above_degree_0():
+    """An image with a repeated vertex, such as (0, 0), is sorted but
+    degenerate: a constant map's f_# is zero above degree 0, into a
+    codomain of lower dimension too, and so are its f_* and f^*."""
+    from simhom.homology import Space, induced_map
+
+    tri = catalog.triangle_circle()
+    for x, y in ((catalog.torus(), catalog.torus()), (_boundary_of_4_simplex(), tri)):
+        for v in (y.vertices[0], y.vertices[-1]):
+            f = constant_map(x, y, v)
+            mats = induced_chain_map(f)
+            c = y.vertex_index[v]
+            assert sparse_of(mats[0]).entries == {(c, j): 1 for j in range(len(x.vertices))}
+            assert all(sparse_of(mats[q]).is_zero() for q in range(1, x.dim + 1)), v
+        sx, sy = Space(x), Space(y)
+        for source, target in ((sx.homology, sy.homology), (sy.cohomology, sx.cohomology)):
+            got = induced_map(f, source, target)
+            assert got.matrix(0) == ((1,),)
+            assert all(not any(map(any, got.matrix(q))) for q in range(1, source.dim + 1))
 
 
 def test_induced_wrap_is_chain_map():
     f = catalog.hex_wrap2()
-    mats = induced_chain_map(f)
+    mats = {q: sparse_of(m) for q, m in induced_chain_map(f).items()}
     ccx = ChainComplex(f.domain)
     ccy = ChainComplex(f.codomain)
     # each hexagon edge maps to a codomain edge with sign +-1
@@ -221,7 +262,7 @@ def test_chain_map_identity_on_catalog_maps():
     for name in ["hex_wrap2", "hex_wrap1", "oct_antipodal", "oct_rotate",
                  "torus_transpose", "torus_shift", "hex_reflect", "dodeca_wrap2"]:
         f = catalog.get_map(name)
-        mats = induced_chain_map(f)
+        mats = {q: sparse_of(m) for q, m in induced_chain_map(f).items()}
         ccx = ChainComplex(f.domain)
         ccy = ChainComplex(f.codomain)
         for q in range(1, f.domain.dim + 1):
@@ -305,9 +346,10 @@ def _oracle_class_matrix(source, q, target, entries):
 
 def test_int_chain_maps_match_fraction_oracle():
     """f_#, its transpose and Sd_# hold int +-1 entries equal to the
-    Fraction chain maps of ``oracles``; pushed through ``apply`` they give
-    the Fraction path's chains, and induced_map's f_* and f^* its
-    matrices, on every catalog map and on Sd_# of every catalog complex."""
+    Fraction chain maps of ``oracles``; pushed through ``apply`` and
+    ``pull`` they give the Fraction path's chains, and induced_map's f_*
+    and f^* its matrices, on every catalog map and on Sd_# of every catalog
+    complex."""
     from simhom.homology import Space, class_matrix, induced_map
 
     spaces = {}
@@ -322,11 +364,16 @@ def test_int_chain_maps_match_fraction_oracle():
         f = catalog.get_map(name)
         mats, oracle = induced_chain_map(f), oracle_induced_chain_map(f)
         assert sorted(mats) == sorted(oracle), name
+        sx, sy = space(f.domain), space(f.codomain)
         for q, m in mats.items():
-            for got, want in ((m, oracle[q]), (m.transpose(), oracle_transpose(oracle[q]))):
+            sparse, back = sparse_of(m), oracle_transpose(oracle[q])
+            for got, want in ((sparse, oracle[q]), (sparse.transpose(), back)):
                 assert got.entries == want, (name, q)
                 assert all(type(v) is int for v in got.entries.values()), (name, q)
-        sx, sy = space(f.domain), space(f.codomain)
+            for r in sx.homology.representatives(q):
+                assert m.apply(r) == oracle_apply(oracle[q], m.rows, r), (name, q)
+            for r in sy.cohomology.representatives(q):
+                assert m.pull(r) == oracle_apply(back, m.cols, r), (name, q)
         for source, target, chain in (
             (sx.homology, sy.homology, oracle),
             (sy.cohomology, sx.cohomology, {q: oracle_transpose(e) for q, e in oracle.items()}),

@@ -8,13 +8,14 @@ import pytest
 
 import simhom
 from simhom import catalog
-from simhom.cli import PARSE_ERRORS, main
+from simhom.cli import PARSE_ERRORS, _Resolver, main
 from simhom.complex import (
     SimplicialComplex,
     barycentric_subdivide,
     complex_from_json,
     complex_to_json,
     manifold_check,
+    map_to_json,
 )
 from simhom.errors import MalformedInput
 from simhom.homology import Space
@@ -344,6 +345,23 @@ def test_map_file_ends_resolve_relative_to_the_map_file(tmp_path, capsys, monkey
         answers.append(data["results"])
     assert answers[0] == answers[1]
     assert (answers[0]["domain"], answers[0]["degree"]) == ("torus", "1")
+
+
+def test_map_file_named_twice_is_read_and_checked_once(tmp_path, capsys, monkeypatch):
+    """A map file named twice in one query is one map object, so its f_#
+    is built once, and `coincidence m.json m.json` answers as the catalog
+    map does, names aside."""
+    shift = catalog.get_map("torus_shift")
+    (tmp_path / "m.json").write_text(json.dumps(map_to_json(shift)))
+    monkeypatch.chdir(tmp_path)
+    resolver = _Resolver()
+    assert resolver.map("m.json") is resolver.map(os.path.join(".", "m.json"))
+    code, data, err = run_json(capsys, "coincidence", "m.json", os.path.join(".", "m.json"))
+    assert (code, err) == (0, "")
+    _, expected, _ = run_json(capsys, "coincidence", "torus_shift", "torus_shift")
+    for key in ("f", "g"):
+        expected["results"][key] = "m.json"
+    assert data["results"] == expected["results"]
 
 
 def test_bad_map_file_exit_1(tmp_path, capsys):

@@ -7,8 +7,10 @@ import pytest
 
 import simhom.complex as cx
 from simhom import catalog
+from simhom.chains import induced_chain_map
 from simhom.complex import (
     GeometricPoint,
+    SimplicialMap,
     barycentric_subdivide,
     check_simplicial,
     complex_from_json,
@@ -31,12 +33,12 @@ from simhom.errors import (
 
 from oracles import (
     face_closure,
+    oracle_bad_vertex_link,
     oracle_euler,
     oracle_facet_incidences,
     oracle_manifold_check,
     oracle_maximal_simplices,
     oracle_orient,
-    oracle_vertex_links_ok,
 )
 
 
@@ -153,7 +155,7 @@ def test_vertex_links_match_reference_scan(monkeypatch):
     # Sd^1 with a shuffled vertex order
     complexes += [_read_data_complex(f"sd1_{base}.json") for base in ("torus", "genus2")]
     reports = [manifold_check(x) for x in complexes]
-    monkeypatch.setattr(cx, "_vertex_links_ok", oracle_vertex_links_ok)
+    monkeypatch.setattr(cx, "_bad_vertex_link", oracle_bad_vertex_link)
     for x, report in zip(complexes, reports):
         assert report == manifold_check(x), x.name
     pinched = reports[len(catalog.COMPLEX_BUILDERS)]
@@ -355,7 +357,7 @@ def test_subdivision_euler_matches_oracle():
 
 def test_check_simplicial_wrap():
     f = catalog.hex_wrap2()
-    assert f.image_set((0, 1)) in f.codomain.index[1]
+    assert all(f.chain_map()[1].sign)  # every edge lands on an edge
 
 
 def test_check_simplicial_constant():
@@ -372,6 +374,23 @@ def test_check_simplicial_rejects_bad_map():
     path = validate([["w0", "w1"], ["w1", "w2"]], name="path")
     with pytest.raises(NotSimplicial):
         check_simplicial({f"v{i}": f"w{(2 * i) % 3}" for i in range(6)}, hexagon, path)
+
+
+def test_direct_map_that_is_not_simplicial_raises_on_first_use():
+    """A SimplicialMap made without check_simplicial raises, when its chain
+    map is first built, the NotSimplicial check_simplicial raises: the
+    same message and the same first simplex."""
+    hexagon = catalog.hexagon()
+    path = validate([["w0", "w1"], ["w1", "w2"]], name="path")
+    vertex_map = {f"v{i}": f"w{(2 * i) % 3}" for i in range(6)}
+    with pytest.raises(NotSimplicial) as checked:
+        check_simplicial(vertex_map, hexagon, path)
+    mapping = [path.vertex_index[vertex_map[v]] for v in hexagon.vertices]
+    direct = SimplicialMap(hexagon, path, mapping)
+    with pytest.raises(NotSimplicial) as used:
+        induced_chain_map(direct)
+    assert str(used.value) == str(checked.value)
+    assert used.value.simplex == checked.value.simplex == ("v0", "v1")
 
 
 def test_compose_and_identity():

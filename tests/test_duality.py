@@ -470,9 +470,9 @@ def test_chain_level_vectors_stay_int(monkeypatch):
     cochain ``cup_basis`` builds hold ``int`` where integral, never an
     integral Fraction, on every catalog space and the golden Sd inputs.
     ``chain_of`` with integral coefficients over ``int`` representatives
-    gives an ``int`` chain.  Every entry of f_# of a catalog map, of its
-    transpose and of Sd_# of a catalog complex is an ``int`` +-1, and
-    ``apply`` takes an ``int`` representative to an ``int`` chain."""
+    gives an ``int`` chain.  Every entry of f_# of a catalog map and of
+    Sd_# of a catalog complex is an ``int`` +-1, and ``apply`` and f_#'s
+    ``pull`` take an ``int`` representative to an ``int`` chain."""
     import json
     import os
 
@@ -480,6 +480,8 @@ def test_chain_level_vectors_stay_int(monkeypatch):
     from simhom.chains import induced_chain_map, subdivision_chain_map
     from simhom.complex import complex_from_json
     from simhom.verify import ORIENTABLE as CLOSED_ORIENTABLE
+
+    from oracles import sparse_of
 
     here = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
     complexes = [catalog.get_complex(name) for name in catalog.COMPLEX_BUILDERS]
@@ -532,26 +534,25 @@ def test_chain_level_vectors_stay_int(monkeypatch):
 
     pushed = 0
 
-    def push(m, reps, where):
+    def push(apply, reps, where):
         nonlocal pushed
         for rep in filter(all_int, reps):
-            assert all_int(m.apply(rep)), where
+            assert all_int(apply(rep)), where
             pushed += 1
 
     for name in catalog.MAP_BUILDERS:
         f = catalog.get_map(name)
         sx, sy = spaces[f.domain.name], spaces[f.codomain.name]
         for q, m in induced_chain_map(f).items():
-            mt = m.transpose()
-            assert signs(m) and signs(mt), (name, q)
-            push(m, sx.homology.representatives(q), (name, q))
-            push(mt, sy.cohomology.representatives(q), (name, q))
+            assert signs(sparse_of(m)), (name, q)
+            push(m.apply, sx.homology.representatives(q), (name, q))
+            push(m.pull, sy.cohomology.representatives(q), (name, q))
     for name in catalog.COMPLEX_BUILDERS:
         sd_map = subdivision_chain_map(spaces[name].complex)
         for q in range(sd_map.source.dim + 1):
             m = sd_map.matrix(q)
             assert signs(m), (name, q)
-            push(m, spaces[name].homology.representatives(q), (name, q))
+            push(m.apply, spaces[name].homology.representatives(q), (name, q))
     assert pushed > 100
 
 

@@ -84,6 +84,7 @@ def queries():
         ]
     for base in SD2_SEEDS:
         out += [["duality", sd2_path(base)], ["lefschetz", sd2_path(base)]]
+    out += [["verify", "--seed", "5"], ["verify", "--seed", "7"]]
     return [argv + ["--json"] for argv in out]
 
 

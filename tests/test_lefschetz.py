@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from simhom import catalog, duality, homology, lefschetz
+from simhom import catalog, duality, homology, lefschetz, verify
+from simhom.complex import SimplicialMap, identity_map
 from simhom.duality import duality_operator, degree, transfers
 from simhom.errors import DegreeMismatch, DimensionMismatch
 from simhom.exactlin import ONE, ZERO, dense_mul, lp_feasible
@@ -146,6 +147,63 @@ def test_coincidence_number_builds_each_induced_map_once(monkeypatch):
     rep = coincidence_number(catalog.hex_wrap2(), catalog.hex_wrap1(), dx=dx, dy=dy)
     assert rep.value == -1 and rep.consistent
     assert sorted(calls) == ["hex_wrap1", "hex_wrap1", "hex_wrap2", "hex_wrap2"]
+
+
+def count_chain_map_builds(monkeypatch):
+    """The list that records, from now on, each map whose f_# is built."""
+    real = SimplicialMap.chain_map
+    built = []
+
+    def recording(f):
+        if f._chain is None:
+            built.append(f)
+        return real(f)
+
+    monkeypatch.setattr(SimplicialMap, "chain_map", recording)
+    return built
+
+
+def test_coincidence_number_builds_one_chain_map_per_map(monkeypatch):
+    """f_* and f^* read one f_#, so two maps build two; g = f reuses f's
+    transfers and builds none again."""
+    x = catalog.torus()
+    d = dop("torus")
+    shift = catalog.torus_shift().mapping
+    built = count_chain_map_builds(monkeypatch)
+    f = identity_map(x)
+    g = SimplicialMap(x, x, shift, name="shift")
+    rep = coincidence_number(f, g, dx=d, dy=d)
+    assert rep.consistent and rep.value == 0
+    assert sorted(h.name for h in built) == ["id_torus", "shift"]
+
+    made = []
+    real = lefschetz.transfers
+
+    def recording(h, *args):
+        made.append(h)
+        return real(h, *args)
+
+    monkeypatch.setattr(lefschetz, "transfers", recording)
+    built.clear()
+    h = identity_map(x)
+    assert coincidence_number(h, h, dx=d, dy=d).value == 0
+    assert built == made == [h]
+
+
+def test_suite_coincidence_builds_one_chain_map_per_catalog_map(monkeypatch):
+    """The catalog hands out one object per map name, so the coincidence
+    suite builds each catalog map's f_# once."""
+    catalog.get_map.cache_clear()
+    for builder in catalog.MAP_BUILDERS.values():
+        getattr(builder, "cache_clear", lambda: None)()
+    built = count_chain_map_builds(monkeypatch)
+    checks = verify.suite_coincidence()
+    assert checks and all(c.passed for c in checks)
+    names = [f.name for f in built]
+    assert sorted(names) == sorted(set(names))
+    used = {name for pair in verify.COINCIDENCE_PAIRS for name in pair[:2]}
+    assert used <= set(names)
+    assert all(catalog.get_map(f.name) is f for f in built)
 
 
 def test_lefschetz_iso_zero():
