@@ -4,7 +4,9 @@ Boundary matrices use the classical alternating-sign face maps over the
 global vertex order.  On the full complex d_q is the complex's own signed
 facet table (``SimplicialComplex.boundary``), so every chain complex of it
 shares one; a quotient view keeps the entries between its kept simplices.
-Each delta^q is the transpose of d_{q+1}, built once per chain complex.
+delta^q is d_{q+1}^T, and the engine reads it off d_{q+1} by rows
+(``exactlin.Reductions``, ``SparseMatrix.pull``): ``coboundary`` builds a
+transposed copy only for the checks that ask for one.
 Induced chain maps send a generator to its image simplex with the sign of
 the sorting permutation, or to zero when the image is degenerate.  Each
 map builds its f_# once (``SimplicialMap.chain_map``), a ``ColumnMatrix``
@@ -14,10 +16,9 @@ signed sum of its (q+1)! flags, the same flags
 ``complex.barycentric_subdivide`` builds Sd X from; the sign of a flag is
 that of its vertex ordering.
 
-Every one of these matrices, the coboundaries included, holds its +-1 signs
-as ``int``: elimination takes them as they are, an ``int`` chain pushed
-through one stays ``int``, and every product with a ``Fraction`` chain is
-a ``Fraction``.
+Every one of these matrices holds its +-1 signs as ``int``: elimination
+takes them as they are, an ``int`` chain pushed through one stays ``int``,
+and every product with a ``Fraction`` chain is a ``Fraction``.
 """
 
 from .complex import SimplicialComplex, SimplicialMap, _bary_name, barycentric_subdivide, flags
@@ -51,7 +52,6 @@ class ChainComplex:
                 {s: k for k, s in enumerate(level)} for level in self._basis
             )
         self._boundary = {}
-        self._coboundary = {}
 
     def basis(self, q: int):
         return self._basis[q] if 0 <= q <= self.dim else ()
@@ -82,15 +82,9 @@ class ChainComplex:
         return m
 
     def coboundary(self, q: int) -> SparseMatrix:
-        """delta^q = transpose of d_{q+1}, built once; entries are int +-1.
-
-        Cached apart from the boundaries: delta^{-1} (n_0 x 0) and d_0
-        (0 x n_0) share no degree key.
-        """
-        m = self._coboundary.get(q)
-        if m is None:
-            m = self._coboundary[q] = self.boundary(q + 1).transpose()
-        return m
+        """delta^q, a new transposed copy of d_{q+1} on every call; entries
+        are int +-1.  The engine reads d_{q+1} by rows instead."""
+        return self.boundary(q + 1).transpose()
 
 
 def embed(ambient: SimplicialComplex, sub: SimplicialComplex, q: int) -> list:

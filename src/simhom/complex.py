@@ -219,19 +219,6 @@ class ManifoldReport:
         return out
 
 
-def _facet_incidences(x: SimplicialComplex):
-    """d_n by rows: each (n-1)-simplex id -> its (top id, (-1)^i) pairs.
-
-    (-1)^i is the sign the top simplex's boundary gives the facet; the
-    pairs of a facet come in the order of the top simplices.
-    """
-    d = x.boundary(x.dim)
-    inc = [[] for _ in range(d.rows)]
-    for (f, t), sign in d.entries.items():
-        inc[f].append((t, sign))
-    return inc
-
-
 def _analyse(x: SimplicialComplex):
     """The manifold report and the orientation signs, from one facet table
     and one pass over the dual graph.
@@ -264,7 +251,8 @@ def _analyse(x: SimplicialComplex):
             vertex_links_ok=True,
         )
         return report, [1] * len(tops), True, None
-    inc = _facet_incidences(x)
+    # d_n by rows: each (n-1)-simplex's {top id: (-1)^i}, in top order
+    inc = x.boundary(n).lines()
     pure = all(len(s) == n + 1 for s in x.maximal_simplices())
     boundary = tuple(x.basis(n - 1)[f] for f, ts in enumerate(inc) if len(ts) == 1)
     ok = all(len(ts) <= 2 for ts in inc)
@@ -272,7 +260,7 @@ def _analyse(x: SimplicialComplex):
     a, av, b, bv = [], [], [], []
     for pair in inc:
         if len(pair) == 2:
-            (t, st), (u, su) = pair
+            (t, st), (u, su) = pair.items()
             a.append(t), av.append(st), b.append(u), bv.append(su)
     dual = SignedForest(len(tops), a, av, b, bv)
     roots, signs = dual.flatten()
@@ -622,14 +610,19 @@ def _vertex_ids(entry, label: str) -> list:
     return entry
 
 
-def _json_object(data, kind: str) -> dict:
-    return _checked(data, f"a {kind} file", isinstance(data, dict), "a JSON object")
+def _json_object(data, kind: str, *required) -> dict:
+    """``data`` when it is an object holding every ``required`` key."""
+    _checked(data, f"a {kind} file", isinstance(data, dict), "a JSON object")
+    for key in required:
+        if key not in data:
+            raise MalformedInput(f"a {kind} file needs the key {key!r}")
+    return data
 
 
 def complex_from_json(data) -> SimplicialComplex:
     """Validate a complex file; an entry of the wrong shape raises
     MalformedInput naming it."""
-    data = _json_object(data, "complex")
+    data = _json_object(data, "complex", "maximal_simplices")
     simplices = data["maximal_simplices"]
     _checked(simplices, "maximal_simplices", isinstance(simplices, list), "an array")
     for k, s in enumerate(simplices):
@@ -662,13 +655,13 @@ def map_to_json(f: SimplicialMap) -> dict:
     return {
         "domain": f.domain.name,
         "codomain": f.codomain.name,
-        "vertex_map": {str(k): str(v) for k, v in f.vertex_map_names().items()},
+        "vertex_map": {str(k): v for k, v in f.vertex_map_names().items()},
     }
 
 
 def map_ends(data) -> tuple:
     """The domain and codomain references of a map file."""
-    data = _json_object(data, "map")
+    data = _json_object(data, "map", "domain", "codomain")
     return tuple(
         _checked(data[key], key, isinstance(data[key], str), "a complex name or path")
         for key in ("domain", "codomain")
@@ -677,10 +670,18 @@ def map_ends(data) -> tuple:
 
 def map_from_json(data, domain: SimplicialComplex, codomain: SimplicialComplex, name="") -> SimplicialMap:
     """Validate a map file's vertex map against its domain and codomain;
-    an entry of the wrong shape raises MalformedInput naming it."""
-    data = _json_object(data, "map")
+    an entry of the wrong shape raises MalformedInput naming it.  A key,
+    always a string, names the domain vertex whose ``str`` it is."""
+    data = _json_object(data, "map", "vertex_map")
     vertex_map = data["vertex_map"]
     _checked(vertex_map, "vertex_map", isinstance(vertex_map, dict), "an object")
     for v, w in vertex_map.items():
         _checked(w, f"vertex_map[{v!r}]", type(w) in _VERTEX_ID_TYPES, _VERTEX_ID)
-    return check_simplicial(vertex_map, domain, codomain, name=name or data.get("name", ""))
+    keyed = {}
+    for v in domain.vertices:
+        k = str(v)
+        if k in keyed:
+            raise MalformedInput(f"domain vertices {keyed[k]!r} and {v!r} share the map key {k!r}")
+        keyed[k] = v
+    resolved = {keyed.get(k, k): w for k, w in vertex_map.items()}
+    return check_simplicial(resolved, domain, codomain, name=name or data.get("name", ""))

@@ -2,18 +2,16 @@
 
 A GradedSpace keeps, per degree, a list of representative cycles (or
 cocycles) whose classes form a basis.  H_* reads the kernel and image of
-each d_k, H^* those of d_k transposed, and each orientation of each d_k is
-reduced at most once.  An orientation that is a signed graph's incidence
-matrix is read off its graph with no elimination (``exactlin``'s
-``graph_reductions``, the tree-cotree decomposition), and one union-find
-pass over d_k's lines gives d_k and d_k^T together: d_1's columns are the
-1-skeleton's edges and on a surface d_2's rows are the dual graph's, so
-on a closed orientable surface nothing is eliminated.  Any other
-orientation is eliminated: the wide one (at least as many columns as rows)
-in full, the tall one on the rank(d_k) of its rows at the wide one's pivot
-columns, which span its row space.  When H_* and H^* are built together,
-one walk up the degrees shares these reductions between them, and no
-reduction outlives the walk.
+each d_k, H^* those of d_k^T, both from one ``exactlin.Reductions`` of
+d_k, which reduces each orientation at most once from d_k's own entries:
+no coboundary is ever copied.  An orientation that is a signed graph's
+incidence matrix is read off its graph with no elimination (the
+tree-cotree decomposition): d_1's columns are the 1-skeleton's edges and
+on a surface d_2's rows are the dual graph's, so on a closed orientable
+surface nothing is eliminated.  Any other orientation is eliminated, the
+tall one on rank(d_k) rows.  When H_* and H^* are built together, one walk
+up the degrees shares these reductions between them, and no reduction
+outlives the walk.
 
 Everything else is read in free coordinates.  The canonical kernel vector
 z_f of a free column f is 1 at f and 0 at the other free columns, so a
@@ -22,9 +20,9 @@ boundaries' row space B_F^T in these coordinates (rank B_q x dim Z_q),
 selects the representatives, the z_f independent modulo boundaries, and
 writes every z_f in them; on a surface B_F^T is a graph too.  The class
 of a cycle is then a sparse sum over its free entries, after one pass over
-the cached boundary matrix checks that it is a cycle: no elimination runs
-once the spaces are built, and only the representatives are stored as
-dense vectors.
+the cached boundary matrix checks that it is a cycle, a cocycle against
+d_{q+1} read by rows: no elimination runs once the spaces are built, and
+only the representatives are stored as dense vectors.
 
 The Kronecker pairing is Betti-sized too: the representatives of H^q and
 H_q are paired once, by sparse dots over their supports, and every later
@@ -56,12 +54,11 @@ from .exactlin import (
     ONE,
     ZERO,
     ColumnMatrix,
-    Solver,
+    Reductions,
     SparseMatrix,
     dense_identity,
     dense_mul,
     dense_vec,
-    graph_reductions,
     rank,
 )
 
@@ -98,25 +95,20 @@ class GradedSpace:
     def representatives(self, q: int):
         return self.reps.get(q, [])
 
-    def _is_cycle(self, q: int, nonzero) -> bool:
-        """d z = 0 (delta z = 0 for cohomology), by one pass over d's entries.
+    def _is_cycle(self, q: int, vec) -> bool:
+        """d_q z = 0, or for cohomology delta^q z = 0, which ``pull`` reads
+        off d_{q+1} as d_{q+1}^T z, by one pass over d's entries.
 
-        ``nonzero`` maps the chain's support to its coefficients.  A chain
-        with a Fraction coefficient is scaled to ``int`` by the lcm of its
-        denominators, which changes no zero, so d z is accumulated in
-        ``int`` against d's ``int`` signs.
+        A chain with a Fraction coefficient is scaled to ``int`` by the lcm
+        of its denominators, which changes no zero, so d z is accumulated
+        in ``int`` against d's ``int`` signs.
         """
-        d = self.cc.boundary(q) if self.kind == HOMOLOGY else self.cc.coboundary(q)
-        scaled = nonzero
-        if any(type(c) is not int for c in nonzero.values()):
-            scale = lcm(*(c.denominator for c in nonzero.values()))
-            scaled = {j: c.numerator * (scale // c.denominator) for j, c in nonzero.items()}
-        acc = {}
-        for (i, j), v in d.entries.items():
-            c = scaled.get(j)
-            if c is not None:
-                acc[i] = acc.get(i, 0) + v * c
-        return not any(acc.values())
+        if any(type(c) is not int for c in vec):
+            scale = lcm(*(c.denominator for c in vec))
+            vec = [c.numerator * (scale // c.denominator) for c in vec]
+        if self.kind == HOMOLOGY:
+            return not any(self.cc.boundary(q).apply(vec))
+        return not any(self.cc.boundary(q + 1).pull(vec))
 
     def class_of(self, q: int, vec) -> tuple:
         """Coefficients of a cycle's class over the degree-q basis.
@@ -129,7 +121,7 @@ class GradedSpace:
         if len(vec) != self.cc.n(q):
             raise ValueError(f"expected a {self.kind} chain of length {self.cc.n(q)}")
         nonzero = {i: c for i, c in enumerate(vec) if c}
-        if not self._is_cycle(q, nonzero):
+        if not self._is_cycle(q, vec):
             raise ValueError(f"vector is not a {self.kind} cycle in degree {q}")
         coords = self._coords.get(q, {})
         out = [0] * self.betti(q)
@@ -202,15 +194,16 @@ def basis_class(space: GradedSpace, q: int, i: int) -> HClass:
     return HClass(space, q, tuple(coeffs))
 
 
-def _select(leaving, entering):
+def _select(leaving, entering, transposed):
     """Representatives of one degree and the class coordinates of its cycles.
 
-    ``leaving`` is the reduction of the map leaving the degree, whose free
-    columns F index the cycles z_f; ``entering`` that of the map entering
-    it, whose pivot columns are a basis of the boundaries B.  A cycle's
-    coordinates in the z_f are its entries at F, and x -> sum x_f z_f is
-    injective, so B is the row space of B_F^T (one row per boundary basis
-    vector, its entries at F).
+    ``leaving`` and ``entering`` are the ``Reductions`` of the differentials
+    leaving and entering the degree, read as d for H_* and d^T for H^*
+    (``transposed``).  The free columns F of the map leaving the degree
+    index the cycles z_f; the pivot columns of the map entering it are a
+    basis of the boundaries B.  A cycle's coordinates in the z_f are its
+    entries at F, and x -> sum x_f z_f is injective, so B is the row space
+    of B_F^T (one row per boundary basis vector, its entries at F).
 
     Its RREF, with the free columns in reverse order, is rank B x dim Z.
     Its non-pivot columns are the kept representatives: the z_f that
@@ -224,72 +217,38 @@ def _select(leaving, entering):
     kept cycles and {f: {t: coefficient}}, t numbering the kept cycles in
     F's order, both in the RREFs' own values.
 
-    B_F^T is reduced on its graph when it is one, and eliminated otherwise;
-    either reduction hands out the same RREF entries (``rref_entries``).
-    On a surface it is: the H_1 selection has one column per cotree edge,
-    with its two triangles as entries, those of a dropped triangle cut
-    away; the H^1 selection is the 1-skeleton on the edges outside the dual
-    spanning tree; the H_0 and H^2 selections have two entries per row.
+    B_F^T, whose rows are the entering d's columns at the boundary pivots
+    (its rows for H^*), is reduced on its graph when it is one, and
+    eliminated otherwise; either reduction hands out the same RREF entries
+    (``rref_entries``).  On a surface it is: the H_1 selection has one
+    column per cotree edge, with its two triangles as entries, those of a
+    dropped triangle cut away; the H^1 selection is the 1-skeleton on the
+    edges outside the dual spanning tree; the H_0 and H^2 selections have
+    two entries per row.
     """
-    free = leaving.free_cols()
+    leaving_red = leaving.of(transposed)
+    free = leaving_red.free_cols()
     last = len(free) - 1
     slot = {f: last - k for k, f in enumerate(free)}
-    bslot = {c: k for k, c in enumerate(entering.pivot_cols)}
+    bslot = {c: k for k, c in enumerate(entering.of(transposed).pivot_cols)}
     m = SparseMatrix(len(bslot), len(free))
     ent = m.entries
-    for (i, j), v in entering.m.entries.items():
-        if j in bslot and i in slot:
-            ent[(bslot[j], slot[i])] = v
-    selection = graph_reductions(m)[0] or Solver(m)
+    if transposed:  # the boundaries are d's rows
+        for (i, j), v in entering.m.entries.items():
+            if i in bslot and j in slot:
+                ent[(bslot[i], slot[j])] = v
+    else:  # the boundaries are d's columns
+        for (i, j), v in entering.m.entries.items():
+            if j in bslot and i in slot:
+                ent[(bslot[j], slot[i])] = v
+    selection = Reductions(m).of()
     pivot_cols = set(selection.pivot_cols)
     kept = [c for c in range(last, -1, -1) if c not in pivot_cols]
     t_of = {c: t for t, c in enumerate(kept)}
     coords = {free[last - c]: {t: 1} for c, t in t_of.items()}
     for c, j, v in selection.rref_entries(kept):
         coords.setdefault(free[last - c], {})[t_of[j]] = -v
-    return leaving.rref_kernel([free[last - c] for c in kept]), coords
-
-
-class _Differential:
-    """d_k's reductions, of d_k itself and of its transpose, each run once.
-
-    One ``graph_reductions`` call reads both orientations off d_k's graphs:
-    on a surface d_1's columns and d_2's rows are edges, so one union-find
-    pass per differential gives d_k and d_k^T.  delta^{k-1} is passed only
-    when H^* is built, so that H_* alone builds no coboundary; when a tall
-    d_k that is no graph needs d_k^T's pivots there, d_k^T is tried as a
-    graph on its own.  An orientation that is not a graph falls back to
-    elimination.  The wide orientation, with at least as many columns as
-    rows, is reduced in full.  The tall one's RREF is that of its rows at the
-    wide one's pivot columns: those rows are the wide one's independent
-    columns, so they span the tall one's row space (see ``Solver``), and
-    that reduction has rank(d_k) rows.  They go in reverse pivot order: the
-    RREF is the same, but the pivot rule's ties then fall on the later
-    rows, which on genus-2 Sd^4's d_2 (44063 rows), when it was still
-    eliminated, took 0.55 s instead of 13.2 s in ascending order (Python
-    3.11, 2-vCPU VM), where each pivot passed a growing set of rows on to
-    the next column.  Every reduction lives only as long as this object.
-    """
-
-    def __init__(self, cc, k, cohomology):
-        self.cc, self.k = cc, k
-        d = cc.boundary(k)
-        self.wide = d.cols < d.rows  # True when the transpose is the wide one
-        red, red_t = graph_reductions(d, cc.coboundary(k - 1) if cohomology else None)
-        self._reductions = {False: red, True: red_t} if cohomology else {False: red}
-
-    def reduction(self, transposed: bool):
-        s = self._reductions.get(transposed)
-        if s is None:
-            m = self.cc.coboundary(self.k - 1) if transposed else self.cc.boundary(self.k)
-            if transposed not in self._reductions:
-                s = graph_reductions(m)[0]
-            if s is None and transposed == self.wide:
-                s = Solver(m)
-            elif s is None:
-                s = Solver(m, self.reduction(self.wide).pivot_cols[::-1])
-            self._reductions[transposed] = s
-        return s
+    return leaving_red.rref_kernel([free[last - c] for c in kept]), coords
 
 
 def _graded_spaces(cc, kinds):
@@ -298,21 +257,19 @@ def _graded_spaces(cc, kinds):
     Degree q of H_* reads d_q's kernel and d_{q+1}'s image; of H^*, the
     kernel of d_{q+1}^T and the image of d_q^T.  So each differential is
     needed at two adjacent degrees, in either orientation, and the walk
-    keeps the reductions of d_q and d_{q+1} only: when both kinds are
-    built, each orientation of each d_k is reduced once for the two.
+    keeps the ``Reductions`` of d_q and d_{q+1} only: each orientation of
+    each d_k is reduced at most once, for the two kinds when both are
+    built, and no reduction outlives the walk.
     """
     reps = {kind: {} for kind in kinds}
     coords = {kind: {} for kind in kinds}
-    cohomology = COHOMOLOGY in kinds
-    below = _Differential(cc, 0, cohomology)
+    below = Reductions(cc.boundary(0))
     for q in range(cc.dim + 1):
-        above = _Differential(cc, q + 1, cohomology)
+        above = Reductions(cc.boundary(q + 1))
         for kind in kinds:
-            if kind == HOMOLOGY:
-                leaving, entering = below.reduction(False), above.reduction(False)
-            else:
-                leaving, entering = above.reduction(True), below.reduction(True)
-            reps[kind][q], coords[kind][q] = _select(leaving, entering)
+            transposed = kind == COHOMOLOGY
+            leaving, entering = (above, below) if transposed else (below, above)
+            reps[kind][q], coords[kind][q] = _select(leaving, entering, transposed)
         below = above
     return [GradedSpace(kind, cc, reps[kind], coords[kind]) for kind in kinds]
 
@@ -323,7 +280,7 @@ def compute_homology(cc) -> GradedSpace:
 
 
 def compute_cohomology(cc) -> GradedSpace:
-    """Cohomology via the transposed differentials."""
+    """Cohomology, reading each differential as its transpose."""
     return _graded_spaces(cc, (COHOMOLOGY,))[0]
 
 

@@ -96,9 +96,9 @@ def test_relative_short_exact_ranks():
 
 
 def test_boundaries_are_built_once_with_int_signs():
-    """d_q and delta^q are cached apart, hold the face signs as int +-1, and
-    are transposes of each other, at the ends too: delta^{-1} is n_0 x 0
-    and d_0 is 0 x n_0."""
+    """d_q is built once and delta^q is its transpose; both hold the face
+    signs as int +-1, at the ends too: delta^{-1} is n_0 x 0 and d_0 is
+    0 x n_0."""
     from simhom.chains import ChainComplex
 
     x = catalog.octahedron()
@@ -115,7 +115,7 @@ def test_boundaries_are_built_once_with_int_signs():
     for label, cc in carriers.items():
         for q in range(-1, cc.dim + 1):
             d, delta = cc.boundary(q + 1), cc.coboundary(q)
-            assert cc.boundary(q + 1) is d and cc.coboundary(q) is delta, (label, q)
+            assert cc.boundary(q + 1) is d, (label, q)
             assert (d.rows, d.cols) == (cc.n(q), cc.n(q + 1)), (label, q)
             assert (delta.rows, delta.cols) == (cc.n(q + 1), cc.n(q)), (label, q)
             assert delta.entries == {(j, i): v for (i, j), v in d.entries.items()}

@@ -15,6 +15,8 @@ from simhom.complex import (
     complex_from_json,
     complex_to_json,
     manifold_check,
+    map_ends,
+    map_from_json,
     map_to_json,
 )
 from simhom.errors import MalformedInput
@@ -56,20 +58,23 @@ def test_duality_command(capsys):
 
 def test_duality_checks_the_manifold_once(capsys, monkeypatch):
     """One signed facet table per query: the manifold report and the
-    orientation are read off the same table and the same walk."""
-    import simhom.complex as cx
+    orientation are read off the same table, read by rows once, and the
+    same walk."""
+    from simhom.exactlin import SparseMatrix
 
-    real = cx._facet_incidences
-    builds = []
+    real = SparseMatrix.lines
+    reads = []
 
-    def recording(x):
-        builds.append(x.name)
-        return real(x)
+    def recording(m, by_column=False):
+        reads.append(((m.rows, m.cols), by_column))
+        return real(m, by_column)
 
-    monkeypatch.setattr(cx, "_facet_incidences", recording)
+    monkeypatch.setattr(SparseMatrix, "lines", recording)
     code, data, _ = run_json(capsys, "duality", "torus")
     assert code == 0
-    assert builds == ["torus"]
+    torus = catalog.torus()
+    top = (torus.n_simplices(1), torus.n_simplices(2))
+    assert [by_column for shape, by_column in reads if shape == top] == [False]
     assert data["results"]["manifold"] == manifold_check(catalog.torus()).to_json()
 
 
@@ -391,6 +396,7 @@ HOSTILE_COMPLEXES = {
     "not-an-object": ([["a", "b"]], "a complex file must be a JSON object"),
     "list-vertex": ({"maximal_simplices": [[["a"], "b"]]}, "maximal_simplices[0][0]"),
     "mixed-vertex-ids": ({"maximal_simplices": [["a", 1]]}, "vertex ids 'a' and 1"),
+    "no-maximal-simplices": ({"vertices": ["a"]}, "needs the key 'maximal_simplices'"),
 }
 
 
@@ -425,17 +431,53 @@ HOSTILE_MAPS = {
         {"domain": ["hexagon"], "codomain": "triangle", "vertex_map": {}},
         "domain must be a complex name or path",
     ),
+    "no-vertex-map": ({"domain": "hexagon", "codomain": "triangle"}, "needs the key 'vertex_map'"),
+    "no-domain": ({"codomain": "triangle", "vertex_map": {}}, "needs the key 'domain'"),
+    "no-codomain": ({"domain": "hexagon", "vertex_map": {}}, "needs the key 'codomain'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_MAPS))
 def test_malformed_map_file_exit_1(tmp_path, capsys, case):
     data, named = HOSTILE_MAPS[case]
+    with pytest.raises(MalformedInput, match=re.escape(named)):
+        map_ends(data)
+        map_from_json(data, catalog.get_complex("hexagon"), catalog.get_complex("triangle"))
     path = tmp_path / "bad_map.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "degree", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and named in err
+
+
+def test_map_files_over_numeric_vertex_ids(tmp_path, capsys):
+    """JSON keys are strings: "0" names the domain vertex 0, images keep
+    their JSON type, and such a map round-trips through its file form."""
+    c3 = {"maximal_simplices": [[0, 1], [1, 2], [0, 2]]}
+    (tmp_path / "c3.json").write_text(json.dumps(c3))
+    rot = {"domain": "c3.json", "codomain": "c3.json", "vertex_map": {"0": 1, "1": 2, "2": 0}}
+    (tmp_path / "rot.json").write_text(json.dumps(rot))
+    code, data, _ = run_json(capsys, "degree", str(tmp_path / "rot.json"))
+    assert code == 0
+    assert data["results"]["degree"] == "1"
+    x = complex_from_json(c3)
+    f = map_from_json(rot, x, x)
+    written = json.loads(json.dumps(map_to_json(f)))
+    assert written["vertex_map"] == rot["vertex_map"]
+    assert map_from_json(written, x, x).mapping == f.mapping == (1, 2, 0)
+
+
+def test_map_keys_that_name_two_domain_vertices_exit_1(tmp_path, capsys):
+    """Domain vertices 1 and "1" are both written "1" as a map key."""
+    x = {"maximal_simplices": [[1, "1"]], "vertex_order": [1, "1"]}
+    (tmp_path / "x.json").write_text(json.dumps(x))
+    data = {"domain": "x.json", "codomain": "x.json", "vertex_map": {"1": 1}}
+    (tmp_path / "m.json").write_text(json.dumps(data))
+    with pytest.raises(MalformedInput, match="domain vertices 1 and '1'"):
+        map_from_json(data, complex_from_json(x), complex_from_json(x))
+    code, out, err = run(capsys, "degree", str(tmp_path / "m.json"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "domain vertices 1 and '1'" in err
 
 
 def test_python_m_simhom_runs_the_cli():

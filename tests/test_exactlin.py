@@ -10,6 +10,8 @@ from simhom import catalog
 from simhom.chains import ChainComplex
 from simhom.complex import complex_from_json
 from simhom.exactlin import (
+    GraphReduction,
+    Reductions,
     Solver,
     SparseMatrix,
     _rref,
@@ -17,7 +19,6 @@ from simhom.exactlin import (
     dense_inv,
     dense_mul,
     dense_vec,
-    graph_reductions,
     image_basis,
     kernel_basis,
     lp_feasible,
@@ -491,6 +492,43 @@ def test_row_basis_reduction_matches_full_reduction():
     assert deficient > 300 and empty > 100 and tall > 500
 
 
+def test_transposed_reduction_reads_m_by_columns():
+    """The reduction of M^T read off M's columns equals ``Solver`` of an
+    explicit transpose: the same pivots, RREF rows (value and type) and
+    kernel, and the same image and solutions, for int and Fraction
+    entries, in full and on a row basis of M^T in either order."""
+    rng = random.Random(2323)
+    counts = Counter()
+    for trial in range(800):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        m = SparseMatrix(rows, cols)
+        for i in range(rows):
+            if i and rng.random() < 0.3:  # a multiple of an earlier row
+                k, c = rng.randrange(i), rng.choice([1, -1, 2, -3])
+                src = [(j, v) for (r, j), v in m.entries.items() if r == k]
+                m.entries.update({(i, j): c * v for j, v in src})
+                continue
+            for j in range(cols):
+                v = rng.choice([0, 0, 0, 1, -1, 2, -3])
+                if v:
+                    m.entries[(i, j)] = F(v, rng.choice((1, 2, 3))) if trial % 2 else v
+        mt = m.transpose()
+        basis = Solver(m).pivot_cols  # rows of M^T that span its row space
+        for rows_used in (None, basis, basis[::-1]):
+            got, want = Solver(m, rows_used, transposed=True), Solver(mt, rows_used)
+            assert got.pivots == want.pivots
+            assert typed(got.rref_rows) == typed(want.rref_rows)
+            assert got.free_cols() == want.free_cols()
+            assert got.kernel() == want.kernel() and got.image() == want.image()
+        b = tuple(F(rng.randint(-2, 2)) for _ in range(cols))
+        x = solve(mt, b)
+        assert Solver(m, transposed=True).solve(b) == solve(m, b, transposed=True) == x
+        counts["solvable" if x is not None else "inconsistent"] += 1
+        counts["deficient"] += len(basis) < min(rows, cols)
+        counts["fractions"] += any(type(v) is F for r in got.rref_rows for v in r.values())
+    assert min(counts.values()) > 60, counts
+
+
 def _sd1_complexes():
     here = os.path.dirname(os.path.abspath(__file__))
     out = []
@@ -554,12 +592,12 @@ def typed(value):
     return type(value).__name__, value
 
 
-def assert_graph_matches_solver(g, m=None):
-    """A ``GraphReduction`` answers as ``Solver`` does on its matrix: the
-    same pivot and free columns, and the same kernel vectors and RREF
+def assert_matches_solver(g, a):
+    """A reduction answers as ``Solver`` does on the explicit matrix ``a``:
+    the same pivot and free columns, and the same kernel vectors and RREF
     entries, value for value and type for type, for every free column and
     for a few in the reverse order."""
-    s = Solver(g.m if m is None else m)
+    s = Solver(a)
     assert g.pivot_cols == s.pivot_cols
     free = s.free_cols()
     assert g.free_cols() == free
@@ -627,27 +665,30 @@ def _has_graph_form(m):
     return (at_most_two(1) and _is_balanced(m)) or at_most_two(0)
 
 
-def assert_graph_reductions(m, mt, present=None):
-    """``graph_reductions(m, mt)`` gives a reduction of each orientation
-    exactly when ``present`` says so (the rule of ``_has_graph_form`` by
-    default), and each one answers as ``Solver`` does on its matrix.
-    Returns the pair."""
-    pair = graph_reductions(m, mt)
+def assert_reductions(m, present=None):
+    """``Reductions(m)`` reads M and M^T off a graph exactly when
+    ``present`` says so (the rule of ``_has_graph_form`` by default), and
+    every orientation, graph or not, answers as ``Solver`` does on the
+    explicit matrix, M or M^T, whichever orientation is asked for first.
+    Returns the two graph reductions, each None when eliminated."""
+    mt = m.transpose()
     if present is None:
         present = _has_graph_form(m), _has_graph_form(mt)
-    assert tuple(r is not None for r in pair) == tuple(present)
-    for r, a in zip(pair, (m, mt)):
-        if r is not None:
-            assert r.m is a
-            assert_graph_matches_solver(r)
-    return pair
+    for order in ((False, True), (True, False)):
+        reductions = Reductions(m)
+        got = {t: reductions.of(t) for t in order}
+        pair = got[False], got[True]
+        assert tuple(isinstance(r, GraphReduction) for r in pair) == tuple(present)
+        for r, a in zip(pair, (m, mt)):
+            assert_matches_solver(r, a)
+    return tuple(r if isinstance(r, GraphReduction) else None for r in pair)
 
 
 def test_graph_reduction_matches_elimination_on_random_signed_graphs():
     """Seeded signed multigraphs, as columns and as rows, each read in both
-    orientations from one call: wherever the graph routine answers, it
-    answers as ``Solver`` does on M and on M^T; it falls back (None)
-    exactly when no form applies: an unbalanced cycle in the column form
+    orientations from one ``Reductions``: each orientation answers as
+    ``Solver`` does on M and on M^T; it is eliminated (None) exactly when
+    no graph form applies: an unbalanced cycle in the column form
     and a row with more than two entries.  Paths and cycles, with at most
     two entries in every line, qualify in both line forms."""
     rng = random.Random(1616)
@@ -671,9 +712,8 @@ def test_graph_reduction_matches_elimination_on_random_signed_graphs():
         else:
             m = SparseMatrix(*shape)
             m.entries.update(ent)
-        mt = m.transpose()
-        g, gt = assert_graph_reductions(m, mt)
-        graph = m if as_columns else mt  # the graph's vertices as rows
+        g, gt = assert_reductions(m)
+        graph = m if as_columns else m.transpose()  # the graph's vertices as rows
         row_form = gt if as_columns else g
         counts["column" if as_columns else "row"] += g is not None
         counts["fallback"] += g is None or gt is None
@@ -709,5 +749,5 @@ def test_graph_reduction_falls_back_off_graphs():
     ]
     for dense, present in cases:
         m = SparseMatrix.from_dense(dense)
-        assert_graph_reductions(m, m.transpose(), present)
-        assert_graph_reductions(m.transpose(), m, present[::-1])
+        assert_reductions(m, present)
+        assert_reductions(m.transpose(), present[::-1])

@@ -440,7 +440,7 @@ def test_each_differential_is_eliminated_once(monkeypatch):
     assert h.betti_vector() == c.betti_vector() == (1, 0, 0, 1)
     for k in range(1, cc.dim + 1):
         orientations = (cc.boundary(k), cc.coboundary(k - 1))
-        full = [seen[signature(exactlin._row_dicts(m), m.cols)] for m in orientations]
+        full = [seen[signature(m.lines(), m.cols)] for m in orientations]
         if k != 2:
             assert full == [0, 0], k
             continue
@@ -448,7 +448,7 @@ def test_each_differential_is_eliminated_once(monkeypatch):
         wide, tall = orientations if full[0] else orientations[::-1]
         assert wide.cols >= wide.rows
         basis = exactlin.Solver(wide).pivot_cols
-        rows = exactlin._row_dicts(tall)
+        rows = tall.lines()
         assert len(basis) == rank(tall) < tall.rows
         assert seen[signature([rows[i] for i in basis], tall.cols)] == 1
     assert sum(seen.values()) == 2
@@ -469,23 +469,28 @@ def _recorded_eliminations(monkeypatch):
     return shapes
 
 
-def _recorded_graph_reductions(monkeypatch):
-    """Record (matrix, reduction or None) of every orientation the homology
-    layer tries as a graph from now on: M, and M^T when it is passed."""
-    import simhom.homology as homology
+def _recorded_reductions(monkeypatch):
+    """Record (matrix, transposed, reduction) of every orientation reduced
+    through ``Reductions`` from now on, once each as it is built: a
+    ``GraphReduction`` when it was read off a graph, else a ``Solver``."""
+    from simhom.exactlin import Reductions
 
     seen = []
-    real = homology.graph_reductions
+    real = Reductions.of
 
-    def recording(m, mt=None):
-        pair = real(m, mt)
-        seen.append((m, pair[0]))
-        if mt is not None:
-            seen.append((mt, pair[1]))
-        return pair
+    def recording(self, transposed=False):
+        fresh = transposed not in self._reductions
+        red = real(self, transposed)
+        if fresh:
+            seen.append((self.m, transposed, red))
+        return red
 
-    monkeypatch.setattr(homology, "graph_reductions", recording)
+    monkeypatch.setattr(Reductions, "of", recording)
     return seen
+
+
+def _shape(m, transposed):
+    return (m.cols, m.rows) if transposed else (m.rows, m.cols)
 
 
 def test_classes_need_no_chain_sized_elimination(monkeypatch):
@@ -504,12 +509,11 @@ def test_classes_need_no_chain_sized_elimination(monkeypatch):
         cc = s.cc
         ranks = {k: rank(cc.boundary(k)) for k in range(cc.dim + 2)}
         differentials = [cc.boundary(k) for k in range(cc.dim + 2)]
-        differentials += [cc.coboundary(k - 1) for k in range(cc.dim + 2)]
-        tried = _recorded_graph_reductions(monkeypatch)
+        tried = _recorded_reductions(monkeypatch)
         shapes = _recorded_eliminations(monkeypatch)
         h, c = s.homology, s.cohomology
         monkeypatch.undo()
-        selections = [(m.rows, m.cols) for m, _ in tried if not any(m is d for d in differentials)]
+        selections = [_shape(m, t) for m, t, _ in tried if not any(m is d for d in differentials)]
         degrees = range(cc.dim + 1)
         cycles = {q: cc.n(q) - ranks[q] for q in degrees}
         cocycles = {q: cc.n(q) - ranks[q + 1] for q in degrees}
@@ -538,17 +542,18 @@ def test_closed_orientable_surfaces_need_no_elimination(monkeypatch):
     """On a closed orientable surface every reduction H_* and H^* make is
     a graph's: built alone or together, they run no ``_rref`` at all."""
     from simhom.complex import barycentric_subdivide
+    from simhom.exactlin import GraphReduction
 
     surfaces = [catalog.get_complex(n) for n in ("octahedron", "torus", "torus7", "genus2")]
     surfaces.append(_shuffled(barycentric_subdivide(catalog.genus2())[0], 6))
     for x in surfaces:
         shapes = _recorded_eliminations(monkeypatch)
-        tried = _recorded_graph_reductions(monkeypatch)
+        tried = _recorded_reductions(monkeypatch)
         alone, other, together = Space(x), Space(x), Space(x)
         alone.homology, other.cohomology, together.homology_and_cohomology()
         monkeypatch.undo()
         assert shapes == [], x.name
-        assert tried and all(g is not None for _, g in tried), x.name
+        assert tried and all(isinstance(r, GraphReduction) for _, _, r in tried), x.name
 
 
 def _shuffled(x, seed):
@@ -698,21 +703,28 @@ def _reachable(root):
 
 
 def test_built_spaces_keep_no_reduction():
-    """No reduction outlives the walk that reads it: not on a space whose
-    H^* is never built, nor on one whose H_* and H^* are built together."""
+    """No reduction or forest outlives the walk that reads it: not on a
+    space whose H^* is never built, nor on one whose H_* and H^* are built
+    together."""
     import gc
 
     from simhom.complex import barycentric_subdivide
-    from simhom.exactlin import GraphReduction, Solver
+    from simhom.exactlin import GraphReduction, Reductions, SignedForest, Solver
 
     sd, _ = barycentric_subdivide(catalog.genus2())
-    kinds = (Solver, GraphReduction)
+    kinds = (Reductions, Solver, GraphReduction, SignedForest)
 
-    def reductions(s):
+    def live():
         gc.collect()
-        mats = {id(m) for m in (*s.complex._boundary.values(), *s.cc._coboundary.values())}
-        live = [o for o in gc.get_objects() if isinstance(o, kinds) and id(o.m) in mats]
-        return live + [o for o in _reachable(s) if isinstance(o, kinds)]
+        return [o for o in gc.get_objects() if isinstance(o, kinds)]
+
+    def left_over(before, s):
+        """Reductions made since ``before`` that are still alive, and any
+        reachable from the space; ``before`` holds the older ones, so no
+        id is reused."""
+        older = {id(o) for o in before}
+        made = [o for o in live() if id(o) not in older]
+        return made + [o for o in _reachable(s) if isinstance(o, kinds)]
 
     # genus 2 is reduced on graphs only; rp2 and S^3 fall back to Solver
     for x, betti in (
@@ -720,30 +732,81 @@ def test_built_spaces_keep_no_reduction():
         (catalog.rp2(), (1, 0, 0)),
         (_boundary_of_4_simplex(), (1, 0, 0, 1)),
     ):
+        before = live()
         alone = Space(x)
         assert alone.homology.betti_vector() == betti
-        assert not reductions(alone)
+        assert not left_over(before, alone)
         together = Space(x)
         h, c = together.homology_and_cohomology()
         assert h.betti_vector() == c.betti_vector() == betti
-        assert not reductions(together)
+        assert not left_over(before, together)
 
 
-def test_homology_alone_builds_no_coboundary():
-    """H_* reads d_k in its own orientation on a surface, so building it
-    alone caches no delta^q on the chain complex; H^* alone builds them."""
+def test_homology_alone_builds_no_coboundary(monkeypatch):
+    """H_* reads each d_k as itself and H^* as d_k^T, read off d_k: built
+    alone, neither reduces the other orientation of any d_k on a surface,
+    and neither makes a transposed copy."""
     from simhom.complex import barycentric_subdivide
 
     sd, _ = barycentric_subdivide(catalog.genus2())
-    s = Space(sd)
-    assert s.homology.betti_vector() == (1, 4, 1)
-    assert s.cc._coboundary == {}
-    assert Space(sd).cohomology.betti_vector() == (1, 4, 1)
+    differentials = [sd.boundary(k) for k in range(sd.dim + 2)]
+    for kind, transposed in (("homology", False), ("cohomology", True)):
+        tried = _recorded_reductions(monkeypatch)
+        _forbid_transpose(monkeypatch)
+        assert getattr(Space(sd), kind).betti_vector() == (1, 4, 1)
+        monkeypatch.undo()
+        read = {t for m, t, _ in tried if any(m is d for d in differentials)}
+        assert read == {transposed}, kind
+
+
+def _forbid_transpose(monkeypatch):
+    from simhom.exactlin import SparseMatrix
+
+    def transpose(m):
+        raise AssertionError(f"transposed copy of {m!r}")
+
+    monkeypatch.setattr(SparseMatrix, "transpose", transpose)
+
+
+def test_no_transposed_copy_is_made(monkeypatch):
+    """With ``SparseMatrix.transpose`` made to raise, H_* and H^*, the
+    duality operator and the coincidence number complete on every catalog
+    complex and ``verify`` pair, on S^3 = boundary of the 4-simplex, whose
+    d_2 is eliminated in both orientations, and on a relative pair."""
+    from simhom.chains import build_relative
+    from simhom.complex import check_simplicial, identity_map
+    from simhom.duality import duality_operator
+    from simhom.errors import TopologyError
+    from simhom.homology import compute_cohomology, compute_homology
+    from simhom.lefschetz import coincidence_number
+    from simhom.verify import COINCIDENCE_PAIRS
+
+    s3 = _boundary_of_4_simplex()
+    swap = check_simplicial({"a": "b", "b": "a", "c": "c", "d": "d", "e": "e"}, s3, s3)
+    torus = catalog.torus()
+    circle = validate([["t00", "t10"], ["t10", "t20"], ["t00", "t20"]], name="circle")
+    _forbid_transpose(monkeypatch)
+    operators = 0
+    for x in [catalog.get_complex(name) for name in catalog.COMPLEX_BUILDERS] + [s3]:
+        Space(x).homology_and_cohomology()
+        try:
+            duality_operator(Space(x))
+            operators += 1
+        except TopologyError:
+            assert x.name in ("interval", "disk", "rp2"), x.name
+    assert operators == len(catalog.COMPLEX_BUILDERS) - 2
+    for fname, gname, _, _, expected in COINCIDENCE_PAIRS:
+        report = coincidence_number(catalog.get_map(fname), catalog.get_map(gname))
+        assert report.value == expected, (fname, gname)
+    assert coincidence_number(swap, identity_map(s3)).value == 2
+    pair = build_relative(torus, circle)
+    assert compute_homology(pair).betti_vector() == compute_cohomology(pair).betti_vector()
 
 
 def test_graph_reductions_equal_elimination(monkeypatch):
     """Every reduction the homology layer reads off a graph equals the
-    ``Solver`` of the same matrix, value for value and type for type, and
+    ``Solver`` of the same orientation, built on an explicit M or M^T,
+    value for value and type for type, and
     the spaces equal those built with the graph routine switched off.
     Over every catalog complex (only rp2 falls back), Sd of five surfaces
     under three vertex shuffles each, and the pairs of the long exact
@@ -751,12 +814,13 @@ def test_graph_reductions_equal_elimination(monkeypatch):
     one-entry columns."""
     from collections import Counter
 
-    import simhom.homology as homology
+    import simhom.exactlin as exactlin
     from simhom.chains import build_relative
     from simhom.complex import barycentric_subdivide
+    from simhom.exactlin import GraphReduction
     from simhom.homology import GradedSpace, compute_cohomology, compute_homology
 
-    from test_exactlin import assert_graph_matches_solver, typed
+    from test_exactlin import assert_matches_solver, typed
 
     def comparable(result):
         if isinstance(result, GradedSpace):
@@ -765,13 +829,14 @@ def test_graph_reductions_equal_elimination(monkeypatch):
 
     def agree(build, label):
         """Build with and without the graph routine; returns what it tried."""
-        tried = _recorded_graph_reductions(monkeypatch)
+        tried = _recorded_reductions(monkeypatch)
         fast = build()
         monkeypatch.undo()
-        for m, g in tried:
-            if g is not None:
-                assert_graph_matches_solver(g, m)
-        monkeypatch.setattr(homology, "graph_reductions", lambda m, mt=None: (None, None))
+        for m, t, r in tried:
+            if isinstance(r, GraphReduction):
+                assert_matches_solver(r, m.transpose() if t else m)
+        for form in ("_column_form", "_row_form"):
+            monkeypatch.setattr(exactlin, form, lambda forest: None)
         slow = build()
         monkeypatch.undo()
         assert [comparable(r) for r in fast] == [comparable(r) for r in slow], label
@@ -782,15 +847,16 @@ def test_graph_reductions_equal_elimination(monkeypatch):
 
     for name in catalog.COMPLEX_BUILDERS:
         tried = agree(spaces(catalog.get_complex(name)), name)
-        assert any(g is None for _, g in tried) == (name == "rp2"), name
+        eliminated = any(not isinstance(r, GraphReduction) for _, _, r in tried)
+        assert eliminated == (name == "rp2"), name
     for base in ("octahedron", "icosahedron", "torus", "torus7", "genus2"):
         sd, _ = barycentric_subdivide(catalog.get_complex(base))
         for seed in (11, 12, 13):
             tried = agree(spaces(_shuffled(sd, seed)), (base, seed))
-            assert all(g is not None for _, g in tried), (base, seed)
+            assert all(isinstance(r, GraphReduction) for _, _, r in tried), (base, seed)
 
-    def has_one_entry_column(m):
-        return 1 in Counter(j for (_, j) in m.entries).values()
+    def has_one_entry_column(m, transposed):
+        return 1 in Counter(key[0 if transposed else 1] for key in m.entries).values()
 
     circle = validate([["a", "b"], ["b", "c"], ["a", "c"]], name="circle")
     equator = validate([["n", "e"], ["e", "s"], ["s", "w"], ["n", "w"]], name="equator")
@@ -803,14 +869,13 @@ def test_graph_reductions_equal_elimination(monkeypatch):
             return [seq.pair, seq.j_star, seq.connecting, seq.exact, seq.details]
 
         tried = agree(sequence, a.name)
-        assert any(g is not None and has_one_entry_column(m) for m, g in tried), a.name
+        assert any(
+            isinstance(r, GraphReduction) and has_one_entry_column(m, t) for m, t, r in tried
+        ), a.name
         rel = build_relative(x, a)
         agree(lambda: [compute_homology(rel), compute_cohomology(rel)], a.name)
     for u in ([("a", "b")], []):
         agree(lambda: [excision_check(catalog.triangle2(), circle, u)], u)
-
-
-
 
 
 def test_class_arithmetic_and_equality():

@@ -1,6 +1,7 @@
 """Source hygiene: the package imports only the standard library and itself,
-every name a package module imports is used there, and importing the CLI
-loads no module that generates code at import time."""
+every name a package module imports is used there, importing the CLI loads
+no module that generates code at import time, and the engine makes no
+transposed copy of a matrix."""
 
 import ast
 import subprocess
@@ -32,6 +33,41 @@ def imported_modules(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module.split(".")[0])
     return names
+
+
+def method_calls(path, name):
+    """The qualified name of the function around each ``<expr>.name(...)``
+    call in ``path``, "<module>" outside any, in source order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == name
+            ):
+                found.append(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    return found
+
+
+def test_engine_makes_no_transposed_copy():
+    # delta^q is read off d_{q+1} by rows; a transposed copy would double
+    # the memory of every differential it is made of
+    transposes = {p.name: method_calls(p, "transpose") for p in sorted(SRC.glob("*.py"))}
+    assert {name: calls for name, calls in transposes.items() if calls} == {
+        "chains.py": ["ChainComplex.coboundary"]
+    }
+    engine = ("homology.py", "products.py", "duality.py", "lefschetz.py")
+    assert {name: method_calls(SRC / name, "coboundary") for name in engine} == dict.fromkeys(
+        engine, []
+    )
 
 
 def test_no_unused_imports():
