@@ -143,12 +143,11 @@ class SparseMatrix:
     def lines(self, by_column=False):
         """M's rows, or its columns (M^T's rows) when ``by_column``, as dicts
         {index: entry} filled in the order of M's entries."""
+        out = [{} for _ in range(self.cols if by_column else self.rows)]
         if by_column:
-            out = [{} for _ in range(self.cols)]
             for (i, j), v in self.entries.items():
                 out[j][i] = v
         else:
-            out = [{} for _ in range(self.rows)]
             for (i, j), v in self.entries.items():
                 out[i][j] = v
         return out
@@ -380,10 +379,9 @@ class Solver:
     """The one elimination of a matrix, and everything read off it.
 
     ``_rref`` runs once, on M's rows, or with ``transposed`` on M's
-    columns, which are M^T's rows: the reduction is then M^T's, and
-    everything read off it, ``image`` and ``solve`` included, is M^T's.
-    Rank, pivot columns, kernel and image all come from the same canonical
-    reduction.
+    columns, which are M^T's rows; ``image`` and ``solve`` read M itself, so
+    they then raise.  Rank, pivot columns, kernel and image all come from
+    the same canonical reduction.
 
     ``basis``, when given, lists rows of the reduced matrix that span its
     row space, and only those rows are reduced.  The RREF depends only on
@@ -457,14 +455,21 @@ class Solver:
         ]
 
     def image(self):
-        """Original columns of the reduced matrix at the RREF pivot positions."""
-        columns = self.m.lines(not self.transposed)
-        n = self.m.cols if self.transposed else self.m.rows
-        return [tuple(_fraction(columns[c].get(i, 0)) for i in range(n)) for c in self.pivot_cols]
+        """Original columns of M sitting at the RREF pivot positions."""
+        if self.transposed:
+            raise ValueError("a Solver of M^T has no image read off M")
+        slot = {c: k for k, c in enumerate(self.pivot_cols)}
+        cols = [[ZERO] * self.m.rows for _ in slot]
+        for (i, j), v in self.m.entries.items():
+            if j in slot:
+                cols[slot[j]][i] = _fraction(v)
+        return [tuple(col) for col in cols]
 
     def solve(self, b):
-        """Exact particular solution of A x = b, A the reduced matrix, or None."""
-        return solve(self.m, b, self.transposed)
+        """Exact particular solution of M x = b, or None if inconsistent."""
+        if self.transposed:
+            raise ValueError("a Solver of M^T solves no system of M")
+        return solve(self.m, b)
 
 
 class GraphReduction:
@@ -752,10 +757,9 @@ class Reductions:
         if red is None:
             red = _column_form(self._forest(not transposed)) or _row_form(self._forest(transposed))
             if red is None:
-                m = self.m
-                wide = (m.cols >= m.rows) != transposed
+                wide = (self.m.cols >= self.m.rows) != transposed
                 basis = None if wide else self.of(not transposed).pivot_cols[::-1]
-                red = Solver(m, basis, transposed)
+                red = Solver(self.m, basis, transposed)
             self._reductions[transposed] = red
         return red
 
@@ -777,38 +781,37 @@ def image_basis(m: SparseMatrix):
     return Solver(m).image()
 
 
-def _reduce_augmented(m: SparseMatrix, b, transposed=False):
-    """The ``Solver`` of [A | b], A = M or, ``transposed``, M^T, or None
-    when A x = b is inconsistent: when b's column n, A's column count,
-    gets a pivot.  The RREF row of pivot c reads x_c = r[n] - sum of
-    r[j] x_j over the free columns j.  b joins M as a column, or a row.
+def _reduce_augmented(m: SparseMatrix, b):
+    """The ``Solver`` of [M | b], or None when M x = b is inconsistent.
+
+    b is in the column space iff its column, ``m.cols``, gets no pivot.
+    The RREF row of pivot c then reads x_c = r[m.cols] - sum of r[j] x_j
+    over the free columns j.
     """
-    rows, n = (m.cols, m.rows) if transposed else (m.rows, m.cols)
-    if len(b) != rows:
+    if len(b) != m.rows:
         raise ValueError("rhs length does not match row count")
-    aug = SparseMatrix(m.rows + transposed, m.cols + (not transposed))
+    n = m.cols
+    aug = SparseMatrix(m.rows, n + 1)
     aug.entries.update(m.entries)
     for i, v in enumerate(b):
         if v:
-            aug.entries[(n, i) if transposed else (i, n)] = _fraction(v)
-    s = Solver(aug, transposed=transposed)
+            aug.entries[(i, n)] = _fraction(v)
+    s = Solver(aug)
     return None if n in s.pivot_cols else s
 
 
-def solve(m: SparseMatrix, b, transposed=False):
-    """Exact particular solution of M x = b (M^T x = b when
-    ``transposed``), or None if inconsistent.
+def solve(m: SparseMatrix, b):
+    """Exact particular solution of M x = b, or None if inconsistent.
 
     One elimination of [M | b].  With the free variables 0, x at each
     pivot column c is the last entry of the RREF row of pivot c.
     """
-    s = _reduce_augmented(m, b, transposed)
+    s = _reduce_augmented(m, b)
     if s is None:
         return None
-    n = s.ncols - 1
-    x = [ZERO] * n
+    x = [ZERO] * m.cols
     for r, c in s.pivots:
-        x[c] = _fraction(s.rref_rows[r].get(n, ZERO))
+        x[c] = _fraction(s.rref_rows[r].get(m.cols, ZERO))
     return tuple(x)
 
 
