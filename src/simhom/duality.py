@@ -14,8 +14,8 @@ deg(f) [zeta_Y].  The intersection product dualizes cup:
 a . b = D(D^{-1}(a) u D^{-1}(b)).
 
 On a tensor-model product, capping with zeta_X x zeta_Y decomposes into
-Koszul-signed blocks D_X tensor D_Y, which is what makes the inverse
-computable factorwise.
+Koszul-signed blocks D_X tensor D_Y, so both the operator and its inverse
+are applied blockwise, from the factors' matrices and their inverses.
 
 The cap with zeta runs at chain level in the chains' own values: zeta is
 the orientation's ``int`` signs and the representatives are ``int`` where
@@ -33,7 +33,7 @@ from .errors import (
     SingularDuality,
     SingularPairing,
 )
-from .exactlin import ZERO, dense_inv, dense_mul, dense_vec
+from .exactlin import dense_inv, dense_mul, dense_vec
 from .homology import (
     COHOMOLOGY,
     HOMOLOGY,
@@ -42,16 +42,15 @@ from .homology import (
     Space,
     class_matrix,
     induced_map,
-    kronecker,
+    kronecker_matrix,
 )
 from .products import (
     ProductSpace,
     TensorClass,
+    block_map,
     cap_chain,
-    cap_on_product,
     cup,
     cup_on_product,
-    tensor_fundamental,
 )
 
 
@@ -126,14 +125,14 @@ class DualityOperator:
                 space.cohomology, q, space.homology, self.n - q,
                 lambda a: cap_chain(space.cc, q, a, self.n, zeta),
             )
-            inv = dense_inv(mat) if bq else ()
-            if bq and inv is None:
+            inv = dense_inv(mat)
+            if inv is None:
                 raise SingularDuality(
                     f"cap with the fundamental class is singular in degree {q} "
                     f"on {space.complex.name!r}"
                 )
             self._matrix[q] = mat
-            self._inverse[q] = inv if bq else ()
+            self._inverse[q] = inv
 
     def matrix(self, q: int):
         return self._matrix.get(q, ())
@@ -163,35 +162,23 @@ class DualityOperator:
     def dual_basis(self, q: int):
         """Classes b^_i in H^{n-q} with (b^_i u b_j, zeta) = delta_ij.
 
-        ``b_j`` runs over the degree-q cohomology basis.
+        ``b_j`` runs over the degree-q cohomology basis.  The cup pairing is
+        read as K_{n-q} D_q, with K the Kronecker matrix: (a u b, zeta) =
+        (a, b n zeta) holds at chain level, so no cup is formed.  It is
+        square, as b^{n-q} = b_{n-q} = b^q, the last checked on construction.
         """
         if q in self._dual_basis:
             return self._dual_basis[q]
         space = self.space
-        b_q = space.cohomology.betti(q)
-        b_nq = space.cohomology.betti(self.n - q)
-        if b_q != b_nq:
-            raise SingularPairing("cup pairing is not square")
-        ring = space.ring
-        pairing = tuple(
-            tuple(
-                kronecker(
-                    HClass(space.cohomology, self.n, ring.cup_basis(self.n - q, i, q, j)),
-                    self.fundamental.cls,
-                )
-                for j in range(b_q)
-            )
-            for i in range(b_nq)
+        pairing = dense_mul(
+            kronecker_matrix(space.cohomology, space.homology, self.n - q), self.matrix(q)
         )
-        inv = dense_inv(pairing) if b_q else ()
-        if b_q and inv is None:
+        inv = dense_inv(pairing)
+        if inv is None:
             raise SingularPairing(
                 f"cup pairing singular in degree {q} on {space.complex.name!r}"
             )
-        duals = []
-        for i in range(b_q):
-            coeffs = tuple(inv[i][k] for k in range(b_q))
-            duals.append(HClass(space.cohomology, self.n - q, coeffs))
+        duals = [HClass(space.cohomology, self.n - q, row) for row in inv]
         self._dual_basis[q] = duals
         return duals
 
@@ -231,6 +218,8 @@ class Transfer:
         return _pushed_degree(self.push, self.dx, self.dy)
 
     def apply_up(self, a: HClass) -> HClass:
+        if a.space is not self.dx.space.cohomology or a.degree not in self.up:
+            raise DegreeMismatch("f^! applies to cohomology classes of X with a target degree")
         return HClass(
             self.dy.space.cohomology,
             a.degree + self.shift,
@@ -238,6 +227,8 @@ class Transfer:
         )
 
     def apply_down(self, s: HClass) -> HClass:
+        if s.space is not self.dy.space.homology or s.degree not in self.down:
+            raise DegreeMismatch("f_! applies to homology classes of Y with a target degree")
         return HClass(
             self.dx.space.homology,
             s.degree - self.shift,
@@ -308,8 +299,8 @@ def intersection(a: HClass, b: HClass, d: DualityOperator) -> HClass:
 class ProductDuality:
     """Duality on a tensor-model product with oriented factors.
 
-    Application is capping with zeta_X x zeta_Y; inversion uses the
-    blockwise decomposition D(b x c) = (-1)^{|c| n} D_X(b) x D_Y(c).
+    Capping with zeta_X x zeta_Y is D(b x c) = (-1)^{|c| n} D_X(b) x D_Y(c),
+    so it and its inverse are applied blockwise from the factors' matrices.
     """
 
     def __init__(self, prod: ProductSpace, dx: DualityOperator, dy: DualityOperator):
@@ -320,32 +311,28 @@ class ProductDuality:
         self.dy = dy
         self.n = dx.n
         self.m = dy.n
-        self.zeta = tensor_fundamental(prod, dx.fundamental.cls, dy.fundamental.cls)
 
     def apply(self, t: TensorClass) -> TensorClass:
-        return cap_on_product(t, self.zeta)
+        dx, dy, n = self.dx, self.dy, self.n
+        return self._blockwise(
+            t, COHOMOLOGY, lambda p, q: (n - p, (-1) ** (q * n), dx.matrix(p), dy.matrix(q))
+        )
 
     def invert(self, t: TensorClass) -> TensorClass:
-        if t.kind != HOMOLOGY:
-            raise DegreeMismatch("product duality inverse acts on homology tensors")
-        out = {}
-        for (pp, k, l), v in t.terms.items():
-            qq = t.degree - pp
-            p, q = self.n - pp, self.m - qq
-            sign = (-1) ** (q * self.n)
-            ix = self.dx.inverse_matrix(p)
-            iy = self.dy.inverse_matrix(q)
-            for i in range(len(ix)):
-                vx = ix[i][k]
-                if vx == 0:
-                    continue
-                for j in range(len(iy)):
-                    vy = iy[j][l]
-                    if vy:
-                        key = (p, i, j)
-                        out[key] = out.get(key, ZERO) + sign * v * vx * vy
-        total_degree = (self.n + self.m) - t.degree
-        return TensorClass(self.prod, COHOMOLOGY, total_degree, out)._clean()
+        dx, dy, n, m = self.dx, self.dy, self.n, self.m
+        return self._blockwise(
+            t,
+            HOMOLOGY,
+            lambda p, q: (
+                n - p, (-1) ** ((m - q) * n), dx.inverse_matrix(n - p), dy.inverse_matrix(m - q)
+            ),
+        )
+
+    def _blockwise(self, t: TensorClass, kind, blocks) -> TensorClass:
+        if t.product is not self.prod or t.kind != kind:
+            raise DegreeMismatch(f"product duality expects {kind} tensors on {self.prod!r}")
+        other = HOMOLOGY if kind == COHOMOLOGY else COHOMOLOGY
+        return block_map(t, self.prod, other, self.n + self.m - t.degree, blocks)
 
     def intersection(self, s: TensorClass, t: TensorClass) -> TensorClass:
         """Intersection product on the product manifold via cup and duality."""

@@ -595,7 +595,7 @@ def excision_check(x: SimplicialComplex, a: SimplicialComplex, u) -> ExcisionRep
     """
     u_idx = set()
     for s in u:
-        t = tuple(sorted(x.vertex_index[v] for v in s))
+        t = tuple(sorted(x.vertex_index.get(v, -1) for v in s))
         if not x.has_simplex(t):
             raise HypothesisViolated(f"U contains a non-simplex {s!r}")
         u_idx.add(t)

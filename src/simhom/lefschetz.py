@@ -53,7 +53,6 @@ from .products import (
     ProductSpace,
     TensorClass,
     augmentation_product,
-    cap_on_product,
     cross,
     cup_on_product,
     diagonal_pullback,
@@ -286,8 +285,7 @@ def coincidence_number(
     )
 
     # Intersection route: eps(zeta_f . zeta_g) on X x Y.
-    zz_xx = tensor_fundamental(prod_xx, dx.fundamental.cls, dx.fundamental.cls)
-    diag = cap_on_product(lam_x.tensor, zz_xx)  # Delta_*(zeta_X) in H_n(X x X)
+    diag = ProductDuality(prod_xx, dx, dx).apply(lam_x.tensor)  # Delta_*(zeta_X)
     prod_xy = product_space(sx, sy)
     id_low = GradedMap.identity(sx.homology)
     push_f = product_map(id_low, f_low, prod_xx, prod_xy)

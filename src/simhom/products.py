@@ -280,55 +280,71 @@ def kronecker_product(alpha: TensorClass, sigma: TensorClass) -> Fraction:
 
 def cup_on_product(a: TensorClass, b: TensorClass) -> TensorClass:
     """Termwise cup with the multiplicativity sign (-1)^{|b_Y||c_X|}."""
-    prod = a.product
-    if b.product is not prod or a.kind != COHOMOLOGY or b.kind != COHOMOLOGY:
+    if b.product is not a.product or a.kind != COHOMOLOGY or b.kind != COHOMOLOGY:
         raise DegreeMismatch("cup_on_product expects cohomology tensor classes")
-    out = {}
-    nx, ny = prod.x.dim, prod.y.dim
-    for (p1, i1, j1), v1 in a.terms.items():
-        q1 = a.degree - p1
-        for (p2, i2, j2), v2 in b.terms.items():
-            q2 = b.degree - p2
-            if p1 + p2 > nx or q1 + q2 > ny:  # a cup above a factor's dimension is zero
-                continue
-            sign = -1 if q1 * p2 & 1 else 1
-            cx = prod.rx.cup_basis(p1, i1, p2, i2)
-            cy = prod.ry.cup_basis(q1, j1, q2, j2)
-            coeff = sign * v1 * v2
-            for i, vx in enumerate(cx):
-                if vx == 0:
-                    continue
-                for j, vy in enumerate(cy):
-                    if vy:
-                        key = (p1 + p2, i, j)
-                        out[key] = out.get(key, ZERO) + coeff * vx * vy
-    return TensorClass(prod, COHOMOLOGY, a.degree + b.degree, out)._clean()
+    return _bilinear(a, b, 1, RingStructure.cup_basis)
 
 
 def cap_on_product(a: TensorClass, sigma: TensorClass) -> TensorClass:
     """Termwise cap with the multiplicativity sign (-1)^{|b_Y||s_X|}."""
-    prod = a.product
-    if sigma.product is not prod or a.kind != COHOMOLOGY or sigma.kind != HOMOLOGY:
+    if sigma.product is not a.product or a.kind != COHOMOLOGY or sigma.kind != HOMOLOGY:
         raise DegreeMismatch("cap_on_product expects (cohomology, homology)")
+    return _bilinear(a, sigma, -1, RingStructure.cap_basis)
+
+
+def _bilinear(a: TensorClass, b: TensorClass, s: int, constant) -> TensorClass:
+    """The termwise product of a cohomology tensor ``a`` with ``b``.
+
+    Terms of X-degrees p1, p2 and Y-degrees q1, q2 give (-1)^{q1 p2} times
+    ``constant(ring, ...)`` of X's ring tensored with Y's, in X-degree
+    p2 + s p1 and Y-degree q2 + s q1: s = 1 for cup, -1 for cap.  A product
+    outside a factor's degrees is zero and is not computed.
+    """
+    prod = a.product
+    rx, ry, nx, ny = prod.rx, prod.ry, prod.x.dim, prod.y.dim
     out = {}
     for (p1, i1, j1), v1 in a.terms.items():
         q1 = a.degree - p1
-        for (p2, k, l), v2 in sigma.terms.items():
-            q2 = sigma.degree - p2
-            if p1 > p2 or q1 > q2:
+        for (p2, i2, j2), v2 in b.terms.items():
+            q2 = b.degree - p2
+            p, q = p2 + s * p1, q2 + s * q1
+            if not (0 <= p <= nx and 0 <= q <= ny):
                 continue
-            sign = (-1) ** (q1 * p2)
-            cx = prod.rx.cap_basis(p1, i1, p2, k)
-            cy = prod.ry.cap_basis(q1, j1, q2, l)
-            coeff = sign * v1 * v2
+            cx = constant(rx, p1, i1, p2, i2)
+            cy = constant(ry, q1, j1, q2, j2)
+            coeff = (-1 if q1 * p2 & 1 else 1) * v1 * v2
             for i, vx in enumerate(cx):
                 if vx == 0:
                     continue
                 for j, vy in enumerate(cy):
                     if vy:
-                        key = (p2 - p1, i, j)
+                        key = (p, i, j)
                         out[key] = out.get(key, ZERO) + coeff * vx * vy
-    return TensorClass(prod, HOMOLOGY, sigma.degree - a.degree, out)._clean()
+    return TensorClass(prod, b.kind, b.degree + s * a.degree, out)._clean()
+
+
+def block_map(t: TensorClass, target: ProductSpace, kind, degree, blocks) -> TensorClass:
+    """A map of tensor classes that acts on each bidegree by a pair of matrices.
+
+    ``blocks(p, q)`` gives (p', sign, mx, my) for t's terms of X-degree p and
+    Y-degree q: the term v b_i x c_j goes to sign v (column i of mx) x
+    (column j of my), in X-degree p'.  The result is a ``kind`` tensor of
+    total degree ``degree`` on ``target``.
+    """
+    out = {}
+    for (p, i, j), v in t.terms.items():
+        pp, sign, mx, my = blocks(p, t.degree - p)
+        v = sign * v
+        for ii in range(len(mx)):
+            vx = mx[ii][i]
+            if vx == 0:
+                continue
+            for jj in range(len(my)):
+                vy = my[jj][j]
+                if vy:
+                    key = (pp, ii, jj)
+                    out[key] = out.get(key, ZERO) + v * vx * vy
+    return TensorClass(target, kind, degree, out)._clean()
 
 
 def product_map(f: GradedMap, g: GradedMap, source: ProductSpace, target: ProductSpace):
@@ -341,22 +357,9 @@ def product_map(f: GradedMap, g: GradedMap, source: ProductSpace, target: Produc
     def apply(t: TensorClass) -> TensorClass:
         if t.product is not source:
             raise DegreeMismatch("tensor class does not live on the source product")
-        kind = t.kind
-        out = {}
-        for (p, i, j), v in t.terms.items():
-            q = t.degree - p
-            mx = f.matrix(p)
-            my = g.matrix(q)
-            for ii in range(len(mx)):
-                vx = mx[ii][i]
-                if vx == 0:
-                    continue
-                for jj in range(len(my)):
-                    vy = my[jj][j]
-                    if vy:
-                        key = (p, ii, jj)
-                        out[key] = out.get(key, ZERO) + v * vx * vy
-        return TensorClass(target, kind, t.degree, out)._clean()
+        return block_map(
+            t, target, t.kind, t.degree, lambda p, q: (p, 1, f.matrix(p), g.matrix(q))
+        )
 
     return apply
 

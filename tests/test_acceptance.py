@@ -107,3 +107,18 @@ def test_acceptance_full_verify_report_deterministic():
     r2 = json.dumps(run_suites(["euler", "kunneth"], seed=11))
     assert r1 == r2
     print("ACCEPTANCE deterministic-reports: PASS")
+
+
+def test_acceptance_verify_check_counts_match_benchmark_table():
+    # the benchmark's oracle refuses a verify run with other check counts
+    import json
+    import os
+
+    path = os.path.join(
+        os.path.dirname(__file__), os.pardir, "perfbench", "data", "expected.json"
+    )
+    with open(path) as fh:
+        table = json.load(fh)["verify_suites"]
+    report = run_suites()
+    assert [[name, len(checks)] for name, checks in report["suites"].items()] == table
+    print("ACCEPTANCE verify-check-counts: PASS")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from simhom import catalog
+from simhom.complex import constant_map, validate
 from simhom.duality import (
     ProductDuality,
     duality_operator,
@@ -12,9 +13,24 @@ from simhom.duality import (
     intersection,
     transfers,
 )
-from simhom.errors import DimensionMismatch, NonOrientable, NotClosed, SingularDuality
-from simhom.exactlin import ONE, ZERO, dense_eq, dense_identity, dense_mul, vec_is_zero
+from simhom.errors import (
+    DegreeMismatch,
+    DimensionMismatch,
+    NonOrientable,
+    NotClosed,
+    SingularDuality,
+)
+from simhom.exactlin import (
+    ONE,
+    ZERO,
+    dense_eq,
+    dense_identity,
+    dense_inv,
+    dense_mul,
+    vec_is_zero,
+)
 from simhom.homology import (
+    COHOMOLOGY,
     HClass,
     Space,
     basis_class,
@@ -22,11 +38,15 @@ from simhom.homology import (
     kronecker,
 )
 from simhom.products import (
+    TensorClass,
     cap,
+    cap_on_product,
     cross,
+    cross_h,
     cup,
     product_map,
     product_space,
+    tensor_fundamental,
     unit_cocycle,
 )
 
@@ -42,6 +62,10 @@ def space(name):
 
 def rand_class(rng, graded, q):
     return HClass(graded, q, tuple(F(rng.randint(-3, 3)) for _ in range(graded.betti(q))))
+
+
+def sphere3():
+    return validate([[v for v in "abcde" if v != w] for w in "abcde"], name="S3")
 
 
 def test_fundamental_class_octahedron():
@@ -133,6 +157,41 @@ def test_dual_basis_identity_pairing():
                         d.fundamental.cls,
                     )
                     assert val == (ONE if i == j else ZERO), (name, q, i, j)
+
+
+def test_dual_basis_inverts_the_pairing_of_cup_constants(monkeypatch):
+    """dual_basis reads the cup pairing as K D and forms no cup; inverting
+    the pairing built from the ring's cup constants and the Kronecker
+    pairing gives the same classes, odd dimension included."""
+    from simhom.products import RingStructure
+
+    def refuse(*args):
+        raise AssertionError("the dual basis formed a cup")
+
+    for x in [catalog.get_complex(name) for name in ORIENTABLE] + [sphere3()]:
+        s = Space(x)
+        d = duality_operator(s)
+        n = d.n
+        with monkeypatch.context() as m:
+            m.setattr(RingStructure, "cup_basis", refuse)
+            for q in range(n + 1):
+                d.dual_basis(q)
+        for q in range(n + 1):
+            b = s.cohomology.betti(q)
+            pairing = [
+                [
+                    kronecker(
+                        HClass(s.cohomology, n, s.ring.cup_basis(n - q, i, q, j)),
+                        d.fundamental.cls,
+                    )
+                    for j in range(b)
+                ]
+                for i in range(b)
+            ]
+            inv = dense_inv(pairing) if b else ()
+            duals = d.dual_basis(q)
+            assert [c.coeffs for c in duals] == [tuple(row) for row in inv], (x.name, q)
+            assert all(c.space is s.cohomology and c.degree == n - q for c in duals)
 
 
 def test_dual_basis_octahedron_unit():
@@ -237,6 +296,28 @@ def test_suite_duality_builds_each_induced_map_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 10
 
 
+def test_transfers_refuse_classes_they_do_not_act_on():
+    hexa, tri = space("hexagon"), space("triangle")
+    dh, dt = duality_operator(hexa), duality_operator(tri)
+    t = transfers(catalog.hex_wrap2(), dh, dt)
+    assert t.apply_up(basis_class(hexa.cohomology, 1, 0)).space is tri.cohomology
+    for wrong in (
+        lambda: t.apply_up(basis_class(tri.cohomology, 1, 0)),
+        lambda: t.apply_up(basis_class(hexa.homology, 1, 0)),
+        lambda: t.apply_up(basis_class(space("hexagon").cohomology, 1, 0)),
+        lambda: t.apply_down(basis_class(hexa.homology, 1, 0)),
+        lambda: t.apply_down(basis_class(tri.cohomology, 1, 0)),
+    ):
+        with pytest.raises(DegreeMismatch):
+            wrong()
+    # hexagon -> point lowers the degree by one: f^! has no degree-0 part
+    pt = space("point")
+    c = transfers(constant_map(hexa.complex, pt.complex, "p"), dh, duality_operator(pt))
+    assert c.apply_up(basis_class(hexa.cohomology, 1, 0)).degree == 0
+    with pytest.raises(DegreeMismatch):
+        c.apply_up(basis_class(hexa.cohomology, 0, 0))
+
+
 def test_transfer_pushpull_is_degree_times_identity():
     # f_* o f_! = deg f  and  f^! o f^* = deg f on H^*(Y)
     cases = [
@@ -286,7 +367,8 @@ def test_transfer_projection_formula():
     rng = random.Random(19)
     for name, dom, cod in cases:
         f = catalog.get_map(name)
-        sx, sy = space(dom), space(cod)
+        sx = space(dom)
+        sy = space(cod) if dom != cod else sx
         dx = duality_operator(sx)
         dy = duality_operator(sy) if dom != cod else dx
         t = transfers(f, dx, dy)
@@ -380,6 +462,57 @@ def test_product_duality_roundtrip_and_signs():
 
         t = TensorClass(prod, HOMOLOGY, deg, terms)._clean()
         assert pd.apply(pd.invert(t)) == t
+
+
+def _rand_tensor(rng, prod, kind, deg):
+    gx = prod.x.cohomology if kind == COHOMOLOGY else prod.x.homology
+    gy = prod.y.cohomology if kind == COHOMOLOGY else prod.y.homology
+    terms = {
+        (p, i, j): F(rng.randint(-3, 3))
+        for p in range(deg + 1)
+        for i in range(gx.betti(p))
+        for j in range(gy.betti(deg - p))
+    }
+    return TensorClass(prod, kind, deg, terms)._clean()
+
+
+def test_product_duality_is_the_cap_with_the_product_fundamental_class():
+    """D read blockwise off D_X and D_Y equals the termwise cap with
+    zeta_X x zeta_Y in every degree, and its inverse undoes it."""
+    rng = random.Random(41)
+    s3 = Space(sphere3())
+    for sx, sy in (
+        (space("hexagon"), space("triangle")),
+        (space("torus"), space("octahedron")),
+        (s3, s3),
+    ):
+        dx = duality_operator(sx)
+        dy = duality_operator(sy) if sy is not sx else dx
+        prod = product_space(sx, sy)
+        pd = ProductDuality(prod, dx, dy)
+        zeta = tensor_fundamental(prod, dx.fundamental.cls, dy.fundamental.cls)
+        for deg in range(prod.dim + 1):
+            for _ in range(3):
+                t = _rand_tensor(rng, prod, COHOMOLOGY, deg)
+                dual = pd.apply(t)
+                assert dual == cap_on_product(t, zeta), (prod, deg)
+                assert pd.invert(dual) == t, (prod, deg)
+
+
+def test_product_duality_refuses_tensors_of_other_products_and_kinds():
+    hexa, tri = space("hexagon"), space("triangle")
+    pd = ProductDuality(product_space(hexa, tri), duality_operator(hexa), duality_operator(tri))
+    swapped = product_space(tri, hexa)
+    h1_tri, h1_hex = basis_class(tri.homology, 1, 0), basis_class(hexa.homology, 1, 0)
+    c1_tri, c1_hex = basis_class(tri.cohomology, 1, 0), basis_class(hexa.cohomology, 1, 0)
+    for wrong in (
+        lambda: pd.invert(cross_h(h1_tri, h1_hex, swapped)),
+        lambda: pd.apply(cross(c1_tri, c1_hex, swapped)),
+        lambda: pd.invert(cross(c1_hex, c1_tri, pd.prod)),
+        lambda: pd.apply(cross_h(h1_hex, h1_tri, pd.prod)),
+    ):
+        with pytest.raises(DegreeMismatch):
+            wrong()
 
 
 def test_intersection_via_diagonal_transfer():

@@ -385,6 +385,14 @@ def test_excision_hypothesis_violated():
         excision_check(disk, circle, [("a", "b", "c")])
 
 
+def test_excision_names_a_non_simplex_of_unknown_vertices():
+    disk = catalog.triangle2()
+    circle = validate([["a", "b"], ["b", "c"], ["a", "c"]], name="circle")
+    for u in ([("a", "zz")], [("a", "b", "c", "d")]):
+        with pytest.raises(HypothesisViolated, match="U contains a non-simplex"):
+            excision_check(disk, circle, u)
+
+
 def test_betti_subdivision_invariance_and_iso():
     for name in ["hexagon", "octahedron", "torus7"]:
         x = catalog.get_complex(name)

@@ -206,6 +206,29 @@ def test_suite_coincidence_builds_one_chain_map_per_catalog_map(monkeypatch):
     assert all(catalog.get_map(f.name) is f for f in built)
 
 
+def test_coincidence_and_cli_queries_make_no_cap_constant(monkeypatch, capsys):
+    """Every cap with a fundamental class is read off the duality
+    operators' matrices, so coincidence numbers, ``simhom lefschetz`` and
+    ``simhom coincidence`` compute no cap structure constant."""
+    from simhom.cli import main
+    from simhom.products import RingStructure
+
+    def refuse(*args):
+        raise AssertionError("a cap structure constant was computed")
+
+    monkeypatch.setattr(RingStructure, "cap_basis", refuse)
+    for fname, gname, _, _, expected in verify.COINCIDENCE_PAIRS:
+        report = coincidence_number(catalog.get_map(fname), catalog.get_map(gname))
+        assert report.consistent and report.value == expected, (fname, gname)
+    for argv in (
+        ["lefschetz", "genus2"],
+        ["coincidence", "hex_wrap2", "hex_wrap1", "--witness"],
+        ["coincidence", "oct_rotate", "id_octahedron"],
+    ):
+        assert main([*argv, "--json"]) == 0, argv
+    capsys.readouterr()
+
+
 def test_lefschetz_iso_zero():
     d = dop("torus")
     prod = product_space(d.space, d.space)
