@@ -1,12 +1,13 @@
 """Chain and cochain complexes of a simplicial complex.
 
 Boundary matrices use the classical alternating-sign face maps over the
-global vertex order.  On the full complex d_q is the complex's own signed
-facet table (``SimplicialComplex.boundary``), so every chain complex of it
-shares one; a quotient view keeps the entries between its kept simplices.
+global vertex order.  On the full complex d_q is the complex's own facet
+table (``SimplicialComplex.boundary``, an ``exactlin.FacetTable``), so
+every chain complex of it shares one; a quotient view keeps the columns of
+its kept simplices, renumbers their facets and marks the others -1.
 delta^q is d_{q+1}^T, and the engine reads it off d_{q+1} by rows
-(``exactlin.Reductions``, ``SparseMatrix.pull``): ``coboundary`` builds a
-transposed copy only for the checks that ask for one.
+(``FacetTable.cofaces``): ``coboundary`` builds a transposed copy, from the
+table's dict view, only for the checks that ask for one.
 Induced chain maps send a generator to its image simplex with the sign of
 the sorting permutation, or to zero when the image is degenerate.  Each
 map builds its f_# once (``SimplicialMap.chain_map``), a ``ColumnMatrix``
@@ -23,7 +24,7 @@ and every product with a ``Fraction`` chain is a ``Fraction``.
 
 from .complex import SimplicialComplex, SimplicialMap, _bary_name, barycentric_subdivide, flags
 from .errors import NotSubcomplex
-from .exactlin import SparseMatrix
+from .exactlin import FacetTable, SparseMatrix
 
 
 class ChainComplex:
@@ -62,23 +63,21 @@ class ChainComplex:
     def simplex_id(self, q: int, simplex) -> int:
         return self.index[q][tuple(simplex)]
 
-    def boundary(self, q: int) -> SparseMatrix:
-        """The matrix of d_q : C_q -> C_{q-1}; entries are int +-1.
+    def boundary(self, q: int) -> FacetTable:
+        """The matrix of d_q : C_q -> C_{q-1}, a ``FacetTable``.
 
-        The complex's own table on the full view; a quotient view keeps its
-        entries between kept simplices, renumbered, and builds that once.
+        The complex's own table on the full view; a quotient view keeps the
+        kept simplices' columns, renumbers their facets and marks a dropped
+        one -1, and builds that once.
         """
         x = self.complex
         if self.index is x.index:
             return x.boundary(q)
         m = self._boundary.get(q)
         if m is None:
-            rows, cols = ([self.index[p].get(s) for s in x.basis(p)] for p in (q - 1, q))
-            m = SparseMatrix(self.n(q - 1), self.n(q))
-            for (i, j), v in x.boundary(q).entries.items():
-                if rows[i] is not None and cols[j] is not None:
-                    m.entries[(rows[i], cols[j])] = v
-            self._boundary[q] = m
+            rows = [self.index[q - 1].get(s, -1) for s in x.basis(q - 1)]
+            kept = [j for j, s in enumerate(x.basis(q)) if s in self.index[q]]
+            m = self._boundary[q] = x.boundary(q).restricted(self.n(q - 1), rows, kept)
         return m
 
     def coboundary(self, q: int) -> SparseMatrix:

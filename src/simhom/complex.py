@@ -6,20 +6,24 @@ index tuples, closed under faces.  The vertex order is global (explicit
 simplices used by every chain-level construction downstream, in particular
 the Alexander-Whitney front/back face splitting.
 
-Each complex holds one signed facet table per degree, built on first use:
-``boundary(q)``, the matrix of d_q with the entry (-1)^i for the facet that
-drops vertex i.  It is the only place that enumerates facets.  The chain
-complex, the manifold check, purity and ``maximal_simplices`` all read it.
+``validate`` gathers each degree's faces into one set and sorts it once;
+those levels are the complex's bases.  Each complex holds one facet table
+per degree, built on first use from them: ``boundary(q)``, an
+``exactlin.FacetTable`` whose column j lists the ids of q-simplex j's
+facets, the one dropping vertex i in slot i with the entry (-1)^i.  It is
+the only place that enumerates facets.  The chain complex, the manifold
+check, purity and ``maximal_simplices`` all read it.
 
 Orientability is decided by one signed union-find pass over the dual graph
-of top simplices (``exactlin.SignedForest``), whose links are read off d_n;
-a balanced dual graph also delivers the signs of the fundamental cycle.
+of top simplices (``exactlin.SignedForest``), whose links are d_n's rows of
+two entries; a balanced dual graph also delivers the signs of the
+fundamental cycle.
 """
 
 import reprlib
 from array import array
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, repeat
 from math import factorial
 
 from .errors import (
@@ -31,7 +35,7 @@ from .errors import (
     TooManyFaces,
     UnknownVertex,
 )
-from .exactlin import ColumnMatrix, SignedForest, SparseMatrix, qstr
+from .exactlin import ColumnMatrix, FacetTable, SignedForest, qstr
 
 Simplex = tuple  # strictly increasing tuple of vertex indices
 
@@ -43,7 +47,12 @@ MAX_FACES = 1 << 22
 
 
 class SimplicialComplex:
-    """Face-closed finite abstract simplicial complex with ordered vertices."""
+    """Face-closed finite abstract simplicial complex with ordered vertices.
+
+    ``simplices`` holds one level per degree, each in increasing order, as
+    ``validate`` builds them; level 0 is every vertex, so vertex v is the
+    0-simplex (v,) with id v.
+    """
 
     def __init__(self, name, vertices, simplices):
         self.name = name
@@ -51,10 +60,8 @@ class SimplicialComplex:
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
         if len(self.vertex_index) != len(self.vertices):
             raise DuplicateVertex(f"duplicate vertex identifiers in {name!r}")
-        self.simplices = tuple(tuple(sorted(level)) for level in simplices)
-        self.index = tuple(
-            {s: k for k, s in enumerate(level)} for k, level in enumerate(self.simplices)
-        )
+        self.simplices = tuple(map(tuple, simplices))
+        self.index = tuple(dict(zip(level, range(len(level)))) for level in self.simplices)
         self.dim = len(self.simplices) - 1
         self._boundary = {}
 
@@ -85,18 +92,25 @@ class SimplicialComplex:
     def top_simplices(self):
         return self.simplices[self.dim] if self.dim >= 0 else ()
 
-    def boundary(self, q: int) -> SparseMatrix:
-        """The signed facet table of the q-simplices, built once: the matrix
-        of d_q, whose entry (facet id, simplex id) is the int (-1)^i of the
-        facet that drops vertex i, in column order."""
+    def boundary(self, q: int) -> FacetTable:
+        """The facet table of the q-simplices, built once: the matrix of d_q,
+        column j holding the ids of simplex j's facets, the one dropping
+        vertex i in slot i with the entry (-1)^i."""
         m = self._boundary.get(q)
         if m is None:
-            m = SparseMatrix(self.n_simplices(q - 1), self.n_simplices(q))
-            if 1 <= q <= self.dim:
-                ent, lower = m.entries, self.index[q - 1]
-                for j, s in enumerate(self.basis(q)):
-                    for i in range(len(s)):
-                        ent[(lower[s[:i] + s[i + 1 :]], j)] = -1 if i & 1 else 1
+            level = self.basis(q) if q >= 1 else ()
+            if q == 1:  # the facets of (a, b) are (b,) and (a,), ids b and a
+                facets = array("i", [v for a, b in level for v in (b, a)])
+            elif q == 2:
+                e = self.index[1] if level else {}
+                facets = array("i", [e[f] for a, b, c in level for f in ((b, c), (a, c), (a, b))])
+            else:
+                lower = self.index[q - 1] if level else {}
+                facets = array(
+                    "i", [lower[s[:i] + s[i + 1 :]] for s in level for i in range(q + 1)]
+                )
+            width = q + 1 if q >= 1 else 0
+            m = FacetTable(self.n_simplices(q - 1), self.n_simplices(q), width, facets)
             self._boundary[q] = m
         return m
 
@@ -105,8 +119,8 @@ class SimplicialComplex:
         q-simplices whose row of d_{q+1} holds no entry."""
         out = []
         for q in range(self.dim + 1):
-            covered = {i for i, _ in self.boundary(q + 1).entries}
-            out.extend(s for i, s in enumerate(self.basis(q)) if i not in covered)
+            basis = self.basis(q)
+            out.extend(basis[i] for i in self.boundary(q + 1).empty_rows())
         return out
 
     def counts(self):
@@ -161,21 +175,17 @@ def validate(maximal_simplices, name="", vertices=None, vertex_order=None) -> Si
             raise UnknownVertex("vertex_order must list each vertex exactly once")
     else:
         order = sorted(seen)
-    vindex = {v: i for i, v in enumerate(order)}
+    vindex = {v: i for i, v in enumerate(order)}.__getitem__
 
-    by_dim = {}
-    for v in order:
-        # every declared vertex is a 0-simplex, isolated ones included
-        by_dim.setdefault(0, set()).add((vindex[v],))
-    for raw in cleaned:
-        idx = tuple(sorted(vindex[v] for v in raw))
-        for r in range(1, len(idx) + 1):
-            for face in combinations(idx, r):
-                by_dim.setdefault(r - 1, set()).add(face)
-    if not by_dim:
-        return SimplicialComplex(name, order, [])
-    dim = max(by_dim)
-    levels = [sorted(by_dim.get(q, ())) for q in range(dim + 1)]
+    # each degree's faces gathered into one set and sorted once; every
+    # declared vertex is a 0-simplex, isolated ones included
+    tops = [tuple(sorted(map(vindex, raw))) for raw in cleaned]
+    dim = max([1 if order else 0, *map(len, tops)]) - 1
+    shortest = min(map(len, tops), default=0)
+    levels = [[(v,) for v in range(len(order))]] if dim >= 0 else []
+    for r in range(2, dim + 2):
+        have = tops if shortest >= r else [t for t in tops if len(t) >= r]
+        levels.append(sorted(set(chain.from_iterable(map(combinations, have, repeat(r))))))
     return SimplicialComplex(name, order, levels)
 
 
@@ -220,8 +230,8 @@ class ManifoldReport:
 
 
 def _analyse(x: SimplicialComplex):
-    """The manifold report and the orientation signs, from one facet table
-    and one pass over the dual graph.
+    """The manifold report and the orientation signs, from the rows of one
+    facet table and one pass over the dual graph.
 
     Two top simplices are linked when they are the only two containing a
     facet; the link balances when the facet's two induced orientations
@@ -251,18 +261,16 @@ def _analyse(x: SimplicialComplex):
             vertex_links_ok=True,
         )
         return report, [1] * len(tops), True, None
-    # d_n by rows: each (n-1)-simplex's {top id: (-1)^i}, in top order
-    inc = x.boundary(n).lines()
-    pure = all(len(s) == n + 1 for s in x.maximal_simplices())
-    boundary = tuple(x.basis(n - 1)[f] for f, ts in enumerate(inc) if len(ts) == 1)
-    ok = all(len(ts) <= 2 for ts in inc)
+    # d_n by rows: each (n-1)-simplex's cofaces, in top order
+    d = x.boundary(n)
+    counts = d.row_sizes()
+    pure = not any(x.boundary(q).empty_rows() for q in range(1, n + 1))
+    boundary = tuple(x.basis(n - 1)[f] for f, c in enumerate(counts) if c == 1)
+    ok = max(counts, default=0) <= 2
     closed = ok and not boundary and pure
-    a, av, b, bv = [], [], [], []
-    for pair in inc:
-        if len(pair) == 2:
-            (t, st), (u, su) = pair.items()
-            a.append(t), av.append(st), b.append(u), bv.append(su)
-    dual = SignedForest(len(tops), a, av, b, bv)
+    # a one-entry row grounds its top simplex, which moves no sign; a row of
+    # more than two is no link
+    dual = SignedForest(len(tops), *d.ends(False, skip=True))
     roots, signs = dual.flatten()
     r0, s0 = roots[0], signs[0]
     signs = [s * s0 if r == r0 else 0 for r, s in zip(roots, signs)]

@@ -8,19 +8,30 @@ pivot leaves a remainder.  Every entry of a vector or dense matrix the
 module returns (kernel, image, solve, dense_inv, dense_mul, dense_vec) is a
 ``fractions.Fraction``.  ``Solver.rref_kernel``, which the homology layer
 reads its representatives from, hands out the RREF's own values, and
-``SparseMatrix.apply`` and ``SparseMatrix.pull`` keep their operands'
-values, so ``int`` chain maps push ``int`` chains.  The dense products
-multiply in ``int`` after scaling each operand by the lcm of its
-denominators, and make one Fraction per result entry.
+the matrices' ``apply`` and ``pull`` keep their operands' values, so
+``int`` chain maps push ``int`` chains.
+
+Three matrix types.  ``SparseMatrix`` is a dict keyed by (row, col): map
+matrices, Betti-sized work and the rows ``Solver`` reduces.
+``ColumnMatrix`` holds a chain map, one entry per column.  ``FacetTable``
+holds a simplicial boundary d_q as one flat array of facet ids, q + 1 per
+column, the sign (-1)^i of slot i implied, and its rows, built once on
+first use.  Every reader (``lines`` for ``Solver``, ``ends`` for
+``SignedForest``, ``apply``, ``pull`` and their support-only forms) walks
+those arrays; a table's ``entries`` is a dict view made on demand for the
+tests and the transposed copy ``ChainComplex.coboundary`` makes.
+
+The dense products multiply in ``int`` after scaling each operand by the
+lcm of its denominators, and make one Fraction per result entry.
 
 One elimination, ``_rref``, run by one object, ``Solver``: rank, pivot
 columns, kernel and image are read off a single reduction, and the
 module-level functions of the same names are one-line views on it.
 Solving and inversion read the same reduction of an augmented matrix:
 ``solve`` the RREF of [M | b], ``dense_inv`` that of [A | I].  M^T is
-reduced from M's own entries, read by columns (``SparseMatrix.lines``), so
-no transposed copy is made, and ``Reductions`` holds the one reduction of
-M and of M^T, each built once, on first use.
+reduced from M's own entries, read by columns (``lines``), so no
+transposed copy is made, and ``Reductions`` holds the one reduction of M
+and of M^T, each built once, on first use.
 
 A signed graph's incidence matrix needs no elimination: ``Reductions``
 reads its RREF off the graph (the tree-cotree decomposition; Eppstein,
@@ -61,7 +72,9 @@ Fourier-Motzkin elimination over the free variables; the certificate of
 feasibility is an explicit rational point.
 """
 
+from array import array
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from operator import mul
 
@@ -90,9 +103,9 @@ class SparseMatrix:
     Entries are held in a dict keyed by (row, col); zeros are never stored.
     Each entry is an ``int`` or a ``Fraction``.  The constructor, the
     products, sums and scalings store ``Fraction``; a builder that fills
-    ``entries`` itself, such as the boundary matrices and the chain maps
-    with their int signs, may store ``int``, and ``transpose``, ``lines``,
-    ``apply`` and ``pull`` keep the values they are given.  ``_rref``
+    ``entries`` itself, such as the subdivision chain map with its int
+    signs, may store ``int``, and ``transpose``, ``lines``, ``apply`` and
+    ``pull`` keep the values they are given.  ``_rref``
     takes int entries as they are.
     """
 
@@ -140,9 +153,10 @@ class SparseMatrix:
         m.entries = {(j, i): v for (i, j), v in self.entries.items()}
         return m
 
-    def lines(self, by_column=False):
+    def lines(self, by_column=False, only=None):
         """M's rows, or its columns (M^T's rows) when ``by_column``, as dicts
-        {index: entry} filled in the order of M's entries."""
+        {index: entry} filled in the order of M's entries; with ``only``,
+        just the lines it lists, in its order."""
         out = [{} for _ in range(self.cols if by_column else self.rows)]
         if by_column:
             for (i, j), v in self.entries.items():
@@ -150,7 +164,33 @@ class SparseMatrix:
         else:
             for (i, j), v in self.entries.items():
                 out[i][j] = v
-        return out
+        return out if only is None else [out[i] for i in only]
+
+    def ends(self, by_column):
+        """Each line's (first index, its sign, second index, its sign), or None.
+
+        A line is a column (``by_column``) or a row; an index is the entry's
+        row or column.  A missing entry has index -1 and sign 0.  None when an
+        entry is not +-1 or a line has more than two entries.
+        """
+        n = self.cols if by_column else self.rows
+        a, av, b, bv = [-1] * n, [0] * n, [-1] * n, [0] * n
+        for (i, j), v in self.entries.items():
+            if v == 1:  # kept as an int, whatever the entry's type
+                v = 1
+            elif v == -1:
+                v = -1
+            else:
+                return None
+            if not by_column:
+                i, j = j, i
+            if a[j] < 0:
+                a[j], av[j] = i, v
+            elif b[j] < 0:
+                b[j], bv[j] = i, v
+            else:
+                return None
+        return a, av, b, bv
 
     def apply(self, vec):
         """Matrix-vector product, vec indexed by columns.
@@ -277,6 +317,229 @@ class ColumnMatrix:
         return tuple(out)
 
 
+class FacetTable:
+    """The matrix of a simplicial boundary d_q, kept as its facets.
+
+    ``facets`` is one flat ``array('i')``: column j holds the ids of its
+    ``width`` = q + 1 facets in slot order, ``facets[j * width + i]`` being
+    the facet that drops vertex i, and slot i carries the entry (-1)^i,
+    which is not stored.  A quotient marks a dropped facet with -1.  That
+    is four bytes an entry, where a ``SparseMatrix`` keeps a keyed dict
+    entry of about a hundred.
+
+    Only this class reads the layout, and every reader walks the array:
+    ``apply``, ``pull``, ``apply_support``, ``pull_support``, ``lines``
+    (for ``Solver``), ``ends`` (for ``SignedForest``), ``column``,
+    ``restricted`` (a quotient's table), ``row_sizes`` and ``empty_rows``; ``@`` pushes the other matrix's columns through it in
+    ``int``.  The rows are ``cofaces``, built once, on first use: per row
+    an offset into one array of column ids and one of signs, in column
+    order.  ``entries`` is a dict view made on every
+    call, for the tests and for the transposed copy
+    ``ChainComplex.coboundary`` makes.
+    """
+
+    __slots__ = ("rows", "cols", "width", "facets", "full", "_cofaces")
+
+    def __init__(self, rows: int, cols: int, width: int, facets):
+        self.rows = rows
+        self.cols = cols
+        self.width = width
+        self.facets = facets
+        self.full = -1 not in facets  # no facet dropped
+        self._cofaces = None
+
+    def column(self, j):
+        """The facet ids of column j in slot order, -1 where one is dropped."""
+        w = self.width
+        return self.facets[j * w : j * w + w]
+
+    def restricted(self, rows, renumber, columns):
+        """The table of ``columns`` alone, in that order, each facet f
+        renumbered ``renumber[f]`` (-1 drops it), over ``rows`` rows."""
+        facets = array("i", [renumber[f] for j in columns for f in self.column(j)])
+        return FacetTable(rows, len(columns), self.width, facets)
+
+    def cofaces(self):
+        """The rows, as (start, ids, signs): row r's entries are the
+        signs[k] in the columns ids[k], k in range(start[r], start[r + 1]),
+        in column order."""
+        if self._cofaces is None:
+            fac, w = self.facets, self.width
+            count = [0] * (self.rows + 1)
+            for f in fac:
+                count[f + 1] += 1  # a dropped facet counts at 0
+            count[0] = 0
+            start = array("i", accumulate(count))
+            fill = start.tolist()
+            ids = array("i", [0]) * start[-1]
+            signs = array("b", [1]) * start[-1]
+            for p, f in enumerate(fac):
+                if f >= 0:
+                    k = fill[f]
+                    fill[f] = k + 1
+                    ids[k] = p // w
+                    if p % w & 1:
+                        signs[k] = -1
+            self._cofaces = start, ids, signs
+        return self._cofaces
+
+    def row_sizes(self):
+        """The number of entries of each row."""
+        start = self.cofaces()[0]
+        return [e - k for k, e in zip(start, start[1:])]
+
+    def empty_rows(self):
+        """The rows holding no entry, in order."""
+        covered = set(self.facets)
+        covered.discard(-1)
+        if len(covered) == self.rows:
+            return []
+        return [r for r in range(self.rows) if r not in covered]
+
+    @property
+    def entries(self):
+        """The dict {(row, col): +-1} of the entries, in column order, made
+        anew on every call."""
+        w = self.width
+        return {(f, p // w): -1 if p % w & 1 else 1 for p, f in enumerate(self.facets) if f >= 0}
+
+    def lines(self, by_column=False, only=None):
+        """M's rows, or its columns when ``by_column``, as dicts {index: +-1}
+        in index order, as ``SparseMatrix.lines`` gives them; with ``only``,
+        just the lines it lists, in its order."""
+        w, fac = self.width, self.facets
+        if not by_column:
+            start, ids, signs = self.cofaces()
+            return [
+                dict(zip(ids[start[r] : start[r + 1]], signs[start[r] : start[r + 1]]))
+                for r in (range(self.rows) if only is None else only)
+            ]
+        signs = [-1 if i & 1 else 1 for i in range(w)]
+        lines = []
+        for j in range(self.cols) if only is None else only:
+            line = dict(zip(fac[j * w : j * w + w], signs))
+            if not self.full:
+                line.pop(-1, None)
+            lines.append(line)
+        return lines
+
+    def ends(self, by_column, skip=False):
+        """Each line's (first index, its sign, second index, its sign), or None
+        when a line has more than two entries; ``skip`` leaves such a line
+        out, as an empty one, instead.  A missing entry has index -1 and
+        sign 0.  The values of ``SparseMatrix.ends`` on the same entries: a
+        full d_1's columns are two slices."""
+        w, fac = self.width, self.facets
+        n = self.cols if by_column else self.rows
+        if not fac:  # no entry at all
+            return [-1] * n, [0] * n, [-1] * n, [0] * n
+        if by_column and self.full:
+            if w == 2:
+                return fac[0::2].tolist(), [1] * n, fac[1::2].tolist(), [-1] * n
+            if w > 2 and not skip:
+                return None
+        a, av, b, bv = [-1] * n, [0] * n, [-1] * n, [0] * n
+        if by_column:
+            for j in range(n):
+                at = [i for i in range(w) if fac[j * w + i] >= 0]
+                if len(at) > 2:
+                    if skip:
+                        continue
+                    return None
+                if at:
+                    a[j], av[j] = fac[j * w + at[0]], -1 if at[0] & 1 else 1
+                if len(at) == 2:
+                    b[j], bv[j] = fac[j * w + at[1]], -1 if at[1] & 1 else 1
+            return a, av, b, bv
+        if not skip and len(fac) > 2 * n and self.full:  # a row holds three
+            return None
+        start, ids, signs = self.cofaces()
+        if start == array("i", range(0, 2 * n + 1, 2)):  # two entries a row
+            a, b = ids[0::2].tolist(), ids[1::2].tolist()
+            return a, signs[0::2].tolist(), b, signs[1::2].tolist()
+        for r in range(n):
+            k, e = start[r], start[r + 1]
+            if e - k > 2:
+                if skip:
+                    continue
+                return None
+            if e > k:
+                a[r], av[r] = ids[k], signs[k]
+                if e - k == 2:
+                    b[r], bv[r] = ids[k + 1], signs[k + 1]
+        return a, av, b, bv
+
+    def apply(self, vec):
+        """M vec; vec is indexed by columns.  Accumulated from ``0`` in the
+        vector's own values, as ``SparseMatrix.apply`` does."""
+        if len(vec) != self.cols:
+            raise ValueError("vector length does not match column count")
+        return tuple(self.apply_support({j: c for j, c in enumerate(vec) if c}))
+
+    def pull(self, vec):
+        """M^T vec, read off the rows; vec is indexed by rows."""
+        if len(vec) != self.rows:
+            raise ValueError("vector length does not match row count")
+        return tuple(self.pull_support({r: c for r, c in enumerate(vec) if c}))
+
+    def apply_support(self, support):
+        """M x as a list over the rows, x given by its support {column: value}:
+        only those columns are read."""
+        w, fac = self.width, self.facets
+        out = [0] * self.rows
+        for j, c in support.items():
+            for i in range(w):
+                f = fac[j * w + i]
+                if f >= 0:
+                    out[f] += -c if i & 1 else c
+        return out
+
+    def pull_support(self, support):
+        """M^T x as a list over the columns, x given by its support {row:
+        value}: only those rows' cofaces are read."""
+        start, ids, signs = self.cofaces()
+        out = [0] * self.cols
+        for r, c in support.items():
+            for k in range(start[r], start[r + 1]):
+                out[ids[k]] += c if signs[k] > 0 else -c
+        return out
+
+    def __matmul__(self, other) -> "SparseMatrix":
+        """M B, B's columns pushed through M's facets in ``int``."""
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in matrix product")
+        w, fac = self.width, self.facets
+        ent = {}
+        for j, col in enumerate(other.lines(True)):
+            out = {}
+            for k, c in col.items():
+                for i in range(w):
+                    f = fac[k * w + i]
+                    if f >= 0:
+                        out[f] = out.get(f, 0) + (-c if i & 1 else c)
+            ent.update(((f, j), v) for f, v in out.items() if v)
+        return SparseMatrix(self.rows, other.cols, ent)
+
+    def is_zero(self) -> bool:
+        return max(self.facets, default=-1) < 0
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, (FacetTable, SparseMatrix))
+            and (self.rows, self.cols) == (other.rows, other.cols)
+            and self.entries == other.entries
+        )
+
+    __hash__ = None
+
+    # M^T as a new SparseMatrix, and the dense matrix, read off the dict view
+    transpose = SparseMatrix.transpose
+    to_dense = SparseMatrix.to_dense
+
+    def __repr__(self):
+        return f"FacetTable({self.rows}x{self.cols}, width={self.width})"
+
+
 def _div(v, p):
     """v / p, an ``int`` when both are ints and p divides v."""
     if type(v) is int and type(p) is int:
@@ -394,9 +657,7 @@ class Solver:
 
     def __init__(self, m: SparseMatrix, basis=None, transposed=False):
         self.m, self.transposed = m, transposed
-        rows = m.lines(transposed)
-        if basis is not None:
-            rows = [rows[i] for i in basis]
+        rows = m.lines(transposed, basis)
         self.ncols = m.rows if transposed else m.cols
         self.pivots = _rref(rows, self.ncols)
         self.rref_rows = rows
@@ -526,36 +787,9 @@ def _find(parent, sign, x):
     return root, s
 
 
-def _ends(m, by_column):
-    """Each line's (first index, its sign, second index, its sign), or None.
-
-    A line is a column (``by_column``) or a row; an index is the entry's
-    row or column.  A missing entry has index -1 and sign 0.  None when an
-    entry is not +-1 or a line has more than two entries.
-    """
-    n = m.cols if by_column else m.rows
-    a, av, b, bv = [-1] * n, [0] * n, [-1] * n, [0] * n
-    for (i, j), v in m.entries.items():
-        if v == 1:  # kept as an int, whatever the entry's type
-            v = 1
-        elif v == -1:
-            v = -1
-        else:
-            return None
-        if not by_column:
-            i, j = j, i
-        if a[j] < 0:
-            a[j], av[j] = i, v
-        elif b[j] < 0:
-            b[j], bv[j] = i, v
-        else:
-            return None
-    return a, av, b, bv
-
-
 class SignedForest:
     """One pass of a union-find with signs over ``n`` vertices and the
-    edges (a[j], av[j], b[j], bv[j]) of ``_ends``, in edge order.
+    edges (a[j], av[j], b[j], bv[j]) of a matrix's ``ends``, in edge order.
 
     An edge with b[j] = -1 joins a[j] to an implicit ground vertex, and
     one with a[j] = -1 is a loop.  Signs s on the vertices balance an edge
@@ -579,7 +813,7 @@ class SignedForest:
         self.last = last = list(range(n))
         self.joins = joins = []
         size = [1] * n
-        for j in range(len(a)):
+        for j in range(len(a) if n else 0):  # with no vertex every edge is a loop
             x, y = a[j], b[j]
             if x < 0:
                 continue
@@ -613,7 +847,7 @@ class SignedForest:
     def of(cls, m, by_column):
         """The forest of M's columns (``by_column``) or rows, or None when
         an entry is not +-1 or a line has more than two entries."""
-        ends = _ends(m, by_column)
+        ends = m.ends(by_column)
         return ends and cls(m.rows if by_column else m.cols, *ends)
 
     def flatten(self):
@@ -741,7 +975,7 @@ class Reductions:
     3.11, 2-vCPU VM).
     """
 
-    def __init__(self, m: SparseMatrix):
+    def __init__(self, m):
         self.m = m
         self._forests = {}  # by_column -> SignedForest or None
         self._reductions = {}  # transposed -> GraphReduction or Solver

@@ -19,10 +19,10 @@ cycle z is the sum of z[f] z_f.  One reduction per degree, of the
 boundaries' row space B_F^T in these coordinates (rank B_q x dim Z_q),
 selects the representatives, the z_f independent modulo boundaries, and
 writes every z_f in them; on a surface B_F^T is a graph too.  The class
-of a cycle is then a sparse sum over its free entries, after one pass over
-the cached boundary matrix checks that it is a cycle, a cocycle against
-d_{q+1} read by rows: no elimination runs once the spaces are built, and
-only the representatives are stored as dense vectors.
+of a cycle is then a sparse sum over its free entries, after its support
+is pushed through the facet table to check that it is a cycle (a cocycle
+through d_{q+1}'s rows): no elimination runs once the spaces are built,
+and only the representatives are stored as dense vectors.
 
 The Kronecker pairing is Betti-sized too: the representatives of H^q and
 H_q are paired once, by sparse dots over their supports, and every later
@@ -45,6 +45,7 @@ are all built this way, never by transposition shortcuts.
 
 import weakref
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 
 from .chains import ChainComplex, build_relative, embed, induced_chain_map
@@ -77,7 +78,7 @@ class GradedSpace:
         # degree -> {free column f: {basis index: class coefficient of z_f}}
         self._coords = coords
         self._supports = {
-            q: [[(i, v) for i, v in enumerate(r) if v] for r in level]
+            q: [[(i, r[i]) for i in compress(range(len(r)), r)] for r in level]
             for q, level in reps.items()
         }
         self._pairings = {}  # (homology space, degree) -> kronecker_matrix
@@ -95,20 +96,21 @@ class GradedSpace:
     def representatives(self, q: int):
         return self.reps.get(q, [])
 
-    def _is_cycle(self, q: int, vec) -> bool:
-        """d_q z = 0, or for cohomology delta^q z = 0, which ``pull`` reads
-        off d_{q+1} as d_{q+1}^T z, by one pass over d's entries.
+    def _is_cycle(self, q: int, support) -> bool:
+        """d_q z = 0, or for cohomology delta^q z = 0, read off d_{q+1}'s
+        rows as d_{q+1}^T z; z is given by its support {index: value}, and
+        only the lines of the support are read.
 
         A chain with a Fraction coefficient is scaled to ``int`` by the lcm
         of its denominators, which changes no zero, so d z is accumulated
-        in ``int`` against d's ``int`` signs.
+        in ``int`` against d's signs.
         """
-        if any(type(c) is not int for c in vec):
-            scale = lcm(*(c.denominator for c in vec))
-            vec = [c.numerator * (scale // c.denominator) for c in vec]
+        if any(type(c) is not int for c in support.values()):
+            scale = lcm(*(c.denominator for c in support.values()))
+            support = {i: c.numerator * (scale // c.denominator) for i, c in support.items()}
         if self.kind == HOMOLOGY:
-            return not any(self.cc.boundary(q).apply(vec))
-        return not any(self.cc.boundary(q + 1).pull(vec))
+            return not any(self.cc.boundary(q).apply_support(support))
+        return not any(self.cc.boundary(q + 1).pull_support(support))
 
     def class_of(self, q: int, vec) -> tuple:
         """Coefficients of a cycle's class over the degree-q basis.
@@ -120,8 +122,8 @@ class GradedSpace:
         """
         if len(vec) != self.cc.n(q):
             raise ValueError(f"expected a {self.kind} chain of length {self.cc.n(q)}")
-        nonzero = {i: c for i, c in enumerate(vec) if c}
-        if not self._is_cycle(q, vec):
+        nonzero = {i: vec[i] for i in compress(range(len(vec)), vec)}
+        if not self._is_cycle(q, nonzero):
             raise ValueError(f"vector is not a {self.kind} cycle in degree {q}")
         coords = self._coords.get(q, {})
         out = [0] * self.betti(q)
@@ -218,7 +220,9 @@ def _select(leaving, entering, transposed):
     F's order, both in the RREFs' own values.
 
     B_F^T, whose rows are the entering d's columns at the boundary pivots
-    (its rows for H^*), is reduced on its graph when it is one, and
+    (its rows for H^*), is read off d's columns: for H_* the pivot
+    columns, for H^* the columns at F, so d's rows are never built for
+    it.  It is reduced on its graph when it is one, and
     eliminated otherwise; either reduction hands out the same RREF entries
     (``rref_entries``).  On a surface it is: the H_1 selection has one
     column per cotree edge, with its two triangles as entries, those of a
@@ -229,18 +233,22 @@ def _select(leaving, entering, transposed):
     leaving_red = leaving.of(transposed)
     free = leaving_red.free_cols()
     last = len(free) - 1
-    slot = {f: last - k for k, f in enumerate(free)}
-    bslot = {c: k for k, c in enumerate(entering.of(transposed).pivot_cols)}
-    m = SparseMatrix(len(bslot), len(free))
+    slot = dict(zip(free, range(last, -1, -1)))
+    bpivots = entering.of(transposed).pivot_cols
+    d = entering.m
+    m = SparseMatrix(len(bpivots), len(free))
     ent = m.entries
-    if transposed:  # the boundaries are d's rows
-        for (i, j), v in entering.m.entries.items():
-            if i in bslot and j in slot:
-                ent[(bslot[i], slot[j])] = v
+    if transposed:  # the boundaries are d's rows, F's simplices its columns
+        bslot = {r: k for k, r in enumerate(bpivots)}
+        for j in free:
+            for i, f in enumerate(d.column(j)):
+                if f in bslot:
+                    ent[(bslot[f], slot[j])] = -1 if i & 1 else 1
     else:  # the boundaries are d's columns
-        for (i, j), v in entering.m.entries.items():
-            if j in bslot and i in slot:
-                ent[(bslot[j], slot[i])] = v
+        for k, j in enumerate(bpivots):
+            for i, f in enumerate(d.column(j)):
+                if f in slot:
+                    ent[(k, slot[f])] = -1 if i & 1 else 1
     selection = Reductions(m).of()
     pivot_cols = set(selection.pivot_cols)
     kept = [c for c in range(last, -1, -1) if c not in pivot_cols]
@@ -605,9 +613,9 @@ def excision_check(x: SimplicialComplex, a: SimplicialComplex, u) -> ExcisionRep
         raise HypothesisViolated("U is not contained in A")
     a_minus_u = all_a - u_idx
     for q in range(1, x.dim + 1):
-        faces, simplices = x.basis(q - 1), x.basis(q)
-        for i, j in x.boundary(q).entries:
-            if simplices[j] in a_minus_u and faces[i] in u_idx:
+        faces, d = x.basis(q - 1), x.boundary(q)
+        for j, s in enumerate(x.basis(q)):
+            if s in a_minus_u and any(faces[f] in u_idx for f in d.column(j)):
                 raise HypothesisViolated(
                     "A - U is not face-closed: U is not open inside A"
                 )

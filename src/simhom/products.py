@@ -298,29 +298,40 @@ def _bilinear(a: TensorClass, b: TensorClass, s: int, constant) -> TensorClass:
     Terms of X-degrees p1, p2 and Y-degrees q1, q2 give (-1)^{q1 p2} times
     ``constant(ring, ...)`` of X's ring tensored with Y's, in X-degree
     p2 + s p1 and Y-degree q2 + s q1: s = 1 for cup, -1 for cap.  A product
-    outside a factor's degrees is zero and is not computed.
+    outside a factor's degrees is zero and is not computed.  Integral
+    values are multiplied and summed in ``int``, and each coefficient is
+    made a Fraction once.
     """
     prod = a.product
     rx, ry, nx, ny = prod.rx, prod.ry, prod.x.dim, prod.y.dim
     out = {}
+    b_terms = [(key, _as_int(v)) for key, v in b.terms.items()]
     for (p1, i1, j1), v1 in a.terms.items():
-        q1 = a.degree - p1
-        for (p2, i2, j2), v2 in b.terms.items():
+        q1, v1 = a.degree - p1, _as_int(v1)
+        for (p2, i2, j2), v2 in b_terms:
             q2 = b.degree - p2
             p, q = p2 + s * p1, q2 + s * q1
             if not (0 <= p <= nx and 0 <= q <= ny):
                 continue
             cx = constant(rx, p1, i1, p2, i2)
-            cy = constant(ry, q1, j1, q2, j2)
+            cy = [_as_int(v) for v in constant(ry, q1, j1, q2, j2)]
             coeff = (-1 if q1 * p2 & 1 else 1) * v1 * v2
             for i, vx in enumerate(cx):
                 if vx == 0:
                     continue
+                cv = coeff * _as_int(vx)
                 for j, vy in enumerate(cy):
                     if vy:
                         key = (p, i, j)
-                        out[key] = out.get(key, ZERO) + coeff * vx * vy
-    return TensorClass(prod, b.kind, b.degree + s * a.degree, out)._clean()
+                        out[key] = out.get(key, 0) + cv * vy
+    terms = {key: Fraction(v) for key, v in out.items()}
+    return TensorClass(prod, b.kind, b.degree + s * a.degree, terms)._clean()
+
+
+def _as_int(v):
+    """A Fraction as its ``int`` numerator when it is integral, so that
+    products and sums of such values are taken in ``int``."""
+    return v.numerator if v.denominator == 1 else v
 
 
 def block_map(t: TensorClass, target: ProductSpace, kind, degree, blocks) -> TensorClass:
@@ -352,11 +363,23 @@ def product_map(f: GradedMap, g: GradedMap, source: ProductSpace, target: Produc
 
     For covariant maps this is (f x g)_*, for contravariant ones (f x g)^*;
     ``source`` and ``target`` are the product spaces the tensors live on.
+    f and g must map the graded spaces of ``source``'s factors, of the
+    tensor's kind, to those of ``target``'s, or DegreeMismatch is raised.
     """
 
     def apply(t: TensorClass) -> TensorClass:
         if t.product is not source:
             raise DegreeMismatch("tensor class does not live on the source product")
+        ends = [(m.source, m.target) for m in (f, g)]
+        factors = [(source.x, target.x), (source.y, target.y)]
+        if t.kind == HOMOLOGY:
+            wanted = [(a.homology, b.homology) for a, b in factors]
+        else:
+            wanted = [(a.cohomology, b.cohomology) for a, b in factors]
+        if any(m is not w for pair, want in zip(ends, wanted) for m, w in zip(pair, want)):
+            raise DegreeMismatch(
+                f"f x g does not map the {t.kind} of {source!r}'s factors to {target!r}'s"
+            )
         return block_map(
             t, target, t.kind, t.degree, lambda p, q: (p, 1, f.matrix(p), g.matrix(q))
         )

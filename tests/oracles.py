@@ -5,9 +5,9 @@ reduction over Fraction, sharing no code path with the package's sparse
 elimination or basis bookkeeping.  The ``oracle_manifold_check``,
 ``oracle_orient``, ``oracle_gauss_jordan_rref``, ``oracle_select``,
 ``oracle_subdivision_matrix``, ``oracle_induced_chain_map``,
-``oracle_transpose``, ``oracle_apply`` and ``oracle_lp_feasible``
-references are earlier versions of package routines, kept so that their
-replacements can be checked value for value.
+``oracle_transpose``, ``oracle_apply``, ``oracle_dict_table`` and
+``oracle_lp_feasible`` references are earlier versions of package routines,
+kept so that their replacements can be checked value for value.
 """
 
 from collections import deque
@@ -57,6 +57,22 @@ def oracle_boundary(lower, upper):
             if face in row:
                 mat[row[face]][j] += (-1) ** i
     return mat
+
+
+def oracle_dict_table(cc, q):
+    """d_q of a chain complex as the dict-keyed ``SparseMatrix`` the facet
+    table replaced: the entry (-1)^i for each facet that drops vertex i and
+    is a kept simplex, filled column by column in slot order, as an int."""
+    from simhom.exactlin import SparseMatrix
+
+    m = SparseMatrix(cc.n(q - 1), cc.n(q))
+    row = {s: r for r, s in enumerate(cc.basis(q - 1))} if q >= 1 else {}
+    for j, s in enumerate(cc.basis(q) if q >= 1 else ()):
+        for i in range(len(s)):
+            r = row.get(s[:i] + s[i + 1 :])
+            if r is not None:
+                m.entries[(r, j)] = -1 if i & 1 else 1
+    return m
 
 
 def oracle_maximal_simplices(x):

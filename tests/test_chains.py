@@ -18,7 +18,9 @@ from simhom.exactlin import SparseMatrix
 from oracles import (
     oracle_apply,
     oracle_boundary,
+    oracle_dict_table,
     oracle_induced_chain_map,
+    oracle_maximal_simplices,
     oracle_subdivision_matrix,
     oracle_transpose,
     sparse_of,
@@ -397,3 +399,96 @@ def test_int_chain_maps_match_fraction_oracle():
             assert class_matrix(h, q, sd_h, q, m.apply) == want, (name, q)
             pushed += h.betti(q)
     assert pushed > 100
+
+
+def _random_complex(rng, name):
+    """Up to eight vertices, maximal simplices of dimension 0 to 3."""
+    verts = [f"v{i}" for i in range(rng.randint(1, 8))]
+    sizes = [min(rng.randint(1, 4), len(verts)) for _ in range(rng.randint(1, 9))]
+    return validate([rng.sample(verts, k) for k in sizes], name=name, vertices=verts)
+
+
+def _facet_table_carriers():
+    """Chain complexes whose facet tables the reader test compares: seeded
+    random complexes up to dimension 3, S^3 with a shuffled vertex order,
+    rp2, a relative pair and an excision view (both with dropped facets)."""
+    from test_complex import _shuffled
+
+    rng = random.Random(2024)
+    carriers = [ChainComplex(_random_complex(rng, f"random{k}")) for k in range(40)]
+    carriers.append(ChainComplex(_shuffled(_boundary_of_4_simplex(), 7)))
+    carriers.append(ChainComplex(catalog.rp2()))
+    octa = catalog.octahedron()
+    equator = validate([["n", "e"], ["e", "s"], ["s", "w"], ["n", "w"]], name="equator")
+    carriers.append(build_relative(octa, equator))
+    # C(X)/C(A - U), A the equator and U its open edge n-e: the view an
+    # excision keeps, with A - U's faces dropped from U's column
+    ids = {s: tuple(sorted(octa.vertex_index[v] for v in s)) for s in ("n", "e", "s", "w")}
+    ids.update({a + b: tuple(sorted(ids[a] + ids[b])) for a, b in ("ne", "es", "sw", "nw")})
+    a_minus_u = set(ids.values()) - {ids["ne"]}
+    kept = {q: [s for s in octa.basis(q) if s not in a_minus_u] for q in range(octa.dim + 1)}
+    carriers.append(ChainComplex(octa, kept))
+    return carriers
+
+
+def _forest_fields(forest):
+    """What a ``SignedForest`` answers, whatever its roots: the joins, and
+    per vertex its component's flags and last vertex, and its sign against
+    the component's first vertex."""
+    if forest is None:
+        return None
+    roots, signs = forest.flatten()
+    first = {}
+    for k, r in enumerate(roots):
+        first.setdefault(r, k)
+    return (
+        forest.joins,
+        [forest.grounded[r] for r in roots],
+        [forest.balanced[r] for r in roots],
+        [forest.last[r] for r in roots],
+        [s * signs[first[r]] for s, r in zip(signs, roots)],
+    )
+
+
+def test_facet_table_readers_match_dict_table():
+    """Every reader of a facet table gives what the same reader gives on the
+    dict-keyed table built the old way: ``apply`` and ``pull`` on seeded
+    int and Fraction vectors, ``lines`` and ``ends`` in both orientations,
+    the ``SignedForest``s of both, ``maximal_simplices``, and the product
+    and transpose the checks read."""
+    from simhom.exactlin import FacetTable, SignedForest
+
+    from test_exactlin import typed
+
+    rng = random.Random(99)
+    for cc in _facet_table_carriers():
+        label = cc.complex.name
+        for q in range(-1, cc.dim + 3):
+            d, ref = cc.boundary(q), oracle_dict_table(cc, q)
+            assert type(d) is FacetTable, (label, q)
+            assert (d.rows, d.cols) == (ref.rows, ref.cols), (label, q)
+            assert d.entries == ref.entries and list(d.entries) == list(ref.entries), (label, q)
+            for by_column in (False, True):
+                assert d.lines(by_column) == ref.lines(by_column), (label, q, by_column)
+                assert d.ends(by_column) == ref.ends(by_column), (label, q, by_column)
+                assert _forest_fields(SignedForest.of(d, by_column)) == _forest_fields(
+                    SignedForest.of(ref, by_column)
+                ), (label, q, by_column)
+            for _ in range(3):
+                for vec in (
+                    tuple(rng.choice((0, 0, 1, -2)) for _ in range(d.cols)),
+                    tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(d.cols)),
+                ):
+                    assert typed(d.apply(vec)) == typed(ref.apply(vec)), (label, q)
+                for vec in (
+                    tuple(rng.choice((0, 0, 1, -2)) for _ in range(d.rows)),
+                    tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(d.rows)),
+                ):
+                    assert typed(d.pull(vec)) == typed(ref.pull(vec)), (label, q)
+            assert d.transpose().entries == ref.transpose().entries, (label, q)
+            if q >= 1:
+                lower = cc.boundary(q - 1)
+                assert (lower @ d).entries == (oracle_dict_table(cc, q - 1) @ ref).entries
+        if cc.index is cc.complex.index:
+            x = cc.complex
+            assert x.maximal_simplices() == oracle_maximal_simplices(x), label

@@ -56,25 +56,36 @@ def test_duality_command(capsys):
     assert data["results"]["duality_invertible"] is True
 
 
-def test_duality_checks_the_manifold_once(capsys, monkeypatch):
-    """One signed facet table per query: the manifold report and the
-    orientation are read off the same table, read by rows once, and the
-    same walk."""
-    from simhom.exactlin import SparseMatrix
+def test_duality_checks_the_manifold_once(tmp_path, capsys, monkeypatch):
+    """One facet table per query: the manifold report and the orientation
+    are read off the same table, its rows built once.  The dual graph's
+    forest is built twice, once to orient the complex and once by the
+    (co)homology walk as the forest of d_n's rows, which keeps no forest
+    past the query.  The torus comes from a file, so no earlier query
+    built its tables."""
+    from simhom.exactlin import FacetTable, SignedForest
 
-    real = SparseMatrix.lines
-    reads = []
+    real_rows, real_forest = FacetTable.cofaces, SignedForest.__init__
+    reads, forests = [], []
 
-    def recording(m, by_column=False):
-        reads.append(((m.rows, m.cols), by_column))
-        return real(m, by_column)
+    def recording_rows(m):
+        if m._cofaces is None:
+            reads.append((m.rows, m.cols))
+        return real_rows(m)
 
-    monkeypatch.setattr(SparseMatrix, "lines", recording)
-    code, data, _ = run_json(capsys, "duality", "torus")
+    def recording_forest(forest, n, a, *ends):
+        forests.append((n, len(a)))
+        real_forest(forest, n, a, *ends)
+
+    monkeypatch.setattr(FacetTable, "cofaces", recording_rows)
+    monkeypatch.setattr(SignedForest, "__init__", recording_forest)
+    (tmp_path / "torus.json").write_text(json.dumps(complex_to_json(catalog.torus())))
+    code, data, _ = run_json(capsys, "duality", str(tmp_path / "torus.json"))
     assert code == 0
     torus = catalog.torus()
     top = (torus.n_simplices(1), torus.n_simplices(2))
-    assert [by_column for shape, by_column in reads if shape == top] == [False]
+    assert reads.count(top) == 1
+    assert forests.count(top[::-1]) == 2  # over the triangles, an edge per row
     assert data["results"]["manifold"] == manifold_check(catalog.torus()).to_json()
 
 

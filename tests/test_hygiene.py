@@ -109,3 +109,92 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def attribute_reads(path, name, function=None):
+    """The qualified name of the function around each ``<expr>.name`` in
+    ``path``, or only those inside ``function``'s qualified name."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Attribute) and child.attr == name:
+                found.append(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    return [f for f in found if function is None or f == function]
+
+
+def test_engine_reads_no_dict_view_of_a_facet_table(monkeypatch):
+    """The engine walks the facet arrays: with ``FacetTable.entries`` made to
+    raise, homology, cohomology, duality, the Lefschetz and coincidence
+    numbers, a relative pair and an excision all answer, on surfaces, rp2
+    and S^3; the manifold analysis names no ``.entries`` at all."""
+    from simhom import catalog
+    from simhom.chains import build_relative
+    from simhom.complex import complex_from_json, complex_to_json, validate
+    from simhom.duality import duality_operator
+    from simhom.errors import TopologyError
+    from simhom.exactlin import FacetTable
+    from simhom.homology import Space, compute_cohomology, compute_homology, excision_check
+    from simhom.lefschetz import coincidence_number
+    from simhom.verify import COINCIDENCE_PAIRS
+
+    assert attribute_reads(SRC / "complex.py", "entries", "_analyse") == []
+    s3 = validate([[v for v in "abcde" if v != w] for w in "abcde"], name="S3")
+    torus = catalog.torus()
+    circle = validate([["a", "b"], ["b", "c"], ["a", "c"]], name="circle")
+    shown = (torus, catalog.rp2(), s3, catalog.genus2())
+    fresh = [complex_from_json(complex_to_json(x)) for x in shown]
+
+    def entries(m):
+        raise AssertionError(f"the dict view of {m!r} was read")
+
+    monkeypatch.setattr(FacetTable, "entries", property(entries))
+    for x in fresh:
+        h, c = Space(x).homology_and_cohomology()
+        assert h.betti_vector() == c.betti_vector()
+        try:
+            duality_operator(Space(x))
+        except TopologyError:
+            assert x.name == "rp2"
+    for fname, gname, _, _, value in COINCIDENCE_PAIRS[:6]:
+        assert coincidence_number(catalog.get_map(fname), catalog.get_map(gname)).value == value
+    pair = build_relative(catalog.triangle2(), circle)
+    assert compute_homology(pair).betti_vector() == compute_cohomology(pair).betti_vector()
+    assert excision_check(catalog.triangle2(), circle, [("a", "b")]).isomorphism
+
+
+def test_only_the_transposed_copy_reads_a_dict_view(monkeypatch):
+    """``verify``'s d o d = 0 checks push columns through the facet arrays;
+    its delta o delta = 0 checks read the dict view only to make
+    ``ChainComplex.coboundary``'s transposed copy."""
+    from simhom.exactlin import FacetTable
+    from simhom.verify import suite_axioms
+
+    real = FacetTable.entries.fget
+    readers = set()
+
+    def entries(m):
+        caller = sys._getframe(1)
+        readers.add((caller.f_code.co_name, caller.f_back.f_code.co_name))
+        return real(m)
+
+    monkeypatch.setattr(FacetTable, "entries", property(entries))
+    assert all(check.passed for check in suite_axioms())
+    assert readers == {("transpose", "coboundary")}
+
+
+def test_every_traced_name_resolves():
+    """``perfbench/tracer.py`` wraps package functions by name; each one
+    must still exist."""
+    sys.path.insert(0, str(SRC.parent.parent / "perfbench"))
+    try:
+        import tracer
+    finally:
+        sys.path.pop(0)
+    assert all(callable(value) for _, _, value in tracer.originals())

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from simhom import catalog
 from simhom.exactlin import ONE, ZERO, solve, vec_dot
 from simhom.homology import (
@@ -345,6 +347,26 @@ def test_cross_naturality():
         a = rand_class(rng, hexa.homology, p)
         b = rand_class(rng, hexa.homology, q)
         assert fxg(cross_h(a, b, px)) == cross_h(fh.apply(a), gh.apply(b), py)
+
+
+def test_product_map_refuses_maps_of_other_factors():
+    """f x g must act on the source's factors and land in the target's:
+    hex_wrap2's f_* maps hexagon to triangle, so it neither lands on the
+    octahedron (whose H_1 is 0) nor is an f^*."""
+    from simhom.errors import DegreeMismatch
+
+    hexa, tri, octa = space("hexagon"), space("triangle"), space("octahedron")
+    f = induced_map(catalog.hex_wrap2(), hexa.homology, tri.homology)
+    source = product_space(hexa, hexa)
+    t = cross_h(basis_class(hexa.homology, 1, 0), basis_class(hexa.homology, 0, 0), source)
+    for target in (product_space(octa, octa), product_space(tri, octa), product_space(octa, tri)):
+        with pytest.raises(DegreeMismatch):
+            product_map(f, f, source, target)(t)
+    landed = product_map(f, f, source, product_space(tri, tri))(t)
+    assert landed == cross_h(f.apply(basis_class(hexa.homology, 1, 0)), f.apply(basis_class(hexa.homology, 0, 0)), landed.product)
+    a = cross(basis_class(hexa.cohomology, 1, 0), basis_class(hexa.cohomology, 0, 0), source)
+    with pytest.raises(DegreeMismatch):
+        product_map(f, f, source, product_space(tri, tri))(a)
 
 
 def test_cup_on_product_units_and_sign():
