@@ -5,13 +5,16 @@ matrices must be square and invertible degree by degree; a failure is a
 hard SingularDuality error, never repaired, because every transfer and
 coincidence formula downstream conjugates through D.
 
-Transfers are the wrong-way maps obtained by conjugation,
+D is a GradedMap with the degree rule q -> n - q, and so is its inverse
+D^{-1} : H_p -> H^{n-p}.  Transfers are the wrong-way maps obtained by
+conjugation,
 
     f^! = D_Y^{-1} o f_* o D_X        f_! = D_X o f^* o D_Y^{-1}
 
-and the mapping degree is read off the top pushforward f_*[zeta_X] =
-deg(f) [zeta_Y].  The intersection product dualizes cup:
-a . b = D(D^{-1}(a) u D^{-1}(b)).
+and are built as exactly these compositions of GradedMaps, whose degree
+rules compose to q -> q + (m - n) and q -> q - (m - n).  The mapping
+degree is read off the top pushforward f_*[zeta_X] = deg(f) [zeta_Y].
+The intersection product dualizes cup: a . b = D(D^{-1}(a) u D^{-1}(b)).
 
 On a tensor-model product, capping with zeta_X x zeta_Y decomposes into
 Koszul-signed blocks D_X tensor D_Y, so both the operator and its inverse
@@ -33,7 +36,7 @@ from .errors import (
     SingularDuality,
     SingularPairing,
 )
-from .exactlin import dense_inv, dense_mul, dense_vec
+from .exactlin import dense_inv, dense_mul
 from .homology import (
     COHOMOLOGY,
     HOMOLOGY,
@@ -99,31 +102,31 @@ def fundamental_class(space: Space) -> FundamentalClass:
     return FundamentalClass(space=space, orientation=data, chain=chain, cls=cls)
 
 
-class DualityOperator:
-    """Cap with the fundamental class, degreewise, with cached inverses."""
+class DualityOperator(GradedMap):
+    """D = cap with the fundamental class, H^q -> H_{n-q}, and its inverse
+    D^{-1} : H_p -> H^{n-p}, the GradedMap ``inverse``."""
 
     def __init__(self, space: Space, fundamental: FundamentalClass):
         self.space = space
         self.fundamental = fundamental
-        self.n = space.dim
-        self._matrix = {}
-        self._inverse = {}
+        self.n = n = space.dim
         self._dual_basis = {}
         self._lefschetz = None  # Lambda_X, built and verified by lefschetz_class
         # H_n = Z_n (there are no (n+1)-simplices), so the top cycle is its
         # class's chain exactly
         zeta = fundamental.chain
-        for q in range(self.n + 1):
+        mats, inverses = {}, {}
+        for q in range(n + 1):
             bq = space.cohomology.betti(q)
-            bnq = space.homology.betti(self.n - q)
+            bnq = space.homology.betti(n - q)
             if bq != bnq:
                 raise SingularDuality(
-                    f"Betti asymmetry b^{q} = {bq} vs b_{self.n - q} = {bnq} "
+                    f"Betti asymmetry b^{q} = {bq} vs b_{n - q} = {bnq} "
                     f"on {space.complex.name!r}"
                 )
             mat = class_matrix(
-                space.cohomology, q, space.homology, self.n - q,
-                lambda a: cap_chain(space.cc, q, a, self.n, zeta),
+                space.cohomology, q, space.homology, n - q,
+                lambda a: cap_chain(space.cc, q, a, n, zeta),
             )
             inv = dense_inv(mat)
             if inv is None:
@@ -131,33 +134,10 @@ class DualityOperator:
                     f"cap with the fundamental class is singular in degree {q} "
                     f"on {space.complex.name!r}"
                 )
-            self._matrix[q] = mat
-            self._inverse[q] = inv
-
-    def matrix(self, q: int):
-        return self._matrix.get(q, ())
-
-    def inverse_matrix(self, q: int):
-        return self._inverse.get(q, ())
-
-    def apply(self, a: HClass) -> HClass:
-        """D(a) = a n zeta, from H^q to H_{n-q}."""
-        if a.space is not self.space.cohomology:
-            raise DegreeMismatch("duality applies to cohomology classes of X")
-        return HClass(
-            self.space.homology,
-            self.n - a.degree,
-            dense_vec(self.matrix(a.degree), a.coeffs),
-        )
-
-    def invert(self, s: HClass) -> HClass:
-        """D^{-1}, from H_{n-q} back to H^q."""
-        if s.space is not self.space.homology:
-            raise DegreeMismatch("duality inverse applies to homology classes of X")
-        q = self.n - s.degree
-        return HClass(
-            self.space.cohomology, q, dense_vec(self.inverse_matrix(q), s.coeffs)
-        )
+            mats[q] = mat
+            inverses[n - q] = inv
+        super().__init__(space.cohomology, space.homology, mats, -1, n)
+        self.inverse = GradedMap(space.homology, space.cohomology, inverses, -1, n)
 
     def dual_basis(self, q: int):
         """Classes b^_i in H^{n-q} with (b^_i u b_j, zeta) = delta_ij.
@@ -188,24 +168,17 @@ def duality_operator(space: Space) -> DualityOperator:
 
 
 class Transfer:
-    """Per-degree matrices of f^! and f_!, with the dimension shift, and the
-    induced maps f_* and f^* they conjugate."""
+    """f^! and f_! as compositions through duality, and the induced maps
+    f_* and f^* they conjugate; f^! shifts degrees by m - n = dim Y - dim X."""
 
-    def __init__(self, f, dx, dy, shift, up, down, push, pull):
+    def __init__(self, f, dx, dy, push, pull):
         self.f = f
         self.dx = dx
         self.dy = dy
-        self.shift = shift
-        self.up = up  # q -> matrix of f^! : H^q(X) -> H^{q+shift}(Y)
-        self.down = down  # q -> matrix of f_! : H_q(Y) -> H_{q-shift}(X)
         self.push = push  # f_* : H_*(X) -> H_*(Y)
         self.pull = pull  # f^* : H^*(Y) -> H^*(X)
-
-    def up_matrix(self, q):
-        return self.up.get(q, ())
-
-    def down_matrix(self, q):
-        return self.down.get(q, ())
+        self.up = dy.inverse.compose(push.compose(dx))  # f^! : H^q(X) -> H^{q+m-n}(Y)
+        self.down = dx.compose(pull.compose(dy.inverse))  # f_! : H_q(Y) -> H_{q-m+n}(X)
 
     def degree(self) -> Fraction:
         """deg f, read off ``push``.
@@ -213,27 +186,9 @@ class Transfer:
         Y is connected: ``dy`` oriented it, which needs a strongly
         connected pure complex, and ``transfers`` checked that f lands in it.
         """
-        if self.shift:
+        if self.up.shift:  # m - n
             raise DimensionMismatch("degree needs equal-dimensional manifolds")
         return _pushed_degree(self.push, self.dx, self.dy)
-
-    def apply_up(self, a: HClass) -> HClass:
-        if a.space is not self.dx.space.cohomology or a.degree not in self.up:
-            raise DegreeMismatch("f^! applies to cohomology classes of X with a target degree")
-        return HClass(
-            self.dy.space.cohomology,
-            a.degree + self.shift,
-            dense_vec(self.up_matrix(a.degree), a.coeffs),
-        )
-
-    def apply_down(self, s: HClass) -> HClass:
-        if s.space is not self.dy.space.homology or s.degree not in self.down:
-            raise DegreeMismatch("f_! applies to homology classes of Y with a target degree")
-        return HClass(
-            self.dx.space.homology,
-            s.degree - self.shift,
-            dense_vec(self.down_matrix(s.degree), s.coeffs),
-        )
 
 
 def transfers(f: SimplicialMap, dx: DualityOperator, dy: DualityOperator) -> Transfer:
@@ -241,25 +196,9 @@ def transfers(f: SimplicialMap, dx: DualityOperator, dy: DualityOperator) -> Tra
     sx, sy = dx.space, dy.space
     if f.domain is not sx.complex or f.codomain is not sy.complex:
         raise DimensionMismatch("transfer: duality operators do not match the map")
-    n, m = dx.n, dy.n
-    shift = m - n
-    f_low = induced_map(f, sx.homology, sy.homology)
-    f_up = induced_map(f, sy.cohomology, sx.cohomology)
-    up = {}
-    down = {}
-    for q in range(n + 1):
-        if 0 <= q + shift <= m:
-            up[q] = dense_mul(
-                dy.inverse_matrix(q + shift),
-                dense_mul(f_low.matrix(n - q), dx.matrix(q)),
-            )
-    for q in range(m + 1):
-        if 0 <= q - shift <= n:
-            down[q] = dense_mul(
-                dx.matrix(n - (q - shift)),
-                dense_mul(f_up.matrix(m - q), dy.inverse_matrix(m - q)),
-            )
-    return Transfer(f=f, dx=dx, dy=dy, shift=shift, up=up, down=down, push=f_low, pull=f_up)
+    push = induced_map(f, sx.homology, sy.homology)
+    pull = induced_map(f, sy.cohomology, sx.cohomology)
+    return Transfer(f, dx, dy, push, pull)
 
 
 def degree(f: SimplicialMap, dx: DualityOperator, dy: DualityOperator) -> Fraction:
@@ -291,9 +230,7 @@ def intersection(a: HClass, b: HClass, d: DualityOperator) -> HClass:
     n = d.n
     if a.degree + b.degree < n:
         raise DegreeMismatch("intersection lands in negative degree")
-    ca = d.invert(a)
-    cb = d.invert(b)
-    return d.apply(cup(ca, cb, d.space))
+    return d.apply(cup(d.inverse.apply(a), d.inverse.apply(b), d.space))
 
 
 class ProductDuality:
@@ -323,9 +260,7 @@ class ProductDuality:
         return self._blockwise(
             t,
             HOMOLOGY,
-            lambda p, q: (
-                n - p, (-1) ** ((m - q) * n), dx.inverse_matrix(n - p), dy.inverse_matrix(m - q)
-            ),
+            lambda p, q: (n - p, (-1) ** ((m - q) * n), dx.inverse.matrix(p), dy.inverse.matrix(q)),
         )
 
     def _blockwise(self, t: TensorClass, kind, blocks) -> TensorClass:

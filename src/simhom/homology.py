@@ -349,47 +349,71 @@ class Space:
 
 
 class GradedMap:
-    """Per-degree matrices between graded spaces.
+    """Per-degree matrices between graded spaces, with a degree rule.
 
     Every Betti-level map is one: f_* (homology to homology), f^*
-    (cohomology of the codomain to cohomology of the domain), the maps of a
-    pair sequence, and the elements of L^*(X), which act on H^*(X).  The
-    direction is read off the spaces, never stored.
+    (cohomology of the codomain to cohomology of the domain), the duality
+    operator D : H^q -> H_{n-q} and its inverse D^{-1} : H_p -> H^{n-p},
+    the transfers f^! and f_!, the maps i_*, j_* and the connecting map
+    d : H_q(X, A) -> H_{q-1}(A) of a pair sequence, and the elements of
+    L^*(X), which act on H^*(X).  The direction is read off the spaces,
+    never stored.
+
+    The rule sends source degree q to target degree ``sign * q + shift``,
+    sign +-1, fixed when the map is built; ``matrix(q)`` is keyed by the
+    source degree and is the zero matrix where none was given.
     """
 
-    def __init__(self, source, target, matrices):
+    def __init__(self, source, target, matrices, sign=1, shift=0):
         self.source = source
         self.target = target
-        self.matrices = matrices  # degree -> dense tuple-of-tuples (target x source)
+        self.matrices = matrices  # source degree -> dense tuple-of-tuples (target x source)
+        self.sign = sign
+        self.shift = shift
 
     @classmethod
     def identity(cls, space: GradedSpace) -> "GradedMap":
         degrees = range(max(space.dim, 0) + 1)
         return cls(space, space, {q: dense_identity(space.betti(q)) for q in degrees})
 
+    def target_degree(self, q: int) -> int:
+        return self.sign * q + self.shift
+
     def matrix(self, q: int):
-        bt = self.target.betti(q)
-        bs = self.source.betti(q)
-        return self.matrices.get(
-            q, tuple(tuple(ZERO for _ in range(bs)) for _ in range(bt))
-        )
+        m = self.matrices.get(q)
+        if m is None:
+            bt = self.target.betti(self.target_degree(q))
+            m = tuple(tuple(ZERO for _ in range(self.source.betti(q))) for _ in range(bt))
+        return m
 
     def apply(self, cls: HClass) -> HClass:
         if cls.space is not self.source:
             raise DegreeMismatch("class does not live in the map's source")
-        return HClass(
-            self.target, cls.degree, dense_vec(self.matrix(cls.degree), cls.coeffs)
-        )
+        q = cls.degree
+        p = self.target_degree(q)
+        if not 0 <= p <= self.target.dim:
+            raise DegreeMismatch(f"degree {q} maps to degree {p}, outside 0..{self.target.dim}")
+        if len(cls.coeffs) != self.source.betti(q):
+            raise DegreeMismatch(f"coefficient count does not match the degree-{q} basis")
+        return HClass(self.target, p, dense_vec(self.matrix(q), cls.coeffs))
 
     def compose(self, other: "GradedMap") -> "GradedMap":
-        """self after other."""
+        """self after other, on the degrees where both have a matrix.
+
+        Through a zero middle space (``m`` has no rows) the composite is the
+        zero default of ``matrix``: a product would lose its column count.
+        """
         if other.target is not self.source:
             raise DegreeMismatch("graded maps are not composable")
-        degrees = set(self.matrices) | set(other.matrices)
         mats = {
-            q: dense_mul(self.matrix(q), other.matrix(q)) for q in sorted(degrees)
+            q: dense_mul(self.matrices[p], m)
+            for q, m in sorted(other.matrices.items())
+            if m and (p := other.target_degree(q)) in self.matrices
         }
-        return GradedMap(other.source, self.target, mats)
+        return GradedMap(
+            other.source, self.target, mats,
+            self.sign * other.sign, self.sign * other.shift + self.shift,
+        )
 
 
 def class_matrix(source: GradedSpace, q: int, target: GradedSpace, p: int, chain_map):
@@ -491,8 +515,8 @@ class PairSequence:
         self.sub = sub
         self.pair = pair
         self.i_star = i_star
-        self.j_star = j_star  # degree -> matrix H_q(X) -> H_q(X, A)
-        self.connecting = connecting  # degree -> matrix H_q(X, A) -> H_{q-1}(A)
+        self.j_star = j_star  # GradedMap H_q(X) -> H_q(X, A)
+        self.connecting = connecting  # GradedMap H_q(X, A) -> H_{q-1}(A)
         self.exact = exact
         self.details = details
 
@@ -539,45 +563,34 @@ def long_exact_sequence(x: SimplicialComplex, a: SimplicialComplex) -> PairSeque
 
         return chain_map
 
+    degrees = range(x.dim + 1)
     i_mats = {q: class_matrix(ha, q, hx, q, include(q)) for q in range(max(a.dim, 0) + 1)}
-    j_mats = {q: class_matrix(hx, q, hp, q, project(q)) for q in range(x.dim + 1)}
-    d_mats = {q: class_matrix(hp, q, ha, q - 1, connect(q)) for q in range(x.dim + 1)}
-    i_star = GradedMap(ha, hx, i_mats)
-    exact, details = _check_exactness(ha, hx, hp, i_mats, j_mats, d_mats, x.dim)
-    return PairSequence(sx, sa, hp, i_star, j_mats, d_mats, exact, details)
+    j_mats = {q: class_matrix(hx, q, hp, q, project(q)) for q in degrees}
+    d_mats = {q: class_matrix(hp, q, ha, q - 1, connect(q)) for q in degrees}
+    i_star, j_star = GradedMap(ha, hx, i_mats), GradedMap(hx, hp, j_mats)
+    connecting = GradedMap(hp, ha, d_mats, shift=-1)
+    exact, details = _check_exactness((i_star, j_star, connecting), degrees)
+    return PairSequence(sx, sa, hp, i_star, j_star, connecting, exact, details)
 
 
 def _mat_rank(m) -> int:
     return rank(SparseMatrix.from_dense(m))
 
 
-def _mat_mul_zero(a, b) -> bool:
-    if not a or not b or not a[0] or not b[0]:
-        return True
-    prod = dense_mul(a, b)
-    return all(all(v == 0 for v in row) for row in prod)
-
-
-def _check_exactness(ha, hx, hp, i_mats, j_mats, d_mats, dim):
-    """im = ker at every node, by rank identities; each rank computed once."""
-    degrees = range(dim + 1)
-    ri = {q: _mat_rank(i_mats.get(q, ())) for q in degrees}
-    rj = {q: _mat_rank(j_mats.get(q, ())) for q in degrees}
-    rd = {q: _mat_rank(d_mats.get(q, ())) for q in degrees}
+def _check_exactness(maps, degrees):
+    """im f = ker g at every node M of the sequence, f into M and g out of
+    it, by g o f = 0 and rank f + rank g = dim M; each rank computed once."""
+    ranks = {(m, q): _mat_rank(m.matrix(q)) for m in maps for q in degrees}
+    labels = ("H(X)", "H(X,A)", "H(A)")
+    nodes = [(lb, f, g, g.compose(f)) for lb, f, g in zip(labels, maps, maps[1:] + maps[:1])]
     details = []
     for q in degrees:
-        bi, bj, bd = i_mats.get(q, ()), j_mats.get(q, ()), d_mats.get(q, ())
-        # at H_q(X): im i = ker j
-        node_ok = _mat_mul_zero(bj, bi) and ri[q] == hx.betti(q) - rj[q]
-        details.append(("H(X)", q, node_ok))
-        # at H_q(X, A): im j = ker d
-        node_ok = _mat_mul_zero(bd, bj) and rj[q] == hp.betti(q) - rd[q]
-        details.append(("H(X,A)", q, node_ok))
-        # at H_{q-1}(A): im d = ker i
-        if q >= 1:
-            bi_prev = i_mats.get(q - 1, ())
-            node_ok = _mat_mul_zero(bi_prev, bd) and rd[q] == ha.betti(q - 1) - ri[q - 1]
-            details.append(("H(A)", q - 1, node_ok))
+        for label, f, g, gf in nodes:
+            p = f.target_degree(q)
+            if p >= 0:
+                zero = not any(map(any, gf.matrix(q)))
+                ok = zero and ranks[f, q] + ranks[g, p] == f.target.betti(p)
+                details.append((label, p, ok))
     return all(ok for _, _, ok in details), details
 
 

@@ -16,7 +16,8 @@ Euler class are defined through it:
 
 The coincidence number of f, g : X -> Y is computed six ways: the four
 alternating trace formulas tr(f^* g^!), tr(f^! g^*), tr(f_! g_*),
-tr(f_* g_!) (homology traces indexed through duality), the pairing
+tr(f_* g_!) (graded traces of composed GradedMaps, the second and third
+indexed through duality and so signed (-1)^n), the pairing
 (Delta^* (f x g)^* Lambda_Y, zeta_X), and the intersection-theoretic
 augmentation of zeta_f . zeta_g on X x Y.  A report is consistent only if
 all six agree exactly.
@@ -41,7 +42,7 @@ from .duality import (
     transfers,
 )
 from .errors import DegreeMismatch, DimensionMismatch
-from .exactlin import ONE, ZERO, dense_mul, dense_trace, lp_feasible, qstr
+from .exactlin import ONE, ZERO, dense_trace, lp_feasible, qstr
 from .homology import (
     COHOMOLOGY,
     GradedMap,
@@ -148,7 +149,8 @@ def euler_data(d: DualityOperator) -> EulerData:
 def lefschetz_iso(d: DualityOperator, prod: ProductSpace, sigma: GradedMap) -> TensorClass:
     """lambda_X(sigma) = sum_q (-1)^q M^q[i][j] b^_i x b_j in H^n(X x X)."""
     space = d.space
-    if sigma.source is not space.cohomology or sigma.target is not space.cohomology:
+    ends = (sigma.source, sigma.target, sigma.sign, sigma.shift)
+    if ends != (space.cohomology, space.cohomology, 1, 0):
         raise DegreeMismatch("lambda_X takes a graded map from H^*(X) to itself")
     n = d.n
     terms = {}
@@ -169,18 +171,21 @@ def lefschetz_iso(d: DualityOperator, prod: ProductSpace, sigma: GradedMap) -> T
     return TensorClass(prod, COHOMOLOGY, n, terms)._clean()
 
 
-def graded_trace(matrix_of_degree, n) -> Fraction:
-    """Tr = sum_q (-1)^q tr M_q over degrees 0..n, M_q = matrix_of_degree(q)."""
+def graded_trace(sigma: GradedMap) -> Fraction:
+    """Tr sigma = sum_q (-1)^q tr sigma^q for an endomorphism of a graded space."""
+    space = sigma.source
+    if sigma.target is not space or (sigma.sign, sigma.shift) != (1, 0):
+        raise DegreeMismatch("a graded trace needs a degree-preserving endomorphism")
     total = ZERO
-    for q in range(n + 1):
-        total += (-1) ** q * dense_trace(matrix_of_degree(q))
+    for q in range(space.dim + 1):
+        total += (-1) ** q * dense_trace(sigma.matrix(q))
     return total
 
 
 def lefschetz_iso_and_trace(d: DualityOperator, prod: ProductSpace, sigma: GradedMap):
     """Both sides of the trace formula; their equality is asserted."""
     tensor = lefschetz_iso(d, prod, sigma)
-    tr = graded_trace(sigma.matrix, d.n)
+    tr = graded_trace(sigma)
     paired = kronecker(diagonal_pullback(tensor, d.space), d.fundamental.cls)
     if paired != tr:
         raise AssertionError(
@@ -254,24 +259,16 @@ def coincidence_number(
     f_low, f_up = tf.push, tf.pull
     g_low, g_up = tg.push, tg.pull
 
-    # The four alternating traces.  The composites act on H^q(X), H^{n-q}(Y),
-    # H_{n-q}(X) and H_q(Y) respectively: conjugating through duality shifts
-    # the degree a trace lives in, and the indexings below are the ones that
-    # make all four sums equal on the nose (the complementary choice flips
-    # the total by (-1)^n).
+    # The four alternating traces, each of a composite endomorphism: of
+    # H^*(X), H^*(Y), H_*(X) and H_*(Y) respectively.  The formulas whose
+    # transfer acts last index their trace through duality, by the degree
+    # n - q, which multiplies the graded trace by (-1)^n; with that sign
+    # all four sums are equal on the nose.
     lambdas = {}
-    lambdas["tr(f*.g!)"] = graded_trace(
-        lambda q: dense_mul(f_up.matrix(q), tg.up_matrix(q)), n
-    )
-    lambdas["tr(f!.g*)"] = graded_trace(
-        lambda q: dense_mul(tf.up_matrix(n - q), g_up.matrix(n - q)), n
-    )
-    lambdas["tr(f_!.g_*)"] = graded_trace(
-        lambda q: dense_mul(tf.down_matrix(n - q), g_low.matrix(n - q)), n
-    )
-    lambdas["tr(f_*.g_!)"] = graded_trace(
-        lambda q: dense_mul(f_low.matrix(q), tg.down_matrix(q)), n
-    )
+    lambdas["tr(f*.g!)"] = graded_trace(f_up.compose(tg.up))
+    lambdas["tr(f!.g*)"] = (-1) ** n * graded_trace(tf.up.compose(g_up))
+    lambdas["tr(f_!.g_*)"] = (-1) ** n * graded_trace(tf.down.compose(g_low))
+    lambdas["tr(f_*.g_!)"] = graded_trace(f_low.compose(tg.down))
 
     # Pairing route: (Delta^* (g x f)^* Lambda_Y, zeta_X).  The dual basis
     # occupies the first tensor slot of Lambda_Y, so the g-side pulls back

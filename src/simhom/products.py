@@ -365,7 +365,11 @@ def product_map(f: GradedMap, g: GradedMap, source: ProductSpace, target: Produc
     ``source`` and ``target`` are the product spaces the tensors live on.
     f and g must map the graded spaces of ``source``'s factors, of the
     tensor's kind, to those of ``target``'s, or DegreeMismatch is raised.
+    Both must keep degrees (q -> q): a degree-shifting factor would need a
+    Koszul sign that ``block_map`` does not apply, so it is refused.
     """
+    if any((m.sign, m.shift) != (1, 0) for m in (f, g)):
+        raise DegreeMismatch("f x g needs maps that keep degrees")
 
     def apply(t: TensorClass) -> TensorClass:
         if t.product is not source:

@@ -115,7 +115,7 @@ def test_duality_operator_invertible_on_catalog():
         for q in range(s.dim + 1):
             b = s.cohomology.betti(q)
             if b:
-                prod = dense_mul(d.inverse_matrix(q), d.matrix(q))
+                prod = d.inverse.compose(d).matrix(q)
                 assert dense_eq(prod, dense_identity(b)), (name, q)
 
 
@@ -140,7 +140,7 @@ def test_duality_torus_degree_one_invertible():
     d = duality_operator(s)
     m = d.matrix(1)
     assert len(m) == 2 and len(m[0]) == 2
-    assert d.inverse_matrix(1) is not ()
+    assert d.inverse.matrix(1) is not ()
 
 
 def test_dual_basis_identity_pairing():
@@ -230,8 +230,8 @@ def test_transfer_identity_map():
     t = transfers(f, d, d)
     for q in range(3):
         b = s.cohomology.betti(q)
-        assert dense_eq(t.up_matrix(q), dense_identity(b))
-        assert dense_eq(t.down_matrix(q), dense_identity(b))
+        assert dense_eq(t.up.matrix(q), dense_identity(b))
+        assert dense_eq(t.down.matrix(q), dense_identity(b))
 
 
 def test_transfer_wrap_h0_is_degree():
@@ -239,11 +239,11 @@ def test_transfer_wrap_h0_is_degree():
     dh, dt = duality_operator(hexa), duality_operator(tri)
     f = catalog.hex_wrap2()
     t = transfers(f, dh, dt)
-    m = t.up_matrix(0)
+    m = t.up.matrix(0)
     # f^! on H^0 multiplies by deg f = 2 (both units normalized to H^0 bases)
     one_h = unit_cocycle(hexa)
     one_t = unit_cocycle(tri)
-    pushed = t.apply_up(one_h)
+    pushed = t.up.apply(one_h)
     assert pushed.coeffs == one_t.scale(2).coeffs
 
 
@@ -300,22 +300,98 @@ def test_transfers_refuse_classes_they_do_not_act_on():
     hexa, tri = space("hexagon"), space("triangle")
     dh, dt = duality_operator(hexa), duality_operator(tri)
     t = transfers(catalog.hex_wrap2(), dh, dt)
-    assert t.apply_up(basis_class(hexa.cohomology, 1, 0)).space is tri.cohomology
+    assert t.up.apply(basis_class(hexa.cohomology, 1, 0)).space is tri.cohomology
     for wrong in (
-        lambda: t.apply_up(basis_class(tri.cohomology, 1, 0)),
-        lambda: t.apply_up(basis_class(hexa.homology, 1, 0)),
-        lambda: t.apply_up(basis_class(space("hexagon").cohomology, 1, 0)),
-        lambda: t.apply_down(basis_class(hexa.homology, 1, 0)),
-        lambda: t.apply_down(basis_class(tri.cohomology, 1, 0)),
+        lambda: t.up.apply(basis_class(tri.cohomology, 1, 0)),
+        lambda: t.up.apply(basis_class(hexa.homology, 1, 0)),
+        lambda: t.up.apply(basis_class(space("hexagon").cohomology, 1, 0)),
+        lambda: t.down.apply(basis_class(hexa.homology, 1, 0)),
+        lambda: t.down.apply(basis_class(tri.cohomology, 1, 0)),
     ):
         with pytest.raises(DegreeMismatch):
             wrong()
     # hexagon -> point lowers the degree by one: f^! has no degree-0 part
     pt = space("point")
     c = transfers(constant_map(hexa.complex, pt.complex, "p"), dh, duality_operator(pt))
-    assert c.apply_up(basis_class(hexa.cohomology, 1, 0)).degree == 0
+    assert c.up.apply(basis_class(hexa.cohomology, 1, 0)).degree == 0
     with pytest.raises(DegreeMismatch):
-        c.apply_up(basis_class(hexa.cohomology, 0, 0))
+        c.up.apply(basis_class(hexa.cohomology, 0, 0))
+
+
+def test_graded_maps_refuse_classes_of_the_wrong_length():
+    """A class with more or fewer coefficients than its degree's basis is
+    refused, not truncated: torus_transpose's f_* on H_1 of the torus."""
+    t = space("torus")
+    f_low = induced_map(catalog.get_map("torus_transpose"), t.homology, t.homology)
+    assert f_low.apply(HClass(t.homology, 1, (ONE, ZERO))) == basis_class(t.homology, 1, 1)
+    for coeffs in ((ONE,), (ONE, ZERO, ONE)):
+        with pytest.raises(DegreeMismatch, match="coefficient count"):
+            f_low.apply(HClass(t.homology, 1, coeffs))
+
+
+def test_graded_maps_refuse_target_degrees_outside_the_target():
+    """Each map's degree rule must land in 0..dim of its target: D and
+    D^{-1} of the torus above degree 2, f^! of hexagon -> point on H^0
+    (the rule q -> q - 1), and the connecting map of (disk, circle) on H_0."""
+    from simhom.homology import long_exact_sequence
+
+    t = space("torus")
+    d = duality_operator(t)
+    assert (d.sign, d.shift, d.inverse.sign, d.inverse.shift) == (-1, 2, -1, 2)
+    assert d.apply(basis_class(t.cohomology, 0, 0)).degree == 2
+    assert d.inverse.apply(d.fundamental.cls).degree == 0
+    hexa, pt = space("hexagon"), space("point")
+    up = transfers(
+        constant_map(hexa.complex, pt.complex, "p"), duality_operator(hexa), duality_operator(pt)
+    ).up
+    assert (up.sign, up.shift) == (1, -1)
+    circle = validate([["a", "b"], ["b", "c"], ["a", "c"]], name="circle")
+    seq = long_exact_sequence(catalog.triangle2(), circle)
+    assert (seq.connecting.sign, seq.connecting.shift) == (1, -1)
+    assert seq.connecting.apply(basis_class(seq.pair, 2, 0)).degree == 1
+    for graded, cls in (
+        (d, HClass(t.cohomology, 5, ())),
+        (d.inverse, HClass(t.homology, 5, ())),
+        (up, basis_class(hexa.cohomology, 0, 0)),
+        (seq.connecting, HClass(seq.pair, 0, ())),
+    ):
+        with pytest.raises(DegreeMismatch, match="outside"):
+            graded.apply(cls)
+
+
+def test_compose_composes_the_degree_rules():
+    """D^{-1} o D keeps degrees and is the identity; f^! and f_! of
+    hexagon -> point shift by -1 and +1, as D^{-1} f_* D and D f^* D^{-1}."""
+    for name in ("torus", "hexagon", "point"):
+        s = space(name)
+        d = duality_operator(s)
+        round_trip = d.inverse.compose(d)
+        assert (round_trip.sign, round_trip.shift) == (1, 0)
+        for q in range(s.dim + 1):
+            assert dense_eq(round_trip.matrix(q), dense_identity(s.cohomology.betti(q)))
+        other_way = d.compose(d.inverse)
+        assert (other_way.sign, other_way.shift) == (1, 0)
+    hexa, pt = space("hexagon"), space("point")
+    dh, dp = duality_operator(hexa), duality_operator(pt)
+    t = transfers(constant_map(hexa.complex, pt.complex, "p"), dh, dp)
+    assert (t.down.sign, t.down.shift) == (1, 1)
+    assert sorted(t.up.matrices) == [1] and sorted(t.down.matrices) == [0]
+    assert t.down.apply(basis_class(pt.homology, 0, 0)).degree == 1
+    with pytest.raises(DegreeMismatch):
+        dh.compose(dh)  # H_* is not H^*
+
+
+def test_product_map_refuses_degree_shifting_maps():
+    """f x g applies no Koszul sign, so a factor that moves degrees, such
+    as the duality operator, is refused."""
+    s = space("torus")
+    d = duality_operator(s)
+    prod = product_space(s, s)
+    identity = induced_map(catalog.get_map("id_torus"), s.cohomology, s.cohomology)
+    for f, g in ((d, identity), (identity, d), (d, d), (d.inverse, d.inverse)):
+        with pytest.raises(DegreeMismatch, match="keep degrees"):
+            product_map(f, g, prod, prod)
+    product_map(identity, identity, prod, prod)
 
 
 def test_transfer_pushpull_is_degree_times_identity():
@@ -338,9 +414,9 @@ def test_transfer_pushpull_is_degree_times_identity():
         f_up = induced_map(f, sy.cohomology, sx.cohomology)
         for q in range(sy.dim + 1):
             b = sy.homology.betti(q)
-            lhs = dense_mul(f_low.matrix(q), t.down_matrix(q))
+            lhs = dense_mul(f_low.matrix(q), t.down.matrix(q))
             assert dense_eq(lhs, tuple(tuple(d * v for v in row) for row in dense_identity(b))), name
-            lhs2 = dense_mul(t.up_matrix(q), f_up.matrix(q))
+            lhs2 = dense_mul(t.up.matrix(q), f_up.matrix(q))
             assert dense_eq(lhs2, tuple(tuple(d * v for v in row) for row in dense_identity(b))), name
 
 
@@ -355,9 +431,9 @@ def test_transfer_composition_law():
     tg = transfers(g, d6, d3)
     tgf = transfers(gf, d12, d3)
     for q in range(2):
-        assert dense_eq(dense_mul(tg.up_matrix(q), tf.up_matrix(q)), tgf.up_matrix(q))
+        assert dense_eq(dense_mul(tg.up.matrix(q), tf.up.matrix(q)), tgf.up.matrix(q))
         assert dense_eq(
-            dense_mul(tf.down_matrix(q), tg.down_matrix(q)), tgf.down_matrix(q)
+            dense_mul(tf.down.matrix(q), tg.down.matrix(q)), tgf.down.matrix(q)
         )
 
 
@@ -378,8 +454,8 @@ def test_transfer_projection_formula():
             qb = rng.randint(qa, sy.dim)
             a = rand_class(rng, sy.cohomology, qa)
             b = rand_class(rng, sy.homology, qb)
-            lhs = t.apply_down(cap(a, b, sy))
-            rhs = cap(f_up.apply(a), t.apply_down(b), sx)
+            lhs = t.down.apply(cap(a, b, sy))
+            rhs = cap(f_up.apply(a), t.down.apply(b), sx)
             assert lhs.coeffs == rhs.coeffs, name
 
 
@@ -396,12 +472,12 @@ def test_restricted_inverse_identities():
     for q in range(2):
         for _ in range(5):
             b = rand_class(rng, sy.homology, q)
-            img = t.apply_down(b)  # in the image of f_!
-            back = t.apply_down(f_low.apply(img))
+            img = t.down.apply(b)  # in the image of f_!
+            back = t.down.apply(f_low.apply(img))
             assert back.coeffs == img.scale(d).coeffs
             a = rand_class(rng, sy.cohomology, q)
             imga = f_up.apply(a)
-            back2 = f_up.apply(t.apply_up(imga))
+            back2 = f_up.apply(t.up.apply(imga))
             assert back2.coeffs == imga.scale(d).coeffs
 
 
@@ -551,10 +627,10 @@ def test_cross_via_projection_transfers():
     one_x, one_y = unit_cocycle(sx), unit_cocycle(sy)
 
     def px_shriek(a):
-        return pd.apply(cross(dx.invert(a), one_y, prod))
+        return pd.apply(cross(dx.inverse.apply(a), one_y, prod))
 
     def py_shriek(s):
-        return pd.apply(cross(one_x, dy.invert(s), prod))
+        return pd.apply(cross(one_x, dy.inverse.apply(s), prod))
 
     rng = random.Random(33)
     for _ in range(10):
@@ -590,7 +666,7 @@ def test_product_transfer_law_equal_dims():
         a = rand_class(rng, hexa.cohomology, p)
         b = rand_class(rng, hexa.cohomology, q)
         lhs = pdy.invert(fxg_low(pdx.apply(cross(a, b, px))))
-        rhs = cross(tf.apply_up(a), tg.apply_up(b), py)
+        rhs = cross(tf.up.apply(a), tg.up.apply(b), py)
         assert lhs == rhs
 
 

@@ -1,7 +1,8 @@
 """Source hygiene: the package imports only the standard library and itself,
 every name a package module imports is used there, importing the CLI loads
-no module that generates code at import time, and the engine makes no
-transposed copy of a matrix."""
+no module that generates code at import time, the engine makes no
+transposed copy of a matrix, and Betti-level maps are composed only by
+``GradedMap.compose``."""
 
 import ast
 import subprocess
@@ -35,9 +36,9 @@ def imported_modules(path):
     return names
 
 
-def method_calls(path, name):
-    """The qualified name of the function around each ``<expr>.name(...)``
-    call in ``path``, "<module>" outside any, in source order."""
+def scoped_nodes(path, hit):
+    """The qualified name of the function around each node of ``path`` that
+    ``hit`` accepts, "<module>" outside any, in source order."""
     found = []
 
     def visit(node, scope):
@@ -45,16 +46,30 @@ def method_calls(path, name):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
-            elif (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == name
-            ):
+            elif hit(child):
                 found.append(".".join(scope) or "<module>")
             visit(child, inner)
 
     visit(ast.parse(path.read_text(), filename=str(path)), ())
     return found
+
+
+def method_calls(path, name):
+    """Where ``path`` calls ``<expr>.name(...)``, as ``scoped_nodes``."""
+    return scoped_nodes(
+        path,
+        lambda n: isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == name,
+    )
+
+
+def function_calls(path, name):
+    """Where ``path`` calls the bare name ``name(...)``, as ``scoped_nodes``."""
+    return scoped_nodes(
+        path,
+        lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name,
+    )
 
 
 def test_engine_makes_no_transposed_copy():
@@ -112,20 +127,9 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 def attribute_reads(path, name, function=None):
-    """The qualified name of the function around each ``<expr>.name`` in
-    ``path``, or only those inside ``function``'s qualified name."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = scope + (child.name,)
-            elif isinstance(child, ast.Attribute) and child.attr == name:
-                found.append(".".join(scope) or "<module>")
-            visit(child, inner)
-
-    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    """Where ``path`` reads ``<expr>.name``, as ``scoped_nodes``, or only
+    inside ``function``'s qualified name."""
+    found = scoped_nodes(path, lambda n: isinstance(n, ast.Attribute) and n.attr == name)
     return [f for f in found if function is None or f == function]
 
 
@@ -198,3 +202,13 @@ def test_every_traced_name_resolves():
     finally:
         sys.path.pop(0)
     assert all(callable(value) for _, _, value in tracer.originals())
+
+
+def test_betti_level_compositions_go_through_graded_map_compose():
+    # D, D^{-1}, f^!, f_!, the four traces and verify's identities are
+    # compositions of GradedMaps; the one dense product left in duality.py
+    # is the cup pairing K D of the dual basis, K being no map
+    assert function_calls(SRC / "duality.py", "dense_mul") == ["DualityOperator.dual_basis"]
+    assert function_calls(SRC / "lefschetz.py", "dense_mul") == []
+    assert function_calls(SRC / "verify.py", "dense_mul") == []
+    assert function_calls(SRC / "homology.py", "dense_mul") == ["GradedMap.compose"]

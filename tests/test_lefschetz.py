@@ -247,6 +247,44 @@ def test_lefschetz_iso_takes_only_endomorphisms_of_cohomology():
         lefschetz_iso(d, prod, GradedMap.identity(dop("octahedron").space.cohomology))
 
 
+def test_graded_trace_takes_only_degree_preserving_endomorphisms():
+    """Tr needs sigma^q : H^q -> H^q: the duality operator (H^* to H_*) and
+    a map of H^*(X) to itself that raises degrees are refused, by the trace
+    and by lambda_X."""
+    d = dop("torus")
+    h = d.space.cohomology
+    prod = product_space(d.space, d.space)
+    assert lefschetz.graded_trace(GradedMap.identity(h)) == 0
+    assert lefschetz.graded_trace(d.inverse.compose(d)) == 0
+    raising = GradedMap(h, h, {0: ((ONE,), (ZERO,))}, 1, 1)
+    for sigma in (d, d.inverse, raising):
+        with pytest.raises(DegreeMismatch, match="degree-preserving endomorphism"):
+            lefschetz.graded_trace(sigma)
+    with pytest.raises(DegreeMismatch, match="lambda_X takes"):
+        lefschetz_iso(d, prod, raising)
+
+
+def test_coincidence_through_a_zero_middle_degree():
+    """Maps torus -> sphere meet H^1(S^2) = 0 between two copies of H^1(T):
+    the composite is the 2 x 2 zero matrix, not a 2 x 0 one, so every trace
+    formula answers and all six agree.  Constant maps at two vertices have
+    no coincidence and lambda = 0; so do genus 2 -> torus."""
+    from simhom.complex import constant_map
+
+    t, o = catalog.torus(), catalog.octahedron()
+    f, g = constant_map(t, o, o.vertices[0]), constant_map(t, o, o.vertices[1])
+    dt, do = dop("torus"), dop("octahedron")
+    tg = transfers(g, dt, do)
+    composite = tg.pull.compose(tg.up)
+    assert tg.up.matrix(1) == () and composite.matrix(1) == ((ZERO, ZERO), (ZERO, ZERO))
+    report = coincidence_number(f, g, dt, do)
+    assert report.consistent and report.value == 0
+    g2 = catalog.genus2()
+    f, g = constant_map(g2, t, t.vertices[0]), constant_map(g2, t, t.vertices[3])
+    report = coincidence_number(f, g, dop("genus2"), dt)
+    assert report.consistent and report.value == 0
+
+
 def test_lefschetz_trace_projection_line():
     # projection onto one H^1 line of the torus: Tr = -1, matched by pairing
     d = dop("torus")
@@ -283,7 +321,7 @@ def test_lambda_naturality_lemma():
         comp = {}
         for q in range(sx.dim + 1):
             comp[q] = dense_mul(
-                f_up.matrix(q), dense_mul(sigma.matrix(q), tg.up_matrix(q))
+                f_up.matrix(q), dense_mul(sigma.matrix(q), tg.up.matrix(q))
             )
         rhs = lefschetz_iso(dx, prod_xx, GradedMap(sx.cohomology, sx.cohomology, comp))
         assert lhs == rhs
@@ -564,10 +602,10 @@ def test_betti_level_values_are_fractions(monkeypatch):
         fractions_only(coeffs, "HClass")
         real_class(self, space, degree, coeffs)
 
-    def map_init(self, source, target, matrices):
+    def map_init(self, source, target, matrices, *rule):
         for q, m in matrices.items():
             fractions_only(entries(m), ("GradedMap", q))
-        real_map(self, source, target, matrices)
+        real_map(self, source, target, matrices, *rule)
 
     monkeypatch.setattr(homology.HClass, "__init__", class_init)
     monkeypatch.setattr(homology.GradedMap, "__init__", map_init)
@@ -589,13 +627,13 @@ def test_betti_level_values_are_fractions(monkeypatch):
         fractions_only([data.euler_number], ("euler", name))
         for q in range(d.n + 1):
             fractions_only(entries(d.matrix(q)), ("duality", name, q))
-            fractions_only(entries(d.inverse_matrix(q)), ("duality inverse", name, q))
+            fractions_only(entries(d.inverse.matrix(q)), ("duality inverse", name, q))
             d.dual_basis(q)
     for f, g, _, _, _ in COINCIDENCE_PAIRS:
         f, g = catalog.get_map(f), catalog.get_map(g)
         fractions_only(coincidence_number(f, g).lambdas.values(), ("lambda", f.name, g.name))
         t = transfers(f, duality_operator(Space(f.domain)), duality_operator(Space(f.codomain)))
-        for m in list(t.up.values()) + list(t.down.values()):
+        for m in list(t.up.matrices.values()) + list(t.down.matrices.values()):
             fractions_only(entries(m), ("transfer", f.name))
     assert len(checked) > 1000
 
