@@ -237,10 +237,12 @@ def _analyse(x: SimplicialComplex):
     facet; the link balances when the facet's two induced orientations
     cancel.  A ``SignedForest`` over the links gives each top simplex t in
     top simplex 0's component the sign s_t s_0, and every other one 0.
-    Returns (report, signs, coherent, bad): ``coherent`` is the balance of
-    top simplex 0's component, and the complex is strongly connected when
-    that component holds every top simplex; ``bad`` is the first vertex
-    whose link fails in dimension <= 2, or None.  A pure, strongly
+    Returns (report, signs, coherent, bad, dual): ``coherent`` is the
+    balance of top simplex 0's component, and the complex is strongly
+    connected when that component holds every top simplex; ``bad`` is the
+    first vertex whose link fails in dimension <= 2, or None; ``dual`` is
+    the forest, which ``SignedForest.of`` reads off d_n's rows when no row
+    holds more than two entries.  A pure, strongly
     connected complex is connected: every vertex lies in a top simplex.
     Only other complexes join the vertices along the edges, with the same
     routine.
@@ -260,7 +262,7 @@ def _analyse(x: SimplicialComplex):
             is_closed_pseudo_manifold=connected,
             vertex_links_ok=True,
         )
-        return report, [1] * len(tops), True, None
+        return report, [1] * len(tops), True, None, None
     # d_n by rows: each (n-1)-simplex's cofaces, in top order
     d = x.boundary(n)
     counts = d.row_sizes()
@@ -269,8 +271,8 @@ def _analyse(x: SimplicialComplex):
     ok = max(counts, default=0) <= 2
     closed = ok and not boundary and pure
     # a one-entry row grounds its top simplex, which moves no sign; a row of
-    # more than two is no link
-    dual = SignedForest(len(tops), *d.ends(False, skip=True))
+    # more than two is no link: the forest then leaves it out and is not d_n's
+    dual = SignedForest.of(d, False) or SignedForest(len(tops), *d.ends(False, skip=True))
     roots, signs = dual.flatten()
     r0, s0 = roots[0], signs[0]
     signs = [s * s0 if r == r0 else 0 for r, s in zip(roots, signs)]
@@ -291,7 +293,7 @@ def _analyse(x: SimplicialComplex):
         is_closed_pseudo_manifold=pure and closed and strongly,
         vertex_links_ok=bad is None if n <= 2 else None,
     )
-    return report, signs, coherent, bad
+    return report, signs, coherent, bad, dual
 
 
 def manifold_check(x: SimplicialComplex) -> ManifoldReport:
@@ -347,20 +349,35 @@ def _bad_vertex_link(x: SimplicialComplex):
 
 class OrientationData:
     """Signs on top simplices making codimension-1 incidences cancel, and
-    the manifold report that was checked before they were propagated."""
+    the manifold report that was checked before they were propagated.
 
-    def __init__(self, signs, coherent, report):
+    ``orient`` also leaves here the ``SignedForest`` of d_n's rows that the
+    signs were read off, for the (co)homology walk of the same query:
+    ``take_forest`` hands it over once and forgets it, so data that is kept
+    keeps no forest.  It is no field: equality and hashing ignore it.
+    """
+
+    def __init__(self, signs, coherent, report, forest=None):
         self.signs = signs
         self.coherent = coherent
         self.report = report
+        self._forest = forest
+
+    def _fields(self):
+        return self.signs, self.coherent, self.report
 
     def __eq__(self, other):
         if type(other) is not OrientationData:
             return NotImplemented
-        return vars(self) == vars(other)
+        return self._fields() == other._fields()
 
     def __hash__(self):
-        return hash(tuple(vars(self).values()))
+        return hash(self._fields())
+
+    def take_forest(self):
+        """The forest of d_n's rows, or None once taken or when there is none."""
+        forest, self._forest = self._forest, None
+        return forest
 
 
 def orient(x: SimplicialComplex) -> OrientationData:
@@ -372,9 +389,10 @@ def orient(x: SimplicialComplex) -> OrientationData:
     strong connectivity too.  Raises NotClosed for non-pseudo-manifolds and
     for pseudo-manifolds with a vertex whose link is not one circle
     (decided in dimension <= 2, the vertex named by the same analysis), and
-    NonOrientable when that component is not balanced.
+    NonOrientable when that component is not balanced.  The result holds
+    that pass's forest until ``take_forest``.
     """
-    report, signs, coherent, bad = _analyse(x)
+    report, signs, coherent, bad, dual = _analyse(x)
     if not report.is_closed_pseudo_manifold:
         raise NotClosed(f"{x.name!r} is not a closed pseudo-manifold: {report}")
     if bad is not None:
@@ -385,7 +403,7 @@ def orient(x: SimplicialComplex) -> OrientationData:
         )
     if not coherent:
         raise NonOrientable(f"{x.name!r} admits no coherent orientation")
-    return OrientationData(signs=tuple(signs), coherent=True, report=report)
+    return OrientationData(signs=tuple(signs), coherent=True, report=report, forest=dual)
 
 
 def sort_sign(seq) -> int:

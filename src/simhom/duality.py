@@ -81,12 +81,15 @@ def fundamental_class(space: Space) -> FundamentalClass:
     Raises NotClosed / NonOrientable via the orientation pass, and verifies
     both the cycle condition and that the class generates a 1-dimensional
     top homology.  The fundamental class is read for duality, which pairs
-    H_* with H^*, so both are built here, in one walk.
+    H_* with H^*, so both are built here, in one walk, and that walk shares
+    ``orient``'s forest of the dual graph rather than build its own; the
+    forest is taken off the orientation data, so it is dropped when this
+    returns.
     """
     x = space.complex
     data = orient(x)
     n = x.dim
-    homology, _ = space.homology_and_cohomology()
+    homology, _ = space.homology_and_cohomology(data.take_forest())
     chain = data.signs
     try:
         coeffs = homology.class_of(n, chain)  # the one cycle check, in int

@@ -743,12 +743,15 @@ class GraphReduction:
     RREF of such a matrix is 0 or an ``int`` +-1.  ``cycle`` maps a free
     column f to the support of its kernel vector, {column: +-1} with 1 at
     f; the RREF entry of f in the row of pivot c is minus its value at c.
+    ``forest`` is the ``SignedForest`` of the columns of a column form,
+    whose ``joins`` are its pivot columns, and None for a row form.
     """
 
-    def __init__(self, ncols, pivot_cols, cycle):
+    def __init__(self, ncols, pivot_cols, cycle, forest=None):
         self.ncols = ncols
         self.pivot_cols = pivot_cols
         self._cycle = cycle
+        self.forest = forest
 
     free_cols = Solver.free_cols
 
@@ -801,10 +804,12 @@ class SignedForest:
     ``balanced`` that no edge closes a cycle its signs cannot balance, and
     ``last`` is the component's highest vertex.  A non-root keeps the
     flags it had as a root, so all(balanced) says that every component is
-    balanced.
+    balanced.  ``source`` is the (matrix, by_column) that ``of`` read the
+    forest off, and None for a forest of ends given by hand.
     """
 
     def __init__(self, n, a, av, b, bv):
+        self.source = None
         self.ends = a, av, b, bv
         self.parent = parent = list(range(n))
         self.sign = sign = [1] * n
@@ -848,7 +853,11 @@ class SignedForest:
         """The forest of M's columns (``by_column``) or rows, or None when
         an entry is not +-1 or a line has more than two entries."""
         ends = m.ends(by_column)
-        return ends and cls(m.rows if by_column else m.cols, *ends)
+        if ends is None:
+            return None
+        forest = cls(m.rows if by_column else m.cols, *ends)
+        forest.source = m, by_column
+        return forest
 
     def flatten(self):
         """Each vertex's root and its sign relative to that root, as two
@@ -895,7 +904,7 @@ def _column_form(forest):
             x, rx = up[x], v * there
         return out
 
-    return GraphReduction(len(a), pivot_cols, cycle)
+    return GraphReduction(len(a), pivot_cols, cycle, forest)
 
 
 def _rooted_forest(nrows, pivot_cols, a, b):
@@ -973,12 +982,19 @@ class Reductions:
     rows, which on genus-2 Sd^4's d_2 (44063 rows), when it was still
     eliminated, took 0.55 s instead of 13.2 s in ascending order (Python
     3.11, 2-vCPU VM).
+
+    ``forest``, a ``SignedForest`` a caller already holds, stands in for
+    one of M's own only when ``of`` read it off this very matrix: its
+    ``source`` is checked by identity, and it serves the orientation it
+    was built in.  Any other forest is ignored.
     """
 
-    def __init__(self, m):
+    def __init__(self, m, forest=None):
         self.m = m
         self._forests = {}  # by_column -> SignedForest or None
         self._reductions = {}  # transposed -> GraphReduction or Solver
+        if forest is not None and forest.source and forest.source[0] is m:
+            self._forests[forest.source[1]] = forest
 
     def _forest(self, by_column):
         if by_column not in self._forests:
@@ -996,6 +1012,13 @@ class Reductions:
                 red = Solver(self.m, basis, transposed)
             self._reductions[transposed] = red
         return red
+
+    def column_forest(self, transposed=False):
+        """The forest whose column form is the reduction of M (of M^T when
+        ``transposed``), or None when that reduction is a row form or an
+        elimination."""
+        red = self.of(transposed)
+        return red.forest if isinstance(red, GraphReduction) else None
 
 
 def rank(m: SparseMatrix) -> int:

@@ -18,7 +18,17 @@ z_f of a free column f is 1 at f and 0 at the other free columns, so a
 cycle z is the sum of z[f] z_f.  One reduction per degree, of the
 boundaries' row space B_F^T in these coordinates (rank B_q x dim Z_q),
 selects the representatives, the z_f independent modulo boundaries, and
-writes every z_f in them; on a surface B_F^T is a graph too.  The class
+writes every z_f in them; on a surface B_F^T is a graph too.  Degrees 0
+and n select nothing, their basis being forced.  H^0 and H_n have no
+boundaries, so every cycle is kept.  In H_0 and H^n every chain is a
+cycle, and when the boundaries are a signed graph's column form (d_1's
+columns always, d_n^T when the dual graph balances) each component of its
+spanning forest that does not reach ground keeps its lowest simplex, and
+every simplex of it has that class times the product of the two
+simplices' forest signs: one point class per component of H_0, and in H^n
+the orientation signs.  ``duality.fundamental_class`` hands the walk the
+dual graph's forest that ``complex.orient`` built, so a duality query
+builds it once.  The class
 of a cycle is then a sparse sum over its free entries, after its support
 is pushed through the facet table to check that it is a cycle (a cocycle
 through d_{q+1}'s rows): no elimination runs once the spaces are built,
@@ -196,16 +206,79 @@ def basis_class(space: GradedSpace, q: int, i: int) -> HClass:
     return HClass(space, q, tuple(coeffs))
 
 
+def _units(n, kept):
+    """The unit chains at ``kept`` among ``n`` simplices, as ``int``: the
+    canonical kernel vectors of a zero map."""
+    out = []
+    for f in kept:
+        vec = [0] * n
+        vec[f] = 1
+        out.append(tuple(vec))
+    return out
+
+
 def _select(leaving, entering, transposed):
     """Representatives of one degree and the class coordinates of its cycles.
 
     ``leaving`` and ``entering`` are the ``Reductions`` of the differentials
     leaving and entering the degree, read as d for H_* and d^T for H^*
-    (``transposed``).  The free columns F of the map leaving the degree
-    index the cycles z_f; the pivot columns of the map entering it are a
-    basis of the boundaries B.  A cycle's coordinates in the z_f are its
-    entries at F, and x -> sum x_f z_f is injective, so B is the row space
-    of B_F^T (one row per boundary basis vector, its entries at F).
+    (``transposed``).  Returns the dense kept cycles and {f: {t:
+    coefficient}}, the class coordinates of the cycles z_f, t numbering the
+    kept cycles in order; ``_selection`` says how a degree selects them.
+
+    Two kinds of degree select nothing, because their basis is forced:
+
+    - No boundaries (H^0, and H_n of an n-complex): every cycle z_f is
+      kept, with coordinate {t: 1}.
+    - Every chain is a cycle (H_0, and H^n of an n-complex), with B read
+      off a signed graph's column form: d_1's columns always, d_n^T when
+      the dual graph balances.  B is then the forest's tree edges, so each
+      component that does not reach ground keeps its lowest simplex k, and
+      a simplex f of it has coordinate {t_k: s_f s_k}, s the forest's
+      signs; a grounded component's simplices are boundaries, with no
+      coordinate.  These are the values ``_selection`` reads off the row
+      form of the tree edges, with no B_F^T built, no second forest, and
+      the zero map never reduced.
+
+    Every other degree, and a top degree that is non-orientable or no
+    pseudo-manifold, which has no such graph, goes to ``_selection``.
+    """
+    out, into = leaving.m, entering.m
+    every_chain_cycles = (out.cols if transposed else out.rows) == 0
+    if (into.rows if transposed else into.cols) == 0:  # no boundaries
+        if every_chain_cycles:
+            free = range(out.rows if transposed else out.cols)
+            reps = _units(len(free), free)
+        else:
+            leaving_red = leaving.of(transposed)
+            free = leaving_red.free_cols()
+            reps = leaving_red.rref_kernel(free)
+        return reps, {f: {t: 1} for t, f in enumerate(free)}
+    forest = every_chain_cycles and entering.column_forest(transposed)
+    if not forest:
+        return _selection(leaving, entering, transposed)
+    root, sign = forest.flatten()
+    grounded = forest.grounded
+    kept, first, coords = [], {}, {}  # first: root -> (t, s_k) of its lowest simplex
+    for f, r in enumerate(root):
+        if grounded[r]:
+            continue
+        k = first.get(r)
+        if k is None:
+            k = first[r] = len(kept), sign[f]
+            kept.append(f)
+        coords[f] = {k[0]: sign[f] * k[1]}
+    return _units(len(root), kept), coords
+
+
+def _selection(leaving, entering, transposed):
+    """``_select``'s answer for any degree, by reducing the boundaries.
+
+    The free columns F of the map leaving the degree index the cycles z_f;
+    the pivot columns of the map entering it are a basis of the boundaries
+    B.  A cycle's coordinates in the z_f are its entries at F, and x -> sum
+    x_f z_f is injective, so B is the row space of B_F^T (one row per
+    boundary basis vector, its entries at F).
 
     Its RREF, with the free columns in reverse order, is rank B x dim Z.
     Its non-pivot columns are the kept representatives: the z_f that
@@ -215,20 +288,18 @@ def _select(leaving, entering, transposed):
     of Z, and the pivots, the greedy such basis over reversed F, leave out
     the greedy completion over F (matroid duality).  Each RREF row, with
     pivot f, is a boundary z_f + sum_j r_j z_j whose other entries sit at
-    kept columns j, so class(z_f) = -sum_j r_j [z_j].  Returns the dense
-    kept cycles and {f: {t: coefficient}}, t numbering the kept cycles in
-    F's order, both in the RREFs' own values.
+    kept columns j, so class(z_f) = -sum_j r_j [z_j].  The kept cycles and
+    the coordinates are in the RREFs' own values.
 
     B_F^T, whose rows are the entering d's columns at the boundary pivots
     (its rows for H^*), is read off d's columns: for H_* the pivot
     columns, for H^* the columns at F, so d's rows are never built for
-    it.  It is reduced on its graph when it is one, and
-    eliminated otherwise; either reduction hands out the same RREF entries
+    it.  It is reduced on its graph when it is one, and eliminated
+    otherwise; either reduction hands out the same RREF entries
     (``rref_entries``).  On a surface it is: the H_1 selection has one
     column per cotree edge, with its two triangles as entries, those of a
-    dropped triangle cut away; the H^1 selection is the 1-skeleton on the
-    edges outside the dual spanning tree; the H_0 and H^2 selections have
-    two entries per row.
+    dropped triangle cut away, and the H^1 selection is the 1-skeleton on
+    the edges outside the dual spanning tree.
     """
     leaving_red = leaving.of(transposed)
     free = leaving_red.free_cols()
@@ -259,7 +330,7 @@ def _select(leaving, entering, transposed):
     return leaving_red.rref_kernel([free[last - c] for c in kept]), coords
 
 
-def _graded_spaces(cc, kinds):
+def _graded_spaces(cc, kinds, dual=None):
     """H_* and/or H^* of ``cc``, one per kind, in one walk up the degrees.
 
     Degree q of H_* reads d_q's kernel and d_{q+1}'s image; of H^*, the
@@ -267,13 +338,15 @@ def _graded_spaces(cc, kinds):
     needed at two adjacent degrees, in either orientation, and the walk
     keeps the ``Reductions`` of d_q and d_{q+1} only: each orientation of
     each d_k is reduced at most once, for the two kinds when both are
-    built, and no reduction outlives the walk.
+    built, and no reduction outlives the walk.  ``dual``, the forest of
+    d_n's rows that ``complex.orient`` built, replaces the walk's own
+    where ``Reductions`` finds that it was read off that very table.
     """
     reps = {kind: {} for kind in kinds}
     coords = {kind: {} for kind in kinds}
     below = Reductions(cc.boundary(0))
     for q in range(cc.dim + 1):
-        above = Reductions(cc.boundary(q + 1))
+        above = Reductions(cc.boundary(q + 1), dual)
         for kind in kinds:
             transposed = kind == COHOMOLOGY
             leaving, entering = (above, below) if transposed else (below, above)
@@ -314,15 +387,17 @@ class Space:
             self._cohomology = compute_cohomology(self.cc)
         return self._cohomology
 
-    def homology_and_cohomology(self):
+    def homology_and_cohomology(self, dual=None):
         """(H_*, H^*); when neither is built yet, both come from one walk.
 
         Each differential is then reduced once for the two.  A space that
         only ever needs one of them builds it alone and keeps no reduction.
+        ``dual``, the forest of d_n's rows that ``orient`` read, is passed
+        to that walk and not kept.
         """
         if self._homology is None and self._cohomology is None:
             self._homology, self._cohomology = _graded_spaces(
-                self.cc, (HOMOLOGY, COHOMOLOGY)
+                self.cc, (HOMOLOGY, COHOMOLOGY), dual
             )
         return self.homology, self.cohomology
 

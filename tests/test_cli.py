@@ -59,10 +59,10 @@ def test_duality_command(capsys):
 def test_duality_checks_the_manifold_once(tmp_path, capsys, monkeypatch):
     """One facet table per query: the manifold report and the orientation
     are read off the same table, its rows built once.  The dual graph's
-    forest is built twice, once to orient the complex and once by the
-    (co)homology walk as the forest of d_n's rows, which keeps no forest
-    past the query.  The torus comes from a file, so no earlier query
-    built its tables."""
+    forest is built once, to orient the complex, and the (co)homology walk
+    reads that same forest as its forest of d_n's rows, keeping it no
+    longer than the query.  The torus comes from a file, so no earlier
+    query built its tables."""
     from simhom.exactlin import FacetTable, SignedForest
 
     real_rows, real_forest = FacetTable.cofaces, SignedForest.__init__
@@ -85,7 +85,7 @@ def test_duality_checks_the_manifold_once(tmp_path, capsys, monkeypatch):
     torus = catalog.torus()
     top = (torus.n_simplices(1), torus.n_simplices(2))
     assert reads.count(top) == 1
-    assert forests.count(top[::-1]) == 2  # over the triangles, an edge per row
+    assert forests.count(top[::-1]) == 1  # over the triangles, an edge per row
     assert data["results"]["manifold"] == manifold_check(catalog.torus()).to_json()
 
 
@@ -244,6 +244,40 @@ def test_coincidence_zero_no_witness_claim(capsys):
     assert data["results"]["value"] == "0"
     assert data["results"]["witness"] is None
     assert data["results"]["witness_status"] == "no-claim-lambda-zero"
+
+
+def test_coincidence_refuses_maps_with_different_codomains_with_exit_2(capsys):
+    code, out, err = run(capsys, "coincidence", "id_hexagon", "hex_wrap2", "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: coincidence needs maps with common domain and codomain\n"
+
+
+def test_coincidence_refuses_manifolds_of_different_dimensions_with_exit_2(tmp_path, capsys):
+    """Two map files hexagon -> octahedron, constant at two vertices: the
+    maps share their ends, and the dimensions differ."""
+    paths = []
+    for k, w in enumerate(("n", "s")):
+        path = tmp_path / f"const_{w}.json"
+        vertex_map = {v: w for v in catalog.hexagon().vertices}
+        path.write_text(json.dumps({"domain": "hexagon", "codomain": "octahedron", "vertex_map": vertex_map}))
+        paths.append(str(path))
+    code, out, err = run(capsys, "coincidence", *paths, "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: dim X = 1 differs from dim Y = 2\n"
+
+
+def test_coincidence_exits_3_when_one_formula_disagrees(capsys, monkeypatch):
+    """With the intersection route's value moved by one, the six formulas
+    disagree: the report says so and the command exits 3."""
+    import simhom.lefschetz as lefschetz
+
+    real = lefschetz.augmentation_product
+    monkeypatch.setattr(lefschetz, "augmentation_product", lambda *args: real(*args) + 1)
+    code, data, _ = run_json(capsys, "coincidence", "hex_wrap2", "hex_wrap1")
+    assert code == 3
+    res = data["results"]
+    assert res["consistent"] is False
+    assert res["lambda"]["intersection"] == "0" and res["value"] == "-1"
 
 
 def test_verify_kunneth_suite(capsys):

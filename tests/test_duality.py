@@ -108,6 +108,48 @@ def test_fundamental_class_refuses_signs_that_are_no_cycle(monkeypatch):
         fundamental_class(Space(x))
 
 
+def test_fundamental_class_shares_the_orientation_forest_and_drops_it(monkeypatch):
+    """``orient`` leaves its forest of d_n's rows on the orientation data,
+    as no field of it; ``fundamental_class`` hands it to the (co)homology
+    walk, which builds no dual forest of its own, and once the duality
+    operator is built no forest is alive or reachable from it."""
+    import gc
+
+    from simhom.complex import OrientationData, barycentric_subdivide, orient
+    from simhom.duality import DualityOperator
+    from simhom.exactlin import SignedForest
+
+    x = catalog.torus()
+    data = orient(x)
+    assert data == OrientationData(signs=data.signs, coherent=True, report=data.report)
+    assert hash(data) == hash(OrientationData(data.signs, True, data.report))
+    forest = data.take_forest()
+    assert forest.source[0] is x.boundary(2) and forest.source[1] is False
+    assert data.take_forest() is None
+
+    def live_forests():
+        gc.collect()
+        return [o for o in gc.get_objects() if isinstance(o, SignedForest)]
+
+    sd, _ = barycentric_subdivide(catalog.genus2())
+    del data, forest
+    before = {id(o) for o in live_forests()}
+    real_init = SignedForest.__init__
+    sizes = []
+
+    def recording_init(f, n, a, *ends):
+        sizes.append((n, len(a)))
+        real_init(f, n, a, *ends)
+
+    s = Space(sd)
+    monkeypatch.setattr(SignedForest, "__init__", recording_init)
+    op = DualityOperator(s, fundamental_class(s))
+    monkeypatch.undo()
+    assert sizes.count((sd.n_simplices(2), sd.n_simplices(1))) == 1
+    assert not [o for o in live_forests() if id(o) not in before]
+    assert op.fundamental.orientation.take_forest() is None
+
+
 def test_duality_operator_invertible_on_catalog():
     for name in ORIENTABLE:
         s = space(name)

@@ -10,8 +10,10 @@ from simhom import catalog
 from simhom.chains import ChainComplex
 from simhom.complex import complex_from_json
 from simhom.exactlin import (
+    FacetTable,
     GraphReduction,
     Reductions,
+    SignedForest,
     Solver,
     SparseMatrix,
     _rref,
@@ -723,6 +725,30 @@ def test_graph_reduction_matches_elimination_on_random_signed_graphs():
         degrees = Counter(i for i, _ in graph.entries).values()
         counts["both line forms"] += max(degrees, default=0) <= 2
     assert min(counts.values()) > 40, counts
+
+
+def test_reductions_take_a_forest_only_off_their_own_matrix():
+    """A forest handed to ``Reductions`` stands in for one of M's own only
+    when ``SignedForest.of`` read it off M itself, checked by identity, and
+    only in the orientation it was read in.  A forest of an equal copy of
+    M, or one built by hand from M's ends, is ignored, and M's own forest
+    is built instead; the reductions are the same either way."""
+    x = catalog.torus()
+    d1, d2 = x.boundary(1), x.boundary(2)
+    rows = SignedForest.of(d2, False)
+    taken = Reductions(d2, rows)
+    assert taken.column_forest(True) is rows
+    assert taken._forest(True) is None  # three entries a column: no forest of d_2's columns
+    copy = FacetTable(d2.rows, d2.cols, d2.width, d2.facets[:])
+    by_hand = SignedForest(d2.cols, *d2.ends(False))
+    for m, forest in ((copy, rows), (d2, by_hand), (d1, rows)):
+        own = Reductions(m, forest)
+        assert own._forest(False) is not forest
+        assert own.of(True).pivot_cols == Reductions(m).of(True).pivot_cols
+    assert taken.of(True).pivot_cols == Reductions(d2).of(True).pivot_cols
+    columns = SignedForest.of(d1, True)
+    assert Reductions(d1, columns).column_forest(False) is columns
+    assert Reductions(d1, columns)._forest(False) is not columns
 
 
 def test_graph_reduction_falls_back_off_graphs():

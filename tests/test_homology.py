@@ -359,6 +359,27 @@ def test_long_exact_sequence_octahedron_equator():
     assert seq.exact
 
 
+def test_exactness_check_fires_when_a_composite_is_not_zero():
+    """One row of j_2 doubled on (octahedron, equator) keeps every rank, so
+    only the test that d o j_* vanishes can see that the sequence is no
+    longer exact: the check must name H_2(X, A) and that node alone."""
+    from simhom.homology import _check_exactness
+
+    x = catalog.octahedron()
+    a = validate([["n", "e"], ["e", "s"], ["s", "w"], ["n", "w"]], name="equator")
+    seq = long_exact_sequence(x, a)
+    j = seq.j_star
+    m = j.matrix(2)
+    assert len(m) == 2 and all(row[0] for row in m)  # both hemispheres
+    scaled = (tuple(2 * v for v in m[0]),) + m[1:]
+    wrong = GradedMap(j.source, j.target, {**j.matrices, 2: scaled})
+    maps = (seq.i_star, wrong, seq.connecting)
+    exact, details = _check_exactness(maps, range(x.dim + 1))
+    assert not exact
+    assert [(label, p) for label, p, ok in details if not ok] == [("H(X,A)", 2)]
+    assert _check_exactness((seq.i_star, j, seq.connecting), range(x.dim + 1))[0]
+
+
 def test_excision_disk_boundary_edge():
     disk = catalog.triangle2()
     circle = validate([["a", "b"], ["b", "c"], ["a", "c"]], name="circle")
@@ -505,10 +526,13 @@ def test_classes_need_no_chain_sized_elimination(monkeypatch):
     """Each selection is rank B_q x dim Z_q, whether a graph or ``_rref``
     reduces it; class extraction eliminates nothing bigger than a Betti
     number once H_* and H^* are built.  On the torus nothing is eliminated
-    at all while they are built; on S^3 only d_2 is."""
+    at all while they are built; on S^3 only d_2 is.  Degrees 0 and n
+    select nothing, their basis being forced: no B_F^T ``SparseMatrix`` is
+    built for them, no reduction or forest of one, and the zero maps d_0
+    and d_{n+1} are never reduced."""
     from simhom.complex import check_simplicial
     from simhom.duality import DualityOperator, fundamental_class
-    from simhom.exactlin import rank
+    from simhom.exactlin import SignedForest, SparseMatrix, rank
 
     s3 = _boundary_of_4_simplex()
     swap = check_simplicial({"a": "b", "b": "a", "c": "c", "d": "d", "e": "e"}, s3, s3)
@@ -519,15 +543,33 @@ def test_classes_need_no_chain_sized_elimination(monkeypatch):
         differentials = [cc.boundary(k) for k in range(cc.dim + 2)]
         tried = _recorded_reductions(monkeypatch)
         shapes = _recorded_eliminations(monkeypatch)
+        built, forests = [], []
+        real_init, real_of = SparseMatrix.__init__, SignedForest.of.__func__
+
+        def recording_init(m, rows, cols, entries=None):
+            built.append((rows, cols))
+            real_init(m, rows, cols, entries)
+
+        def recording_of(cls, m, by_column):
+            forests.append(m)
+            return real_of(cls, m, by_column)
+
+        monkeypatch.setattr(SparseMatrix, "__init__", recording_init)
+        monkeypatch.setattr(SignedForest, "of", classmethod(recording_of))
         h, c = s.homology, s.cohomology
         monkeypatch.undo()
         selections = [_shape(m, t) for m, t, _ in tried if not any(m is d for d in differentials)]
-        degrees = range(cc.dim + 1)
+        degrees = range(1, cc.dim)  # the degrees that select
         cycles = {q: cc.n(q) - ranks[q] for q in degrees}
         cocycles = {q: cc.n(q) - ranks[q + 1] for q in degrees}
         expected = [(ranks[q + 1], cycles[q]) for q in degrees]
         expected += [(ranks[q], cocycles[q]) for q in degrees]
         assert sorted(selections) == sorted(expected), x.name
+        assert sorted(built) == sorted(expected), x.name
+        read = [m for m, _, _ in tried]  # the differentials and the selections
+        assert all(any(m is r for r in read) for m in forests), x.name
+        zero_maps = (differentials[0], differentials[cc.dim + 1])
+        assert not [t for m, t, _ in tried if any(m is d for d in zero_maps)], x.name
         if x is s3:
             # built apart, each walk reduces d_2 in full; H^* also its
             # transpose, on rank(d_2) rows
@@ -693,6 +735,79 @@ def test_selection_matches_identity_block_reference():
                 where = (x.name, graded.kind, q)
                 assert graded.representatives(q) == reps, where
                 assert _as_fractions(graded._coords[q]) == _as_fractions(coords), where
+
+
+def _renamed(x, prefix):
+    """The maximal simplices of ``x``, each vertex renamed ``prefix + name``."""
+    return [[prefix + v for v in x.simplex_names(s)] for s in x.maximal_simplices()]
+
+
+def test_forced_degrees_match_the_generic_selection(monkeypatch):
+    """Degrees 0 and n take their basis off the spanning forests with no
+    B_F^T: their representatives and coordinates, type for type, equal
+    what ``_selection`` reduces on the same ``Reductions``.  Checked on
+    every catalog complex, shuffled Sd of five surfaces, a disconnected
+    complex, S^3, and relative pairs whose components reach ground.  Only
+    a top degree whose dual graph does not balance (rp2) or is no graph (a
+    book of three triangles, a theta graph) is selected; on an oriented
+    surface H_0 is [v_0] with every coordinate 1 and H^2 is [t_0] with the
+    orientation's signs as coordinates."""
+    import simhom.homology as homology
+    from simhom.chains import ChainComplex, build_relative
+    from simhom.complex import barycentric_subdivide, orient
+    from simhom.exactlin import Reductions
+
+    from test_exactlin import typed
+
+    carriers = {name: ChainComplex(catalog.get_complex(name)) for name in catalog.COMPLEX_BUILDERS}
+    surfaces = []
+    for base in ("octahedron", "icosahedron", "torus", "torus7", "genus2"):
+        sd, _ = barycentric_subdivide(catalog.get_complex(base))
+        surfaces.append(_shuffled(sd, 21))
+        carriers[f"Sd {base}"] = ChainComplex(surfaces[-1])
+    apart = _renamed(catalog.torus(), "t") + _renamed(catalog.octahedron(), "o") + [["p"]]
+    carriers["torus + octahedron + point"] = ChainComplex(validate(apart, name="apart"))
+    carriers["S3"] = ChainComplex(_boundary_of_4_simplex())
+    book = validate([["a", "b", "c"], ["a", "b", "d"], ["a", "b", "e"]], name="book")
+    carriers["book"] = ChainComplex(book)
+    theta = validate([["a", "b"], ["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]], name="theta")
+    carriers["theta"] = ChainComplex(theta)
+    ring = [f"v{k}" for k in range(6)]
+    fan = validate([["c", u, v] for u, v in zip(ring, ring[1:] + ring[:1])], name="fan")
+    rim = validate([[u, v] for u, v in zip(ring, ring[1:] + ring[:1])], name="rim")
+    carriers["(disk, circle)"] = build_relative(fan, rim)
+    circle = [["a", "b"], ["b", "c"], ["a", "c"]]
+    whisker = validate(circle + [["c", "w"], ["p", "q"], ["q", "r"], ["p", "r"]], name="whisker")
+    carriers["(whisker + circle, circle)"] = build_relative(whisker, validate(circle, name="abc"))
+
+    real = homology._selection
+    selected = []
+    monkeypatch.setattr(
+        homology, "_selection", lambda *args: selected.append(args) or real(*args)
+    )
+    generic = set()
+    for label, cc in carriers.items():
+        n = cc.dim
+        for q in sorted({0, n}):
+            below, above = Reductions(cc.boundary(q)), Reductions(cc.boundary(q + 1))
+            for kind, leaving, entering, transposed in (
+                ("homology", below, above, False),
+                ("cohomology", above, below, True),
+            ):
+                selected.clear()
+                forced = homology._select(leaving, entering, transposed)
+                if selected:
+                    generic.add((label, kind, q))
+                assert typed(forced) == typed(real(leaving, entering, transposed)), (label, kind, q)
+    assert generic == {("rp2", "cohomology", 2), ("book", "cohomology", 2), ("theta", "cohomology", 1)}
+    monkeypatch.undo()
+
+    for x in surfaces:
+        h, c = Space(x).homology_and_cohomology()
+        assert h.representatives(0)[0][0] == 1
+        assert h._coords[0] == {v: {0: 1} for v in range(x.n_simplices(0))}, x.name
+        assert c.representatives(2)[0][0] == 1
+        assert c._coords[2] == {t: {0: s} for t, s in enumerate(orient(x).signs)}, x.name
 
 
 def _reachable(root):

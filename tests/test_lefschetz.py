@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from simhom import catalog, duality, homology, lefschetz, verify
-from simhom.complex import SimplicialMap, identity_map
+from simhom.complex import SimplicialMap, constant_map, identity_map
 from simhom.duality import duality_operator, degree, transfers
 from simhom.errors import DegreeMismatch, DimensionMismatch
 from simhom.exactlin import ONE, ZERO, dense_mul, lp_feasible
@@ -417,9 +417,27 @@ def test_coincidence_self_is_degree_times_euler():
 
 def test_coincidence_dimension_mismatch():
     f = catalog.get_map("id_hexagon")
-    g = catalog.get_map("hex_rotate")
     with pytest.raises(DimensionMismatch):
         coincidence_number(f, catalog.get_map("id_octahedron"))
+
+
+def test_coincidence_refuses_maps_with_different_codomains():
+    """id_hexagon and hex_wrap2 share their domain and dimension but not
+    their codomain: the common-ends check refuses them, not a later one."""
+    f, g = catalog.get_map("id_hexagon"), catalog.get_map("hex_wrap2")
+    for pair in ((f, g), (g, f)):
+        with pytest.raises(DimensionMismatch, match="^coincidence needs maps with common domain and codomain$"):
+            coincidence_number(*pair)
+
+
+def test_coincidence_refuses_manifolds_of_different_dimensions():
+    """Two constant maps hexagon -> octahedron share their ends, but
+    dim X = 1 and dim Y = 2."""
+    x, y = catalog.hexagon(), catalog.octahedron()
+    f = constant_map(x, y, y.vertices[0])
+    g = constant_map(x, y, y.vertices[1])
+    with pytest.raises(DimensionMismatch, match="^dim X = 1 differs from dim Y = 2$"):
+        coincidence_number(f, g)
 
 
 def test_witness_equal_maps_immediate():
@@ -680,7 +698,7 @@ def test_vertex_permutations_of_s3():
     six formulas agree.  In odd dimension the pullbacks carry (-1)^n = -1."""
     from itertools import permutations
 
-    from simhom.complex import SimplicialMap, identity_map
+    from simhom.complex import SimplicialMap, constant_map, identity_map
 
     from test_homology import _boundary_of_4_simplex
 
