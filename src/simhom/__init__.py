@@ -35,7 +35,7 @@ from .homology import (
     kronecker,
     long_exact_sequence,
 )
-from .exactlin import Rational, SparseMatrix, kernel_basis, image_basis, lp_feasible, rank, solve
+from .exactlin import SparseMatrix, kernel_basis, image_basis, lp_feasible, rank, solve
 from .products import (
     ProductSpace,
     TensorClass,

@@ -320,26 +320,6 @@ def get_map(name: str) -> SimplicialMap:
     return MAP_BUILDERS[name]()
 
 
-class CatalogEntry:
-    def __init__(self, name, kind, payload, note):
-        self.name = name
-        self.kind = kind  # "complex" | "map"
-        self.payload = payload
-        self.note = note
-
-
-def entries():
-    """All catalog entries, validated payloads included."""
-    out = []
-    for name in COMPLEX_BUILDERS:
-        out.append(
-            CatalogEntry(name, "complex", get_complex(name), COMPLEX_NOTES.get(name, ""))
-        )
-    for name in MAP_BUILDERS:
-        out.append(CatalogEntry(name, "map", get_map(name), MAP_NOTES.get(name, "")))
-    return out
-
-
 def catalog_listing():
     return {
         "complexes": {name: COMPLEX_NOTES.get(name, "") for name in COMPLEX_BUILDERS},

@@ -60,9 +60,6 @@ class ChainComplex:
     def n(self, q: int) -> int:
         return len(self.basis(q))
 
-    def simplex_id(self, q: int, simplex) -> int:
-        return self.index[q][tuple(simplex)]
-
     def boundary(self, q: int) -> FacetTable:
         """The matrix of d_q : C_q -> C_{q-1}, a ``FacetTable``.
 

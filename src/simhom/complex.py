@@ -483,9 +483,10 @@ class SimplicialMap:
 def check_simplicial(vertex_map, domain, codomain, name="") -> SimplicialMap:
     """Validate a vertex assignment as a simplicial map.
 
-    ``vertex_map`` maps domain vertex identifiers to codomain identifiers;
-    every domain simplex must land, as a vertex set, on a codomain simplex.
-    The walk that builds the map's chain map checks this.
+    ``vertex_map`` maps each domain vertex identifier, and nothing else, to
+    a codomain identifier; every domain simplex must land, as a vertex set,
+    on a codomain simplex.  The walk that builds the map's chain map checks
+    this.
     """
     mapping = []
     for v in domain.vertices:
@@ -495,6 +496,9 @@ def check_simplicial(vertex_map, domain, codomain, name="") -> SimplicialMap:
         if w not in codomain.vertex_index:
             raise UnknownVertex(f"image vertex {w!r} not in codomain")
         mapping.append(codomain.vertex_index[w])
+    if len(vertex_map) != len(mapping):
+        v = next(v for v in vertex_map if v not in domain.vertex_index)
+        raise UnknownVertex(f"mapped vertex {v!r} not in domain {domain.name!r}")
     f = SimplicialMap(domain, codomain, mapping, name=name)
     f.chain_map()
     return f

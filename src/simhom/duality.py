@@ -70,10 +70,6 @@ class FundamentalClass:
         self.chain = chain  # int +-1 per top simplex
         self.cls = cls  # its class in H_n
 
-    @property
-    def degree(self):
-        return self.space.dim
-
 
 def fundamental_class(space: Space) -> FundamentalClass:
     """Signed sum of all top simplices of a closed oriented complex.

@@ -51,7 +51,9 @@ M^T's rows, so the forest of M's columns gives M's column form and M^T's
 row form, and the forest of M's rows the other two.  The RREF is unique,
 so these are ``_rref``'s values, as ``int``.  Any other orientation is
 left to ``Solver``.  The same routine decides the orientation and the
-connectivity of a complex (``complex._analyse``).
+connectivity of a complex (``complex._analyse``), over d_n's rows, where
+``FacetTable.ends`` leaves out a row of more than two entries, a facet
+that is no link of the dual graph.
 
 Elimination produces the canonical reduced row echelon form: pivot columns
 are chosen left to right, and within the forced pivot column the row with
@@ -77,8 +79,6 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import mul
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -234,18 +234,6 @@ class SparseMatrix:
                 elif key in ent:
                     del ent[key]
         return SparseMatrix(self.rows, other.cols, ent)
-
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        ent = dict(self.entries)
-        for key, v in other.entries.items():
-            s = ent.get(key, ZERO) + v
-            if s:
-                ent[key] = s
-            elif key in ent:
-                del ent[key]
-        return SparseMatrix(self.rows, self.cols, ent)
 
     def scale(self, c) -> "SparseMatrix":
         c = Fraction(c)
@@ -425,10 +413,10 @@ class FacetTable:
 
     def ends(self, by_column, skip=False):
         """Each line's (first index, its sign, second index, its sign), or None
-        when a line has more than two entries; ``skip`` leaves such a line
-        out, as an empty one, instead.  A missing entry has index -1 and
-        sign 0.  The values of ``SparseMatrix.ends`` on the same entries: a
-        full d_1's columns are two slices."""
+        when a line has more than two entries; for rows, ``skip`` leaves such
+        a row out, as an empty one, instead.  A missing entry has index -1
+        and sign 0.  The values of ``SparseMatrix.ends`` on the same entries:
+        a full d_1's columns are two slices."""
         w, fac = self.width, self.facets
         n = self.cols if by_column else self.rows
         if not fac:  # no entry at all
@@ -436,15 +424,13 @@ class FacetTable:
         if by_column and self.full:
             if w == 2:
                 return fac[0::2].tolist(), [1] * n, fac[1::2].tolist(), [-1] * n
-            if w > 2 and not skip:
+            if w > 2:
                 return None
         a, av, b, bv = [-1] * n, [0] * n, [-1] * n, [0] * n
         if by_column:
             for j in range(n):
                 at = [i for i in range(w) if fac[j * w + i] >= 0]
                 if len(at) > 2:
-                    if skip:
-                        continue
                     return None
                 if at:
                     a[j], av[j] = fac[j * w + at[0]], -1 if at[0] & 1 else 1
@@ -1149,10 +1135,6 @@ def dense_eq(a, b):
 
 def vec_dot(u, v):
     return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
-def vec_is_zero(v):
-    return all(a == 0 for a in v)
 
 
 # ---------------------------------------------------------------------------

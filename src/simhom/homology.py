@@ -229,7 +229,9 @@ def _select(leaving, entering, transposed):
     Two kinds of degree select nothing, because their basis is forced:
 
     - No boundaries (H^0, and H_n of an n-complex): every cycle z_f is
-      kept, with coordinate {t: 1}.
+      kept, with coordinate {t: 1}, read off the reduction of the map
+      leaving the degree.  On a 0-dimensional complex that map is zero,
+      and its z_f are the unit chains.
     - Every chain is a cycle (H_0, and H^n of an n-complex), with B read
       off a signed graph's column form: d_1's columns always, d_n^T when
       the dual graph balances.  B is then the forest's tree edges, so each
@@ -246,14 +248,9 @@ def _select(leaving, entering, transposed):
     out, into = leaving.m, entering.m
     every_chain_cycles = (out.cols if transposed else out.rows) == 0
     if (into.rows if transposed else into.cols) == 0:  # no boundaries
-        if every_chain_cycles:
-            free = range(out.rows if transposed else out.cols)
-            reps = _units(len(free), free)
-        else:
-            leaving_red = leaving.of(transposed)
-            free = leaving_red.free_cols()
-            reps = leaving_red.rref_kernel(free)
-        return reps, {f: {t: 1} for t, f in enumerate(free)}
+        leaving_red = leaving.of(transposed)
+        free = leaving_red.free_cols()
+        return leaving_red.rref_kernel(free), {f: {t: 1} for t, f in enumerate(free)}
     forest = every_chain_cycles and entering.column_forest(transposed)
     if not forest:
         return _selection(leaving, entering, transposed)

@@ -34,7 +34,7 @@ before returning it.
 
 from fractions import Fraction
 
-from .complex import GeometricPoint, SimplicialComplex, SimplicialMap
+from .complex import GeometricPoint, SimplicialMap
 from .duality import (
     DualityOperator,
     ProductDuality,
@@ -321,45 +321,32 @@ def coincidence_number(
 # ---------------------------------------------------------------------------
 
 
-def _affine_image(f: SimplicialMap, position: dict) -> dict:
-    """Push an exact barycentric position through |f|.
+def _search_complex(f: SimplicialMap, g: SimplicialMap):
+    """[(vertex id, weight)] of the first solution of |f|(x) = |g|(x), its
+    zero weights dropped, or None.
 
-    ``position`` maps domain vertex names to weights; the image maps
-    codomain vertex names to weights (codomain vertices sit at standard
-    basis points of the reference space).
+    One exact feasibility problem per maximal simplex of the domain,
+    largest first: barycentric weights t >= 0 summing to 1, and one
+    equality per codomain vertex w, the weight f sends to w minus the
+    weight g sends there.
     """
-    out = {}
-    names = f.vertex_map_names()
-    for v, w in position.items():
-        img = names[v]
-        out[img] = out.get(img, ZERO) + w
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _search_complex(f, g, x):
-    """Vertex weights of the first solution of |f|(x) = |g|(x), or None.
-
-    One exact feasibility problem per maximal simplex of x, largest first.
-    """
-    f_names, g_names = f.vertex_map_names(), g.vertex_map_names()
-    for simplex in sorted(x.maximal_simplices(), key=lambda s: (-len(s), s)):
-        verts = x.simplex_names(simplex)
-        k = len(verts)
-        targets = sorted({f_names[v] for v in verts} | {g_names[v] for v in verts})
+    fv, gv = f.mapping, g.mapping
+    for simplex in sorted(f.domain.maximal_simplices(), key=lambda s: (-len(s), s)):
+        k = len(simplex)
         cons = [([ONE] * k, "==", ONE)]
         for i in range(k):
             coeffs = [ZERO] * k
             coeffs[i] = ONE
             cons.append((coeffs, ">=", ZERO))
-        for w in targets:
+        for w in sorted({fv[v] for v in simplex} | {gv[v] for v in simplex}):
             coeffs = [
-                (ONE if f_names[v] == w else ZERO) - (ONE if g_names[v] == w else ZERO)
-                for v in verts
+                (ONE if fv[v] == w else ZERO) - (ONE if gv[v] == w else ZERO)
+                for v in simplex
             ]
             cons.append((coeffs, "==", ZERO))
         sol = lp_feasible(cons, k)
         if sol is not None:
-            return {v: t for v, t in zip(verts, sol) if t != 0}
+            return [(v, t) for v, t in zip(simplex, sol) if t != 0]
     return None
 
 
@@ -369,28 +356,24 @@ def coincidence_witness(f: SimplicialMap, g: SimplicialMap):
     Returns (point, status).  |f| and |g| are affine on every closed
     simplex of X, so the per-simplex affine systems on X's own maximal
     simplices are complete: a coincidence exists iff one of them is
-    feasible.  The returned point satisfies |f|(x) = |g|(x) exactly.
+    feasible.  The point's support must span a simplex of X, and |f|(x) =
+    |g|(x) is checked exactly, codomain vertices at standard basis points,
+    before the point is returned in vertex names.
     """
     if f.domain is not g.domain:
         raise DimensionMismatch("witness search needs a common domain")
-    combined = _search_complex(f, g, f.domain)
-    if combined is None:
+    x = f.domain
+    support = _search_complex(f, g)
+    if support is None:
         return None, "search-exhausted"
-    point = _as_geometric_point(f.domain, combined)
-    _verify_witness(f, g, point)
-    return point, "found"
-
-
-def _as_geometric_point(x0: SimplicialComplex, combined: dict) -> GeometricPoint:
-    support = sorted(combined, key=lambda v: x0.vertex_index[v])
-    carrier_idx = tuple(sorted(x0.vertex_index[v] for v in support))
-    if not x0.has_simplex(carrier_idx):
+    carrier = tuple(v for v, _ in support)
+    if not x.has_simplex(carrier):
         raise AssertionError("witness support does not span a simplex")
-    coords = tuple(combined[v] for v in support)
-    return GeometricPoint(carrier=tuple(support), coords=coords)
-
-
-def _verify_witness(f: SimplicialMap, g: SimplicialMap, point: GeometricPoint):
-    pos = dict(zip(point.carrier, point.coords))
-    if _affine_image(f, pos) != _affine_image(g, pos):
+    gap = {}  # |f|(x) - |g|(x), by codomain vertex
+    for v, t in support:
+        gap[f.mapping[v]] = gap.get(f.mapping[v], ZERO) + t
+        gap[g.mapping[v]] = gap.get(g.mapping[v], ZERO) - t
+    if any(gap.values()):
         raise AssertionError("witness fails exact verification")
+    point = GeometricPoint(x.simplex_names(carrier), tuple(t for _, t in support))
+    return point, "found"

@@ -169,9 +169,6 @@ class ProductSpace:
     def betti_vector(self, kind=HOMOLOGY):
         return tuple(self.betti(n, kind) for n in range(self.dim + 1))
 
-    def zero(self, degree: int, kind) -> "TensorClass":
-        return TensorClass(self, kind, degree, {})
-
     def __repr__(self):
         return f"ProductSpace({self.x.complex.name} x {self.y.complex.name})"
 
@@ -212,9 +209,6 @@ class TensorClass:
             self.degree,
             {k: c * v for k, v in self.terms.items()},
         )._clean()
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def __eq__(self, other):
         return (

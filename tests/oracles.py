@@ -5,9 +5,10 @@ reduction over Fraction, sharing no code path with the package's sparse
 elimination or basis bookkeeping.  The ``oracle_manifold_check``,
 ``oracle_orient``, ``oracle_gauss_jordan_rref``, ``oracle_select``,
 ``oracle_subdivision_matrix``, ``oracle_induced_chain_map``,
-``oracle_transpose``, ``oracle_apply``, ``oracle_dict_table`` and
-``oracle_lp_feasible`` references are earlier versions of package routines,
-kept so that their replacements can be checked value for value.
+``oracle_transpose``, ``oracle_apply``, ``oracle_dict_table``,
+``oracle_lp_feasible`` and ``oracle_coincidence_witness`` references are
+earlier versions of package routines, kept so that their replacements can
+be checked value for value.
 """
 
 from collections import deque
@@ -612,3 +613,41 @@ def oracle_lp_feasible(constraints, nvars):
         expr, c0 = subs[v]
         full[v] = c0 + sum((expr[j] * full[j] for j in range(nvars)), Fraction(0))
     return tuple(full)
+
+
+def oracle_coincidence_witness(f, g):
+    """``lefschetz.coincidence_witness`` as it read vertex names: each
+    maximal simplex, largest first, gets the exact LP with one equality per
+    codomain vertex name, in name order, and the first solution is checked
+    by pushing its named weights through |f| and |g|.  The LP itself is the
+    package's ``lp_feasible``.  Returns (carrier names, coords) or None."""
+    from simhom.exactlin import lp_feasible
+
+    x = f.domain
+    f_names, g_names = f.vertex_map_names(), g.vertex_map_names()
+    for simplex in sorted(x.maximal_simplices(), key=lambda s: (-len(s), s)):
+        verts = x.simplex_names(simplex)
+        k = len(verts)
+        targets = sorted({f_names[v] for v in verts} | {g_names[v] for v in verts})
+        cons = [([Fraction(1)] * k, "==", Fraction(1))]
+        for i in range(k):
+            cons.append(([Fraction(int(i == j)) for j in range(k)], ">=", Fraction(0)))
+        for w in targets:
+            coeffs = [Fraction(int(f_names[v] == w) - int(g_names[v] == w)) for v in verts]
+            cons.append((coeffs, "==", Fraction(0)))
+        sol = lp_feasible(cons, k)
+        if sol is None:
+            continue
+        combined = {v: t for v, t in zip(verts, sol) if t != 0}
+        support = sorted(combined, key=lambda v: x.vertex_index[v])
+        assert x.has_simplex(tuple(sorted(x.vertex_index[v] for v in support)))
+
+        def image(names):
+            out = {}
+            for v, t in combined.items():
+                out[names[v]] = out.get(names[v], 0) + t
+            return out
+
+        assert image(f_names) == image(g_names)
+        return tuple(support), tuple(combined[v] for v in support)
+    return None

@@ -280,6 +280,21 @@ def test_coincidence_exits_3_when_one_formula_disagrees(capsys, monkeypatch):
     assert res["lambda"]["intersection"] == "0" and res["value"] == "-1"
 
 
+def test_verify_exits_3_when_a_check_fails(capsys, monkeypatch):
+    """With the product model's Betti vector wrong, both Kunneth checks are
+    recorded as failed, with the vector as detail, and verify exits 3."""
+    from simhom.products import ProductSpace
+
+    monkeypatch.setattr(ProductSpace, "betti_vector", lambda self, kind=None: (1,))
+    code, data, _ = run_json(capsys, "verify", "--suite", "kunneth")
+    assert code == 3
+    assert data["results"]["all_passed"] is False
+    assert [(r["passed"], r["detail"]) for r in data["results"]["suites"]["kunneth"]] == [
+        (False, "(1,)"),
+        (False, "(1,)"),
+    ]
+
+
 def test_verify_kunneth_suite(capsys):
     code, data, _ = run_json(capsys, "verify", "--suite", "kunneth")
     assert code == 0
@@ -313,11 +328,13 @@ def test_catalog_command(capsys):
 def test_catalog_entries_all_validate():
     # constructing every entry passes validate/check_simplicial by design
     from simhom import catalog
+    from simhom.complex import SimplicialComplex, SimplicialMap
 
-    entries = catalog.entries()
-    kinds = {e.kind for e in entries}
-    assert kinds == {"complex", "map"}
-    assert len(entries) >= 20
+    complexes = [catalog.get_complex(name) for name in catalog.COMPLEX_BUILDERS]
+    maps = [catalog.get_map(name) for name in catalog.MAP_BUILDERS]
+    assert all(isinstance(x, SimplicialComplex) for x in complexes)
+    assert all(isinstance(f, SimplicialMap) for f in maps)
+    assert len(complexes) + len(maps) >= 20
 
 
 def test_file_inputs_roundtrip(tmp_path, capsys):
@@ -424,6 +441,27 @@ def test_bad_map_file_exit_1(tmp_path, capsys):
     path.write_text(json.dumps(bad))
     code, out, err = run(capsys, "degree", str(path))
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"zz": "w1"}, "error: mapped vertex 'zz' not in domain 'hexagon'\n"),
+        ({"v5": None}, "error: vertex 'v5' has no image\n"),
+        ({"v0": "nope"}, "error: image vertex 'nope' not in codomain\n"),
+    ],
+)
+def test_map_file_vertex_errors_exit_1(tmp_path, capsys, edit, message):
+    """hex_wrap2's vertex map with one key added that the hexagon lacks,
+    with one vertex's image dropped, or with an image the triangle lacks, is
+    refused with exit 1."""
+    vertex_map = dict(catalog.get_map("hex_wrap2").vertex_map_names(), **edit)
+    vertex_map = {v: w for v, w in vertex_map.items() if w is not None}
+    data = {"domain": "hexagon", "codomain": "triangle", "vertex_map": vertex_map}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "degree", str(path))
+    assert (code, out, err) == (1, "", message)
 
 
 def test_human_output_runs(capsys):

@@ -27,7 +27,6 @@ from simhom.exactlin import (
     dense_identity,
     dense_inv,
     dense_mul,
-    vec_is_zero,
 )
 from simhom.homology import (
     COHOMOLOGY,
@@ -73,7 +72,7 @@ def test_fundamental_class_octahedron():
     fc = fundamental_class(s)
     assert len(fc.chain) == 8
     assert all(abs(c) == 1 for c in fc.chain)
-    assert vec_is_zero(s.cc.boundary(2).apply(fc.chain))
+    assert not any(s.cc.boundary(2).apply(fc.chain))
     assert not fc.cls.is_zero()
 
 
@@ -81,7 +80,7 @@ def test_fundamental_class_hexagon():
     s = space("hexagon")
     fc = fundamental_class(s)
     assert len(fc.chain) == 6
-    assert vec_is_zero(s.cc.boundary(1).apply(fc.chain))
+    assert not any(s.cc.boundary(1).apply(fc.chain))
 
 
 def test_fundamental_class_rp2_refused():
@@ -106,6 +105,72 @@ def test_fundamental_class_refuses_signs_that_are_no_cycle(monkeypatch):
     monkeypatch.setattr(duality, "orient", lambda _: flip)
     with pytest.raises(NotClosed, match="oriented top chain of 'octahedron' is not a cycle"):
         fundamental_class(Space(x))
+
+
+def test_fundamental_class_refuses_a_top_homology_of_rank_two(monkeypatch):
+    """Two disjoint spheres, their signs handed over as if ``orient`` had
+    accepted them: the signed top chain is a cycle, but H_2 has rank 2."""
+    import simhom.duality as duality
+    from simhom.complex import OrientationData, orient
+
+    x = catalog.octahedron()
+    tops = [x.simplex_names(s) for s in x.top_simplices()]
+    two = validate(
+        [[f"{c}{v}" for v in t] for c in "ab" for t in tops],
+        name="two_spheres",
+        vertex_order=[f"{c}{v}" for c in "ab" for v in x.vertices],
+    )
+    with pytest.raises(NotClosed, match="not a closed pseudo-manifold"):
+        orient(two)
+    data = orient(x)
+    both = OrientationData(signs=data.signs * 2, coherent=True, report=data.report)
+    monkeypatch.setattr(duality, "orient", lambda _: both)
+    with pytest.raises(NotClosed, match="H_2 of 'two_spheres' is not one-dimensional"):
+        fundamental_class(Space(two))
+
+
+def test_fundamental_class_refuses_a_top_cycle_that_is_zero(monkeypatch):
+    import simhom.duality as duality
+    from simhom.complex import OrientationData, orient
+
+    x = catalog.octahedron()
+    data = orient(x)
+    zero = OrientationData(signs=(0,) * len(data.signs), coherent=True, report=data.report)
+    monkeypatch.setattr(duality, "orient", lambda _: zero)
+    with pytest.raises(NotClosed, match="top cycle of 'octahedron' is a boundary"):
+        fundamental_class(Space(x))
+
+
+def test_duality_operator_refuses_asymmetric_betti_numbers(monkeypatch):
+    from simhom.duality import DualityOperator
+
+    s = Space(catalog.octahedron())
+    fc = fundamental_class(s)
+    real = s.cohomology.betti
+    monkeypatch.setattr(s.cohomology, "betti", lambda q: real(q) + (q == 0))
+    with pytest.raises(SingularDuality, match="Betti asymmetry b\\^0 = 2 vs b_2 = 1 on 'octahedron'"):
+        DualityOperator(s, fc)
+
+
+def test_duality_operator_refuses_a_singular_cap(monkeypatch):
+    import simhom.duality as duality
+
+    monkeypatch.setattr(duality, "dense_inv", lambda m: None)
+    with pytest.raises(
+        SingularDuality,
+        match="cap with the fundamental class is singular in degree 0 on 'octahedron'",
+    ):
+        duality_operator(Space(catalog.octahedron()))
+
+
+def test_dual_basis_refuses_a_singular_pairing(monkeypatch):
+    import simhom.duality as duality
+    from simhom.errors import SingularPairing
+
+    d = duality_operator(Space(catalog.octahedron()))
+    monkeypatch.setattr(duality, "dense_inv", lambda m: None)
+    with pytest.raises(SingularPairing, match="cup pairing singular in degree 1 on 'octahedron'"):
+        d.dual_basis(1)
 
 
 def test_fundamental_class_shares_the_orientation_forest_and_drops_it(monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from simhom import catalog, duality, homology, lefschetz, verify
+from simhom.cli import main
 from simhom.complex import SimplicialMap, constant_map, identity_map
 from simhom.duality import duality_operator, degree, transfers
 from simhom.errors import DegreeMismatch, DimensionMismatch
@@ -21,7 +22,7 @@ from simhom.lefschetz import (
 from simhom.products import cross, cup, product_map, product_space
 from simhom.verify import ORIENTABLE
 
-from oracles import oracle_lp_feasible
+from oracles import oracle_coincidence_witness, oracle_lp_feasible
 
 F = Fraction
 
@@ -453,11 +454,14 @@ def test_witness_wrap_pair():
     point, status = coincidence_witness(f, g)
     assert status == "found"
     assert point is not None
-    # exact verification is internal; double-check here too
-    pos = dict(zip(point.carrier, point.coords))
-    from simhom.lefschetz import _affine_image
-
-    assert _affine_image(f, pos) == _affine_image(g, pos)
+    # exact verification is internal; double-check here too, codomain
+    # vertices at standard basis points
+    fm, gm = f.vertex_map_names(), g.vertex_map_names()
+    image_f, image_g = {}, {}
+    for v, t in zip(point.carrier, point.coords):
+        image_f[fm[v]] = image_f.get(fm[v], 0) + t
+        image_g[gm[v]] = image_g.get(gm[v], 0) + t
+    assert image_f == image_g
 
 
 def test_witness_constants_disjoint():
@@ -512,6 +516,99 @@ def test_single_level_witness_search_over_catalog_pairs(monkeypatch):
                 )
                 assert rep.value == 0, (f.name, g.name)
     assert (found, exhausted) == (83, 16)
+
+
+def test_witness_search_matches_the_name_based_reference():
+    # The search reads vertex ids; the reference reads vertex names and
+    # orders the LP's equalities by name.  The RREF of [A | b] does not
+    # depend on the row order, so every pair gives the same point.
+    maps = [catalog.get_map(name) for name in catalog.MAP_BUILDERS]
+    pairs = [
+        (f, g) for f in maps for g in maps
+        if f.domain is g.domain and f.codomain is g.codomain
+    ]
+    assert len(pairs) == 99
+    found = 0
+    for f, g in pairs:
+        point, status = coincidence_witness(f, g)
+        expected = oracle_coincidence_witness(f, g)
+        if expected is None:
+            assert (point, status) == (None, "search-exhausted"), (f.name, g.name)
+            continue
+        found += 1
+        assert status == "found"
+        assert (point.carrier, point.coords) == expected, (f.name, g.name)
+    assert found == 83
+
+
+def test_witness_search_refuses_maps_with_different_domains():
+    with pytest.raises(DimensionMismatch, match="witness search needs a common domain"):
+        coincidence_witness(catalog.get_map("hex_wrap2"), catalog.get_map("id_triangle"))
+
+
+def test_run_suites_refuses_an_unknown_suite():
+    with pytest.raises(KeyError, match="unknown suite 'nope'"):
+        verify.run_suites(["nope"])
+
+
+def _run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.err
+
+
+def test_witness_gate_support_spans_no_simplex(monkeypatch, capsys):
+    # v0 and v3 span no edge of the hexagon; f = g, so only this gate fires
+    monkeypatch.setattr(lefschetz, "_search_complex", lambda f, g: [(0, F(1, 2)), (3, F(1, 2))])
+    f = catalog.get_map("hex_rotate")
+    with pytest.raises(AssertionError, match="witness support does not span a simplex"):
+        coincidence_witness(f, f)
+    code, err = _run_cli(capsys, "coincidence", "hex_rotate", "hex_rotate", "--witness")
+    assert (code, err) == (3, "assertion failed: witness support does not span a simplex\n")
+
+
+def test_witness_gate_exact_verification(monkeypatch, capsys):
+    # every LP answers the first vertex of its simplex, which the two
+    # disjoint constants send to different vertices
+    monkeypatch.setattr(lefschetz, "lp_feasible", lambda cons, k: (ONE,) + (ZERO,) * (k - 1))
+    f, g = catalog.get_map("hex_const_v0"), catalog.get_map("hex_const_v3")
+    with pytest.raises(AssertionError, match="witness fails exact verification"):
+        coincidence_witness(f, g)
+    code, err = _run_cli(capsys, "coincidence", "hex_const_v0", "hex_const_v3", "--witness")
+    assert (code, err) == (3, "assertion failed: witness fails exact verification\n")
+
+
+def test_extraction_gate_fires_on_a_wrong_coefficient(monkeypatch):
+    real = lefschetz.coefficient_extraction_table
+
+    def moved(lef, d):
+        (q, i, j, value, expected), *rest = real(lef, d)
+        return [(q, i, j, value + 1, expected), *rest]
+
+    monkeypatch.setattr(lefschetz, "coefficient_extraction_table", moved)
+    d = duality_operator(Space(catalog.octahedron()))
+    with pytest.raises(AssertionError, match=r"Lefschetz extraction failed at degree 0, \(0,0\): 2 != 1"):
+        lefschetz_class(d)
+    assert d._lefschetz is None
+
+
+def test_euler_gate_fires_on_a_wrong_pairing(monkeypatch):
+    real = lefschetz.kronecker
+    monkeypatch.setattr(lefschetz, "kronecker", lambda a, b: real(a, b) + 1)
+    d = duality_operator(Space(catalog.octahedron()))
+    with pytest.raises(
+        AssertionError, match="Euler mismatch on 'octahedron': pairing 3 vs combinatorial 2"
+    ):
+        euler_data(d)
+
+
+def test_trace_formula_gate_fires_on_a_wrong_trace(monkeypatch):
+    real = lefschetz.graded_trace
+    monkeypatch.setattr(lefschetz, "graded_trace", lambda sigma: real(sigma) + 1)
+    d = duality_operator(Space(catalog.octahedron()))
+    prod = product_space(d.space, d.space)
+    with pytest.raises(AssertionError, match="trace formula violated: pairing 2 vs trace 3"):
+        lefschetz_iso_and_trace(d, prod, GradedMap.identity(d.space.cohomology))
 
 
 def test_nonorientable_inputs_rejected():
