@@ -230,8 +230,9 @@ def _select(leaving, entering, transposed):
 
     - No boundaries (H^0, and H_n of an n-complex): every cycle z_f is
       kept, with coordinate {t: 1}, read off the reduction of the map
-      leaving the degree.  On a 0-dimensional complex that map is zero,
-      and its z_f are the unit chains.
+      leaving the degree.  Where that map's target is empty, as on a
+      0-dimensional complex or a pair whose A holds the whole
+      (q-1)-skeleton, the map is zero and its z_f are the unit chains.
     - Every chain is a cycle (H_0, and H^n of an n-complex), with B read
       off a signed graph's column form: d_1's columns always, d_n^T when
       the dual graph balances.  B is then the forest's tree edges, so each

@@ -747,7 +747,8 @@ def test_forced_degrees_match_the_generic_selection(monkeypatch):
     B_F^T: their representatives and coordinates, type for type, equal
     what ``_selection`` reduces on the same ``Reductions``.  Checked on
     every catalog complex, shuffled Sd of five surfaces, a disconnected
-    complex, S^3, and relative pairs whose components reach ground.  Only
+    complex, S^3, relative pairs whose components reach ground, and
+    relative pairs whose A holds the whole (n-1)-skeleton.  Only
     a top degree whose dual graph does not balance (rp2) or is no graph (a
     book of three triangles, a theta graph) is selected; on an oriented
     surface H_0 is [v_0] with every coordinate 1 and H^2 is [t_0] with the
@@ -779,6 +780,14 @@ def test_forced_degrees_match_the_generic_selection(monkeypatch):
     circle = [["a", "b"], ["b", "c"], ["a", "c"]]
     whisker = validate(circle + [["c", "w"], ["p", "q"], ["q", "r"], ["p", "r"]], name="whisker")
     carriers["(whisker + circle, circle)"] = build_relative(whisker, validate(circle, name="abc"))
+    # A holds the whole (q-1)-skeleton: C_{q-1} = 0, so d_q is a zero map
+    # with no rows, and H_q, H^q keep every chain with {t: 1}
+    carriers["(circle, vertices)"] = build_relative(
+        validate(circle, name="abc"), validate([["a"], ["b"], ["c"]], name="abc0")
+    )
+    carriers["(triangle, rim)"] = build_relative(
+        validate([["a", "b", "c"]], name="tri"), validate(circle, name="abc")
+    )
 
     real = homology._selection
     selected = []

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from simhom import catalog, duality, homology, lefschetz, verify
-from simhom.cli import main
 from simhom.complex import SimplicialMap, constant_map, identity_map
 from simhom.duality import duality_operator, degree, transfers
 from simhom.errors import DegreeMismatch, DimensionMismatch
@@ -23,6 +22,7 @@ from simhom.products import cross, cup, product_map, product_space
 from simhom.verify import ORIENTABLE
 
 from oracles import oracle_coincidence_witness, oracle_lp_feasible
+from test_cli import run
 
 F = Fraction
 
@@ -494,7 +494,10 @@ def test_single_level_witness_search_over_catalog_pairs(monkeypatch):
     # |f| and |g| are affine on each closed simplex, so one search over the
     # domain's own simplices decides every pair; a nonzero lambda always
     # comes with a witness.  Every LP of the search gives the point that the
-    # hand-written substitution table for the equalities gave.
+    # hand-written substitution table for the equalities gave.  The search
+    # reads vertex ids; the reference reads vertex names and orders the LP's
+    # equalities by name.  The RREF of [A | b] does not depend on the row
+    # order, so every pair gives the reference's point.
     def checked(cons, nvars):
         point = lp_feasible(cons, nvars)
         assert point == oracle_lp_feasible(cons, nvars), cons
@@ -510,35 +513,14 @@ def test_single_level_witness_search_over_catalog_pairs(monkeypatch):
             point, status = coincidence_witness(f, g)
             found += status == "found"
             exhausted += status == "search-exhausted"
+            got = None if point is None else (point.carrier, point.coords)
+            assert got == oracle_coincidence_witness(f, g), (f.name, g.name)
             if point is None:
                 rep = coincidence_number(
                     f, g, dx=dop(f.domain.name), dy=dop(f.codomain.name)
                 )
                 assert rep.value == 0, (f.name, g.name)
     assert (found, exhausted) == (83, 16)
-
-
-def test_witness_search_matches_the_name_based_reference():
-    # The search reads vertex ids; the reference reads vertex names and
-    # orders the LP's equalities by name.  The RREF of [A | b] does not
-    # depend on the row order, so every pair gives the same point.
-    maps = [catalog.get_map(name) for name in catalog.MAP_BUILDERS]
-    pairs = [
-        (f, g) for f in maps for g in maps
-        if f.domain is g.domain and f.codomain is g.codomain
-    ]
-    assert len(pairs) == 99
-    found = 0
-    for f, g in pairs:
-        point, status = coincidence_witness(f, g)
-        expected = oracle_coincidence_witness(f, g)
-        if expected is None:
-            assert (point, status) == (None, "search-exhausted"), (f.name, g.name)
-            continue
-        found += 1
-        assert status == "found"
-        assert (point.carrier, point.coords) == expected, (f.name, g.name)
-    assert found == 83
 
 
 def test_witness_search_refuses_maps_with_different_domains():
@@ -551,19 +533,13 @@ def test_run_suites_refuses_an_unknown_suite():
         verify.run_suites(["nope"])
 
 
-def _run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.err
-
-
 def test_witness_gate_support_spans_no_simplex(monkeypatch, capsys):
     # v0 and v3 span no edge of the hexagon; f = g, so only this gate fires
     monkeypatch.setattr(lefschetz, "_search_complex", lambda f, g: [(0, F(1, 2)), (3, F(1, 2))])
     f = catalog.get_map("hex_rotate")
     with pytest.raises(AssertionError, match="witness support does not span a simplex"):
         coincidence_witness(f, f)
-    code, err = _run_cli(capsys, "coincidence", "hex_rotate", "hex_rotate", "--witness")
+    code, _, err = run(capsys, "coincidence", "hex_rotate", "hex_rotate", "--witness")
     assert (code, err) == (3, "assertion failed: witness support does not span a simplex\n")
 
 
@@ -574,7 +550,7 @@ def test_witness_gate_exact_verification(monkeypatch, capsys):
     f, g = catalog.get_map("hex_const_v0"), catalog.get_map("hex_const_v3")
     with pytest.raises(AssertionError, match="witness fails exact verification"):
         coincidence_witness(f, g)
-    code, err = _run_cli(capsys, "coincidence", "hex_const_v0", "hex_const_v3", "--witness")
+    code, _, err = run(capsys, "coincidence", "hex_const_v0", "hex_const_v3", "--witness")
     assert (code, err) == (3, "assertion failed: witness fails exact verification\n")
 
 

@@ -7,8 +7,7 @@ copy.  A mutant that still passes is a survivor: no test makes that raise
 fire.  Survivors are printed with their allowlist reason, or flagged when
 they have none; the exit code is 1 when some survivor has no reason.
 
-    python tools/mutation_audit.py                  # every module
-    python tools/mutation_audit.py lefschetz.py     # only the modules named
+    python tools/mutation_audit.py
 
 Stdlib only.  At most two worker processes run at once, each in its own
 copy.  ``test_no_unused_imports`` is deselected: a mutant that drops the
@@ -114,15 +113,10 @@ def run_tier1(tree):
     return done.returncode == 0, last[0]
 
 
-def main(argv):
+def main():
     modules = sorted(
         f for f in os.listdir(os.path.join(ROOT, PACKAGE)) if f.endswith(".py")
     )
-    if argv:
-        unknown = set(argv) - set(modules)
-        if unknown:
-            raise SystemExit(f"not modules of {PACKAGE}: {sorted(unknown)}")
-        modules = [m for m in modules if m in argv]
     jobs = [
         (module, func, msg, node)
         for module in modules
@@ -174,4 +168,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
