@@ -158,7 +158,7 @@ def _generators(space, kind):
         gens = []
         for rep in graded.representatives(q):
             chain = {
-                "+".join(space.complex.simplex_names(s)): qstr(c)
+                "+".join(map(str, space.complex.simplex_names(s))): qstr(c)
                 for s, c in zip(space.cc.basis(q), rep)
                 if c != 0
             }
@@ -184,7 +184,7 @@ def cmd_duality(args, resolver):
         "name": x.name,
         "manifold": d.fundamental.orientation.report.to_json(),
         "orientation_signs": {
-            "+".join(x.simplex_names(s)): sign
+            "+".join(map(str, x.simplex_names(s))): sign
             for s, sign in zip(x.top_simplices(), d.fundamental.orientation.signs)
         },
         "fundamental_class_terms": len([c for c in d.fundamental.chain if c != 0]),

@@ -241,14 +241,12 @@ def _analyse(x: SimplicialComplex):
     balance of top simplex 0's component, and the complex is strongly
     connected when that component holds every top simplex; ``bad`` is the
     first vertex whose link fails in dimension <= 2, or None; ``dual`` is
-    the forest, which ``SignedForest.of`` reads off d_n's rows when no row
-    holds more than two entries.  A pure, strongly
-    connected complex is connected: every vertex lies in a top simplex.
-    Only other complexes join the vertices along the edges, with the same
-    routine.
+    the forest of d_n's rows, restricted to those of at most two entries
+    when some row holds more.  A pure, strongly connected complex is
+    connected: every vertex lies in a top simplex.  Only other complexes
+    join the vertices along the edges, with the same routine.
     """
     n = x.dim
-    tops = x.top_simplices()
     if n <= 0:  # every simplex is a top simplex, so the complex is pure
         connected = x.n_simplices(0) == 1
         report = ManifoldReport(
@@ -262,7 +260,7 @@ def _analyse(x: SimplicialComplex):
             is_closed_pseudo_manifold=connected,
             vertex_links_ok=True,
         )
-        return report, [1] * len(tops), True, None, None
+        return report, [1] * len(x.top_simplices()), True, None, None
     # d_n by rows: each (n-1)-simplex's cofaces, in top order
     d = x.boundary(n)
     counts = d.row_sizes()
@@ -271,8 +269,10 @@ def _analyse(x: SimplicialComplex):
     ok = max(counts, default=0) <= 2
     closed = ok and not boundary and pure
     # a one-entry row grounds its top simplex, which moves no sign; a row of
-    # more than two is no link: the forest then leaves it out and is not d_n's
-    dual = SignedForest.of(d, False) or SignedForest(len(tops), *d.ends(False, skip=True))
+    # more than two is no link, so the forest reads the other rows alone
+    if not ok:
+        d = d.restricted(d.rows, [f if c <= 2 else -1 for f, c in enumerate(counts)], range(d.cols))
+    dual = SignedForest.of(d, False)
     roots, signs = dual.flatten()
     r0, s0 = roots[0], signs[0]
     signs = [s * s0 if r == r0 else 0 for r, s in zip(roots, signs)]

@@ -19,7 +19,9 @@ column, the sign (-1)^i of slot i implied, and its rows, built once on
 first use.  Every reader (``lines`` for ``Solver``, ``ends`` for
 ``SignedForest``, ``apply``, ``pull`` and their support-only forms) walks
 those arrays; a table's ``entries`` is a dict view made on demand for the
-tests and the transposed copy ``ChainComplex.coboundary`` makes.
+tests and the transposed copy ``ChainComplex.coboundary`` makes.  A
+quotient's d_q and the homology selection's B_F^T, which no
+``SparseMatrix`` carries, are tables ``restricted`` from d_q.
 
 The dense products multiply in ``int`` after scaling each operand by the
 lcm of its denominators, and make one Fraction per result entry.
@@ -51,9 +53,8 @@ M^T's rows, so the forest of M's columns gives M's column form and M^T's
 row form, and the forest of M's rows the other two.  The RREF is unique,
 so these are ``_rref``'s values, as ``int``.  Any other orientation is
 left to ``Solver``.  The same routine decides the orientation and the
-connectivity of a complex (``complex._analyse``), over d_n's rows, where
-``FacetTable.ends`` leaves out a row of more than two entries, a facet
-that is no link of the dual graph.
+connectivity of a complex (``complex._analyse``), over the rows of d_n
+restricted to the facets that are links of the dual graph.
 
 Elimination produces the canonical reduced row echelon form: pivot columns
 are chosen left to right, and within the forced pivot column the row with
@@ -311,18 +312,19 @@ class FacetTable:
     ``facets`` is one flat ``array('i')``: column j holds the ids of its
     ``width`` = q + 1 facets in slot order, ``facets[j * width + i]`` being
     the facet that drops vertex i, and slot i carries the entry (-1)^i,
-    which is not stored.  A quotient marks a dropped facet with -1.  That
-    is four bytes an entry, where a ``SparseMatrix`` keeps a keyed dict
-    entry of about a hundred.
+    which is not stored.  A ``restricted`` table marks a dropped facet with
+    -1.  That is four bytes an entry, where a ``SparseMatrix`` keeps a
+    keyed dict entry of about a hundred.
 
-    Only this class reads the layout, and every reader walks the array:
-    ``apply``, ``pull``, ``apply_support``, ``pull_support``, ``lines``
-    (for ``Solver``), ``ends`` (for ``SignedForest``), ``column``,
-    ``restricted`` (a quotient's table), ``row_sizes`` and ``empty_rows``; ``@`` pushes the other matrix's columns through it in
-    ``int``.  The rows are ``cofaces``, built once, on first use: per row
-    an offset into one array of column ids and one of signs, in column
-    order.  ``entries`` is a dict view made on every
-    call, for the tests and for the transposed copy
+    Only this class reads the layout, so only it decodes a facet's sign,
+    and every reader walks the array: ``apply``, ``pull``,
+    ``apply_support``, ``pull_support``, ``lines`` (for ``Solver``),
+    ``ends`` (for ``SignedForest``), ``column``, ``restricted`` (a
+    submatrix's table), ``row_sizes`` and ``empty_rows``; ``@`` pushes the
+    other matrix's columns through it in ``int``.  The rows are
+    ``cofaces``, built once, on first use: per row an offset into one array
+    of column ids and one of signs, in column order.  ``entries`` is a dict
+    view made on every call, for the tests and for the transposed copy
     ``ChainComplex.coboundary`` makes.
     """
 
@@ -343,9 +345,10 @@ class FacetTable:
 
     def restricted(self, rows, renumber, columns):
         """The table of ``columns`` alone, in that order, each facet f
-        renumbered ``renumber[f]`` (-1 drops it), over ``rows`` rows."""
-        facets = array("i", [renumber[f] for j in columns for f in self.column(j)])
-        return FacetTable(rows, len(columns), self.width, facets)
+        renumbered ``renumber[f]`` (-1 drops it), over ``rows`` rows; a
+        facet already dropped stays dropped."""
+        facets = [renumber[f] if f >= 0 else -1 for j in columns for f in self.column(j)]
+        return FacetTable(rows, len(columns), self.width, array("i", facets))
 
     def cofaces(self):
         """The rows, as (start, ids, signs): row r's entries are the
@@ -411,10 +414,9 @@ class FacetTable:
             lines.append(line)
         return lines
 
-    def ends(self, by_column, skip=False):
+    def ends(self, by_column):
         """Each line's (first index, its sign, second index, its sign), or None
-        when a line has more than two entries; for rows, ``skip`` leaves such
-        a row out, as an empty one, instead.  A missing entry has index -1
+        when a line has more than two entries.  A missing entry has index -1
         and sign 0.  The values of ``SparseMatrix.ends`` on the same entries:
         a full d_1's columns are two slices."""
         w, fac = self.width, self.facets
@@ -437,7 +439,7 @@ class FacetTable:
                 if len(at) == 2:
                     b[j], bv[j] = fac[j * w + at[1]], -1 if at[1] & 1 else 1
             return a, av, b, bv
-        if not skip and len(fac) > 2 * n and self.full:  # a row holds three
+        if len(fac) > 2 * n and self.full:  # a row holds three
             return None
         start, ids, signs = self.cofaces()
         if start == array("i", range(0, 2 * n + 1, 2)):  # two entries a row
@@ -446,8 +448,6 @@ class FacetTable:
         for r in range(n):
             k, e = start[r], start[r + 1]
             if e - k > 2:
-                if skip:
-                    continue
                 return None
             if e > k:
                 a[r], av[r] = ids[k], signs[k]

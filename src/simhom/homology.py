@@ -18,21 +18,22 @@ z_f of a free column f is 1 at f and 0 at the other free columns, so a
 cycle z is the sum of z[f] z_f.  One reduction per degree, of the
 boundaries' row space B_F^T in these coordinates (rank B_q x dim Z_q),
 selects the representatives, the z_f independent modulo boundaries, and
-writes every z_f in them; on a surface B_F^T is a graph too.  Degrees 0
-and n select nothing, their basis being forced.  H^0 and H_n have no
-boundaries, so every cycle is kept.  In H_0 and H^n every chain is a
-cycle, and when the boundaries are a signed graph's column form (d_1's
+writes every z_f in them; B_F^T is a facet table restricted from d, and on
+a surface a graph too.  A degree where rank B_q = dim Z_q reduces nothing.
+Degrees 0 and n select nothing, their basis being forced.  H^0 and H_n
+have no boundaries, so every cycle is kept.  In H_0 and H^n every chain is
+a cycle, and when the boundaries are a signed graph's column form (d_1's
 columns always, d_n^T when the dual graph balances) each component of its
 spanning forest that does not reach ground keeps its lowest simplex, and
-every simplex of it has that class times the product of the two
-simplices' forest signs: one point class per component of H_0, and in H^n
-the orientation signs.  ``duality.fundamental_class`` hands the walk the
-dual graph's forest that ``complex.orient`` built, so a duality query
-builds it once.  The class
-of a cycle is then a sparse sum over its free entries, after its support
-is pushed through the facet table to check that it is a cycle (a cocycle
-through d_{q+1}'s rows): no elimination runs once the spaces are built,
-and only the representatives are stored as dense vectors.
+every simplex of it has that class times the product of the two simplices'
+forest signs: one point class per component of H_0, and in H^n the
+orientation signs.  ``duality.fundamental_class`` hands the walk the dual
+graph's forest that ``complex.orient`` built, so a duality query builds it
+once.  The class of a cycle is then a sparse sum over its free entries,
+after its support is pushed through the facet table to check that it is a
+cycle (a cocycle through d_{q+1}'s rows): no elimination runs once the
+spaces are built, and only the representatives are stored as dense
+vectors.
 
 The Kronecker pairing is Betti-sized too: the representatives of H^q and
 H_q are paired once, by sparse dots over their supports, and every later
@@ -224,7 +225,8 @@ def _select(leaving, entering, transposed):
     leaving and entering the degree, read as d for H_* and d^T for H^*
     (``transposed``).  Returns the dense kept cycles and {f: {t:
     coefficient}}, the class coordinates of the cycles z_f, t numbering the
-    kept cycles in order; ``_selection`` says how a degree selects them.
+    kept cycles in order; ``_selection`` says how a degree selects them,
+    and keeps none, reducing nothing, where rank B = dim Z.
 
     Two kinds of degree select nothing, because their basis is forced:
 
@@ -289,43 +291,39 @@ def _selection(leaving, entering, transposed):
     kept columns j, so class(z_f) = -sum_j r_j [z_j].  The kept cycles and
     the coordinates are in the RREFs' own values.
 
-    B_F^T, whose rows are the entering d's columns at the boundary pivots
-    (its rows for H^*), is read off d's columns: for H_* the pivot
-    columns, for H^* the columns at F, so d's rows are never built for
-    it.  It is reduced on its graph when it is one, and eliminated
-    otherwise; either reduction hands out the same RREF entries
-    (``rref_entries``).  On a surface it is: the H_1 selection has one
-    column per cotree edge, with its two triangles as entries, those of a
-    dropped triangle cut away, and the H^1 selection is the 1-skeleton on
-    the edges outside the dual spanning tree.
+    When rank B = dim Z every cycle is a boundary: H_q = 0, and nothing is
+    built or reduced.  Otherwise B_F^T is a facet table restricted from
+    the entering d, with no entry copied: for H^* B_F^T itself, d's
+    columns at F, reversed, over the boundary-pivot rows; for H_* its
+    transpose B_F, d's boundary-pivot columns over the rows at F,
+    reversed.  ``Reductions`` reduces it as B_F^T, which is then strictly
+    wide, so it is read off its graph or eliminated once, on its own rows
+    (a square one would take the tall path and be eliminated twice).
+    Either reduction hands out the same RREF entries (``rref_entries``).
+    On a surface B_F^T is a graph: the H_1 selection has one column per
+    cotree edge, with its two triangles as entries, those of a dropped
+    triangle cut away, and the H^1 selection is the 1-skeleton on the
+    edges outside the dual spanning tree.
     """
     leaving_red = leaving.of(transposed)
     free = leaving_red.free_cols()
-    last = len(free) - 1
-    slot = dict(zip(free, range(last, -1, -1)))
     bpivots = entering.of(transposed).pivot_cols
-    d = entering.m
-    m = SparseMatrix(len(bpivots), len(free))
-    ent = m.entries
-    if transposed:  # the boundaries are d's rows, F's simplices its columns
-        bslot = {r: k for k, r in enumerate(bpivots)}
-        for j in free:
-            for i, f in enumerate(d.column(j)):
-                if f in bslot:
-                    ent[(bslot[f], slot[j])] = -1 if i & 1 else 1
-    else:  # the boundaries are d's columns
-        for k, j in enumerate(bpivots):
-            for i, f in enumerate(d.column(j)):
-                if f in slot:
-                    ent[(k, slot[f])] = -1 if i & 1 else 1
-    selection = Reductions(m).of()
+    if len(bpivots) == len(free):  # rank B = dim Z
+        return [], {}
+    d, rev = entering.m, free[::-1]
+    # for H^* the boundaries are d's rows and F's simplices its columns
+    rows, columns = (bpivots, rev) if transposed else (rev, bpivots)
+    renumber = [-1] * d.rows
+    for k, r in enumerate(rows):
+        renumber[r] = k
+    selection = Reductions(d.restricted(len(rows), renumber, columns)).of(not transposed)
     pivot_cols = set(selection.pivot_cols)
-    kept = [c for c in range(last, -1, -1) if c not in pivot_cols]
+    kept = [c for c in range(len(rev) - 1, -1, -1) if c not in pivot_cols]
     t_of = {c: t for t, c in enumerate(kept)}
-    coords = {free[last - c]: {t: 1} for c, t in t_of.items()}
+    coords = {rev[c]: {t: 1} for c, t in t_of.items()}
     for c, j, v in selection.rref_entries(kept):
-        coords.setdefault(free[last - c], {})[t_of[j]] = -v
-    return leaving_red.rref_kernel([free[last - c] for c in kept]), coords
+        coords.setdefault(rev[c], {})[t_of[j]] = -v
+    return leaving_red.rref_kernel([rev[c] for c in kept]), coords
 
 
 def _graded_spaces(cc, kinds, dual=None):

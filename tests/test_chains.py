@@ -86,6 +86,13 @@ def test_relative_rejects_non_subcomplex():
         build_relative(x, other)
 
 
+def test_relative_rejects_vertices_outside_the_ambient_complex():
+    x = catalog.hexagon()
+    stray = validate([["v0", "zz"]], name="stray")
+    with pytest.raises(NotSubcomplex, match="^'stray' has vertices outside 'hexagon'$"):
+        build_relative(x, stray)
+
+
 def test_relative_short_exact_ranks():
     # 0 -> C(A) -> C(X) -> C(X,A) -> 0 degreewise
     x = catalog.octahedron()
@@ -492,3 +499,18 @@ def test_facet_table_readers_match_dict_table():
         if cc.index is cc.complex.index:
             x = cc.complex
             assert x.maximal_simplices() == oracle_maximal_simplices(x), label
+
+
+def test_restricted_keeps_a_dropped_facet_dropped():
+    """Restricting a quotient view's table, whose dropped facets are -1,
+    keeps them -1 instead of reading ``renumber[-1]``: renumbered by the
+    identity, the table comes back unchanged, and renumbered in reverse,
+    only the kept facets move."""
+    torus = catalog.torus()
+    circle = validate([["t00", "t10"], ["t10", "t20"], ["t00", "t20"]], name="circle")
+    d = build_relative(torus, circle).boundary(2)
+    assert not d.full
+    same = d.restricted(d.rows, list(range(d.rows)), range(d.cols))
+    assert same.facets == d.facets and not same.full
+    flipped = d.restricted(d.rows, list(range(d.rows - 1, -1, -1)), range(d.cols))
+    assert list(flipped.facets) == [f if f < 0 else d.rows - 1 - f for f in d.facets]

@@ -171,6 +171,9 @@ def test_parse_error_exit_1(capsys):
     code, out, err = run(capsys, "homology", "no-such-complex")
     assert code == 1
     assert "error" in err
+    code, out, err = run(capsys, "degree", "no_such_map")
+    assert (code, out) == (1, "")
+    assert err == "error: \"unknown map 'no_such_map' (not a catalog name or file)\"\n"
 
 
 def test_face_enumeration_is_bounded_before_it_starts(tmp_path, capsys, monkeypatch):
@@ -464,6 +467,26 @@ def test_map_file_vertex_errors_exit_1(tmp_path, capsys, edit, message):
     assert (code, out, err) == (1, "", message)
 
 
+def test_vertex_order_missing_a_vertex_exit_1(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"maximal_simplices": [["a", "b"]], "vertex_order": ["a"]}))
+    code, out, err = run(capsys, "homology", str(path))
+    assert (code, out, err) == (1, "", "error: vertex_order must list each vertex exactly once\n")
+
+
+def test_degree_of_a_map_between_dimensions_exit_2(tmp_path, capsys):
+    """A constant map from the hexagon to the octahedron has no degree."""
+    data = {
+        "domain": "hexagon",
+        "codomain": "octahedron",
+        "vertex_map": {f"v{i}": "u" for i in range(6)},
+    }
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "degree", str(path))
+    assert (code, out, err) == (2, "", "error: degree needs equal-dimensional manifolds\n")
+
+
 def test_human_output_runs(capsys):
     code, out, err = run(capsys, "homology", "genus2")
     assert code == 0
@@ -548,6 +571,24 @@ def test_map_files_over_numeric_vertex_ids(tmp_path, capsys):
     written = json.loads(json.dumps(map_to_json(f)))
     assert written["vertex_map"] == rot["vertex_map"]
     assert map_from_json(written, x, x).mapping == f.mapping == (1, 2, 0)
+
+
+def test_numeric_vertex_ids_name_simplices_in_duality_and_generators(tmp_path, capsys):
+    """A complex over numeric vertex ids names a simplex by its ids joined
+    with "+", in the duality report's orientation signs and in the
+    generators of H_* and H^*, in JSON and in text."""
+    path = tmp_path / "s2.json"
+    path.write_text(json.dumps({"maximal_simplices": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]}))
+    code, data, err = run_json(capsys, "duality", str(path))
+    assert (code, err) == (0, "")
+    assert data["results"]["orientation_signs"] == {"1+2+3": 1, "1+2+4": -1, "1+3+4": 1, "2+3+4": -1}
+    for kind in ("homology", "cohomology"):
+        code, data, err = run_json(capsys, kind, str(path), "--generators")
+        assert (code, err) == (0, "")
+        assert data["results"]["betti"] == [1, 0, 1]
+        assert "1+2+3" in data["results"]["generators"]["2"][0], kind
+    code, out, err = run(capsys, "homology", str(path), "--generators")
+    assert (code, err) == (0, "") and "1+2+3" in out
 
 
 def test_map_keys_that_name_two_domain_vertices_exit_1(tmp_path, capsys):

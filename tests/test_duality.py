@@ -381,7 +381,31 @@ def test_degree_rejects_operators_of_other_complexes():
     for dx, dy in ((dh, dh), (dt, dt), (dt, dh)):
         with pytest.raises(DimensionMismatch):
             degree(f, dx, dy)
+        with pytest.raises(
+            DimensionMismatch, match="^transfer: duality operators do not match the map$"
+        ):
+            transfers(f, dx, dy)
     assert degree(f, dh, dt) == 2
+
+
+def test_degree_needs_equal_dimensions():
+    """hexagon -> octahedron raises the dimension by one: its transfers
+    exist, its degree does not, read either way."""
+    hexa, octa = space("hexagon"), space("octahedron")
+    f = constant_map(hexa.complex, octa.complex, "u")
+    dx, dy = duality_operator(hexa), duality_operator(octa)
+    for wrong in (lambda: degree(f, dx, dy), lambda: transfers(f, dx, dy).degree()):
+        with pytest.raises(DimensionMismatch, match="^degree needs equal-dimensional manifolds$"):
+            wrong()
+
+
+def test_intersection_refuses_a_negative_degree():
+    """On the torus, H_0 . H_1 would land in degree 0 + 1 - 2 = -1."""
+    torus = space("torus")
+    d = duality_operator(torus)
+    a, b = basis_class(torus.homology, 0, 0), basis_class(torus.homology, 1, 0)
+    with pytest.raises(DegreeMismatch, match="^intersection lands in negative degree$"):
+        intersection(a, b, d)
 
 
 def test_suite_duality_builds_each_induced_map_once(monkeypatch):
@@ -683,8 +707,16 @@ def test_product_duality_is_the_cap_with_the_product_fundamental_class():
 
 
 def test_product_duality_refuses_tensors_of_other_products_and_kinds():
+    """A product duality refuses operators of other factors, or of other
+    spaces of the same complexes, and tensors of other products and kinds."""
     hexa, tri = space("hexagon"), space("triangle")
-    pd = ProductDuality(product_space(hexa, tri), duality_operator(hexa), duality_operator(tri))
+    dh, dt = duality_operator(hexa), duality_operator(tri)
+    pd = ProductDuality(product_space(hexa, tri), dh, dt)
+    for dx, dy in ((dt, dh), (dh, dh), (dh, duality_operator(space("triangle")))):
+        with pytest.raises(
+            DimensionMismatch, match="^product duality: operators do not match factors$"
+        ):
+            ProductDuality(pd.prod, dx, dy)
     swapped = product_space(tri, hexa)
     h1_tri, h1_hex = basis_class(tri.homology, 1, 0), basis_class(hexa.homology, 1, 0)
     c1_tri, c1_hex = basis_class(tri.cohomology, 1, 0), basis_class(hexa.cohomology, 1, 0)

@@ -380,6 +380,23 @@ def test_exactness_check_fires_when_a_composite_is_not_zero():
     assert _check_exactness((seq.i_star, j, seq.connecting), range(x.dim + 1))[0]
 
 
+def test_connecting_map_fires_when_a_relative_cycle_boundary_leaves_a(monkeypatch):
+    """With the pair's chains built relative to the disk's whole rim while
+    A is one edge of it, H_2(X, A)'s representative, the triangle, has a
+    boundary that leaves A, and the connecting map must say so."""
+    import simhom.homology as homology
+
+    disk = catalog.triangle2()
+    rim = validate([["a", "b"], ["b", "c"], ["a", "c"]], name="rim")
+    edge = validate([["a", "b"]], name="edge")
+    real = homology.build_relative
+    monkeypatch.setattr(homology, "build_relative", lambda x, a: real(x, rim))
+    with pytest.raises(AssertionError, match="^relative cycle boundary left A$"):
+        long_exact_sequence(disk, edge)
+    monkeypatch.undo()
+    assert long_exact_sequence(disk, edge).exact
+
+
 def test_excision_disk_boundary_edge():
     disk = catalog.triangle2()
     circle = validate([["a", "b"], ["b", "c"], ["a", "c"]], name="circle")
@@ -498,6 +515,26 @@ def _recorded_eliminations(monkeypatch):
     return shapes
 
 
+def test_a_degree_whose_boundaries_fill_its_cycles_selects_nothing(monkeypatch):
+    """On Sd of the boundary of the 4-simplex, the duality operator runs
+    six ``_rref``s: d_2 in full and on rank(d_2) rows, and four of
+    Betti-sized matrices.  In degrees 1 and 2 rank B = dim Z, so H_q = 0
+    and no B_F^T is reduced; reducing it would add two square 121 x 121
+    eliminations, the H_* one on the tall path."""
+    from simhom.complex import barycentric_subdivide
+    from simhom.duality import duality_operator
+
+    sd, _ = barycentric_subdivide(_boundary_of_4_simplex())
+    space = Space(sd)
+    cc = space.cc
+    shapes = _recorded_eliminations(monkeypatch)
+    duality_operator(space)
+    monkeypatch.undo()
+    assert space.homology.betti_vector() == (1, 0, 0, 1)
+    assert cc.n(1) - (cc.n(0) - 1) == 121  # dim Z_1 = rank B_1, and so in degree 2
+    assert sorted(shapes) == [(0, 0), (0, 0), (1, 2), (1, 2), (121, cc.n(1)), (cc.n(1), cc.n(2))]
+
+
 def _recorded_reductions(monkeypatch):
     """Record (matrix, transposed, reduction) of every orientation reduced
     through ``Reductions`` from now on, once each as it is built: a
@@ -523,16 +560,19 @@ def _shape(m, transposed):
 
 
 def test_classes_need_no_chain_sized_elimination(monkeypatch):
-    """Each selection is rank B_q x dim Z_q, whether a graph or ``_rref``
-    reduces it; class extraction eliminates nothing bigger than a Betti
-    number once H_* and H^* are built.  On the torus nothing is eliminated
-    at all while they are built; on S^3 only d_2 is.  Degrees 0 and n
-    select nothing, their basis being forced: no B_F^T ``SparseMatrix`` is
-    built for them, no reduction or forest of one, and the zero maps d_0
-    and d_{n+1} are never reduced."""
+    """Each selection is rank B_q x dim Z_q, a ``FacetTable`` restricted
+    from d, whether a graph or ``_rref`` reduces it; class extraction
+    eliminates nothing bigger than a Betti number once H_* and H^* are
+    built.  On the torus nothing is eliminated at all while they are built;
+    on S^3 only d_2 is.  Degrees 0 and n select nothing, their basis being
+    forced, and neither does a degree whose boundaries fill its cycles
+    (rank B_q = dim Z_q, as in degrees 1 and 2 of S^3): no table is handed
+    to ``Reductions`` for them, no reduction or forest of one, no
+    ``SparseMatrix`` is built at all, and the zero maps d_0 and d_{n+1} are
+    never reduced."""
     from simhom.complex import check_simplicial
     from simhom.duality import DualityOperator, fundamental_class
-    from simhom.exactlin import SignedForest, SparseMatrix, rank
+    from simhom.exactlin import FacetTable, SignedForest, SparseMatrix, rank
 
     s3 = _boundary_of_4_simplex()
     swap = check_simplicial({"a": "b", "b": "a", "c": "c", "d": "d", "e": "e"}, s3, s3)
@@ -558,14 +598,16 @@ def test_classes_need_no_chain_sized_elimination(monkeypatch):
         monkeypatch.setattr(SignedForest, "of", classmethod(recording_of))
         h, c = s.homology, s.cohomology
         monkeypatch.undo()
-        selections = [_shape(m, t) for m, t, _ in tried if not any(m is d for d in differentials)]
+        tables = [(m, t) for m, t, _ in tried if not any(m is d for d in differentials)]
+        assert all(type(m) is FacetTable for m, _ in tables), x.name
         degrees = range(1, cc.dim)  # the degrees that select
         cycles = {q: cc.n(q) - ranks[q] for q in degrees}
         cocycles = {q: cc.n(q) - ranks[q + 1] for q in degrees}
         expected = [(ranks[q + 1], cycles[q]) for q in degrees]
         expected += [(ranks[q], cocycles[q]) for q in degrees]
-        assert sorted(selections) == sorted(expected), x.name
-        assert sorted(built) == sorted(expected), x.name
+        expected = [(b, z) for b, z in expected if b < z]  # H_q = 0 hands over none
+        assert sorted(_shape(m, t) for m, t in tables) == sorted(expected), x.name
+        assert len(tables) == (0 if x is s3 else 2) and built == [], x.name
         read = [m for m, _, _ in tried]  # the differentials and the selections
         assert all(any(m is r for r in read) for m in forests), x.name
         zero_maps = (differentials[0], differentials[cc.dim + 1])
@@ -942,8 +984,8 @@ def test_graph_reductions_equal_elimination(monkeypatch):
     the spaces equal those built with the graph routine switched off.
     Over every catalog complex (only rp2 falls back), Sd of five surfaces
     under three vertex shuffles each, and the pairs of the long exact
-    sequences and excisions ``verify`` checks, whose relative chains give
-    one-entry columns."""
+    sequences and excisions ``verify`` checks and (torus, a meridian),
+    whose relative chains give one-entry columns."""
     from collections import Counter
 
     import simhom.exactlin as exactlin
@@ -993,7 +1035,13 @@ def test_graph_reductions_equal_elimination(monkeypatch):
     circle = validate([["a", "b"], ["b", "c"], ["a", "c"]], name="circle")
     equator = validate([["n", "e"], ["e", "s"], ["s", "w"], ["n", "w"]], name="equator")
     arc = validate([["v0", "v1"], ["v1", "v2"]], name="arc")
-    pairs = [(catalog.triangle2(), circle), (catalog.octahedron(), equator), (catalog.hexagon(), arc)]
+    meridian = validate([["t00", "t01"], ["t01", "t02"], ["t00", "t02"]], name="meridian")
+    pairs = [
+        (catalog.triangle2(), circle),
+        (catalog.octahedron(), equator),
+        (catalog.hexagon(), arc),
+        (catalog.torus(), meridian),
+    ]
     for x, a in pairs:
 
         def sequence():
@@ -1001,11 +1049,15 @@ def test_graph_reductions_equal_elimination(monkeypatch):
             return [seq.pair, seq.j_star.matrices, seq.connecting.matrices, seq.exact, seq.details]
 
         tried = agree(sequence, a.name)
-        assert any(
-            isinstance(r, GraphReduction) and has_one_entry_column(m, t) for m, t, r in tried
-        ), a.name
         rel = build_relative(x, a)
         agree(lambda: [compute_homology(rel), compute_cohomology(rel)], a.name)
+        if a is meridian:
+            # H(X, A) = (0, 1, 1) keeps a class, so its selections are
+            # reduced, and some of them on graphs with one-entry lines
+            assert compute_homology(rel).betti_vector() == (0, 1, 1)
+            assert any(
+                isinstance(r, GraphReduction) and has_one_entry_column(m, t) for m, t, r in tried
+            ), a.name
     for u in ([("a", "b")], []):
         agree(lambda: [excision_check(catalog.triangle2(), circle, u)], u)
 

@@ -1,8 +1,9 @@
 """Source hygiene: the package imports only the standard library and itself,
 every name a package module imports is used there, importing the CLI loads
 no module that generates code at import time, the engine makes no
-transposed copy of a matrix, and Betti-level maps are composed only by
-``GradedMap.compose``."""
+transposed copy of a matrix, Betti-level maps are composed only by
+``GradedMap.compose``, and the homology selection reduces a restricted
+facet table."""
 
 import ast
 import subprocess
@@ -212,3 +213,24 @@ def test_betti_level_compositions_go_through_graded_map_compose():
     assert function_calls(SRC / "lefschetz.py", "dense_mul") == []
     assert function_calls(SRC / "verify.py", "dense_mul") == []
     assert function_calls(SRC / "homology.py", "dense_mul") == ["GradedMap.compose"]
+
+
+def test_selection_reduces_a_restricted_facet_table():
+    # B_F^T is d restricted to the boundary pivots and the free simplices,
+    # handed to ``Reductions`` as a facet table: the selection names no
+    # keyed-dict matrix and decodes no facet slot's sign itself
+    path = SRC / "homology.py"
+    selection = {"_select", "_selection"}
+    named = scoped_nodes(path, lambda n: isinstance(n, ast.Name) and n.id == "SparseMatrix")
+    assert selection.isdisjoint(named)
+    assert selection.isdisjoint(method_calls(path, "column"))
+    assert method_calls(path, "restricted").count("_selection") == 1
+
+
+def test_facet_table_ends_takes_no_skip():
+    # the manifold analysis restricts d_n to its rows of at most two
+    # entries instead of asking ``ends`` to leave the others out
+    tree = ast.parse((SRC / "exactlin.py").read_text())
+    table = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FacetTable")
+    ends = next(n for n in table.body if isinstance(n, ast.FunctionDef) and n.name == "ends")
+    assert [a.arg for a in ends.args.args + ends.args.kwonlyargs] == ["self", "by_column"]

@@ -47,6 +47,10 @@ ALLOWLIST = {
     ("complex.py", "SimplicialComplex.__init__", "DuplicateVertex: duplicate vertex identifiers in {}"):
         "validate, the one public constructor, lists each vertex once, so only "
         "a direct SimplicialComplex(...) call reaches it",
+    ("duality.py", "_pushed_degree", "NotClosed: codomain top homology is not one-dimensi"):
+        "both callers, degree and Transfer.degree, check dim X = dim Y first, and "
+        "fundamental_class raises NotClosed unless b_n(Y) = 1, so only a "
+        "DualityOperator built by hand around another class reaches it",
 }
 
 
